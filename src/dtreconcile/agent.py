@@ -9,6 +9,22 @@ monthly forecast (RMF) is the sum of the adjusted daily forecasts.
 
 Learning is carried by Q keyed on (day index, action); a state-value
 table V is updated with the same rule purely as a diagnostic.
+
+One private scalar kernel, `_walk`, runs the day loop for training
+episodes (`run_episode`, which `train` calls once per cycle and pass)
+and for online revision (`reconcile_online`). Each call converts Q, V,
+the forecasts and the actuals to Python floats once and writes Q and V
+back into the table's arrays when it returns or raises. The kernel
+repeats the float operations of the single-step helpers
+(`egreedy_probabilities`, `select_action`, `sarsa_step`,
+`adjusted_forecast`) in the same order, so its results are bit-identical
+to walking the cycle with them. `run_episode(..., record=False)`, as
+`train` calls it, builds no trace and computes no RMF. A recorded RMF
+reads a per-call cache of each day's greedy-adjusted forecast; online
+revision refreshes only the row it has just updated. RMF sums go through
+the builtin `sum` over the day-ordered floats, because from Python 3.12
+`sum` compensates float rounding and a hand-written `+=` loop would not
+give the same last bits.
 """
 
 from __future__ import annotations
@@ -17,12 +33,13 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from math import isfinite
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DistributionError, ShapeError, StreamOrderError
-from .errors import InsufficientDataError
+from .errors import DataError, DistributionError, InsufficientDataError, ShapeError
+from .errors import StreamOrderError
 from .forecasting import ForecastSet
 from .seeding import rng_for
 
@@ -34,10 +51,6 @@ ACTION_KEEP = 1
 ACTION_DECREASE = 2
 
 _ACTION_DELTAS = np.array([1.0, 0.0, -1.0])
-# Argmax ties resolve conservatively to "keep", then toward "decrease":
-# with collapsing actuals a freshly penalized greedy action must not
-# flip the policy to "increase".
-_TIE_PREFERENCE = (ACTION_KEEP, ACTION_DECREASE, ACTION_INCREASE)
 
 
 @dataclass(frozen=True)
@@ -66,6 +79,8 @@ class AgentConfig:
             raise ValueError("exploration probability must be in [0, 1]")
         if not 0.0 < self.step_size <= 1.0:
             raise ValueError("step size must be in (0, 1]")
+        if not 0.0 <= self.discount <= 1.0:
+            raise ValueError("discount must be in [0, 1]")
         if self.episodes < 0:
             raise ValueError("episodes must be nonnegative")
         if self.adjustment_unit is not None and not self.adjustment_unit > 0:
@@ -148,6 +163,8 @@ class CycleData:
             )
         if not 1 <= forecasts.size <= MAX_CYCLE_DAYS:
             raise ShapeError(f"cycle length {forecasts.size} outside 1..{MAX_CYCLE_DAYS}")
+        if not (np.all(np.isfinite(forecasts)) and np.isfinite(self.monthly_total)):
+            raise ValueError("forecasts and monthly total must be finite")
 
 
 @dataclass(frozen=True)
@@ -212,13 +229,23 @@ def adjusted_forecast(y_hat_t: float, action: int, cfg: AgentConfig) -> float:
     return float(value)
 
 
-def greedy_action(q_row: np.ndarray) -> int:
+def _greedy(q0: float, q1: float, q2: float) -> int:
+    # Argmax ties resolve conservatively to "keep", then toward "decrease":
+    # with collapsing actuals a freshly penalized greedy action must not
+    # flip the policy to "increase". No branch holds for a NaN entry.
+    if q1 >= q0 and q1 >= q2:
+        return ACTION_KEEP
+    if q2 >= q0 and q2 >= q1:
+        return ACTION_DECREASE
+    if q0 >= q1 and q0 >= q2:
+        return ACTION_INCREASE
+    raise DistributionError("need a finite Q row with one entry per action")
+
+
+def greedy_action(q_row) -> int:
     """Argmax with ties resolved keep > decrease > increase."""
-    best = np.max(q_row)
-    for action in _TIE_PREFERENCE:
-        if q_row[action] == best:
-            return action
-    raise AssertionError("unreachable")
+    q0, q1, q2 = (float(x) for x in q_row)
+    return _greedy(q0, q1, q2)
 
 
 def egreedy_probabilities(q_row, epsilon: float) -> np.ndarray:
@@ -280,23 +307,88 @@ def sarsa_step(
     return table
 
 
-def _state(day_index: int, monthly_total: float, forecasts: np.ndarray) -> EpisodeState:
-    remaining = monthly_total - float(np.sum(forecasts[:day_index]))
-    return EpisodeState(day_index=day_index, remaining_total=remaining)
-
-
-def _policy_action(table: ValueTable, day_index: int, cfg: AgentConfig,
-                   rng: np.random.Generator) -> int:
-    probs = egreedy_probabilities(table.q_row(day_index), cfg.exploration)
-    return select_action(probs, rng)
-
-
-def _greedy_sum(table: ValueTable, forecasts: np.ndarray, cfg: AgentConfig,
-                days: Iterable[int]) -> float:
-    return sum(
-        adjusted_forecast(forecasts[t - 1], greedy_action(table.q_row(t)), cfg)
-        for t in days
+def _policy_edges(epsilon: float) -> tuple[tuple[float, float], ...]:
+    """Inverse-CDF edges of `select_action` for each greedy action,
+    built with the float operations of `egreedy_probabilities`."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError("epsilon must be in [0, 1]")
+    low = epsilon / N_ACTIONS
+    high = low + (1.0 - epsilon)
+    return (
+        (0.0 + high, 0.0 + high + low),  # greedy increase
+        (0.0 + low, 0.0 + low + high),  # greedy keep
+        (0.0 + low, 0.0 + low + low),  # greedy decrease
     )
+
+
+def _choose(row: list[float], edges, draw) -> int:
+    """One epsilon-greedy draw on a Q row; checks the row before drawing."""
+    q0, q1, q2 = row
+    if not (isfinite(q0) and isfinite(q1) and isfinite(q2)):
+        raise DistributionError("need a finite Q row with one entry per action")
+    first, second = edges[_greedy(q0, q1, q2)]
+    u = draw()
+    return 0 if u < first else 1 if u < second else 2
+
+
+def _walk(
+    table: ValueTable,
+    forecasts: list[float],
+    days: Iterable[tuple[int, float]],
+    cfg: AgentConfig,
+    draw: Callable[[], float],
+    *,
+    online: bool,
+    record: bool,
+) -> list[DayRecord]:
+    """The SARSA day loop over ``days`` as (day index, actual) pairs.
+
+    Training (``online=False``) always updates, and a day's RMF is the
+    running sum of committed adjusted forecasts plus the greedy
+    look-ahead over the days after it. Online revision updates only
+    under ``cfg.online_updates``, and a day's RMF is the greedy sum over
+    the whole cycle. Q and V are written back to ``table`` on return and
+    on error, so rows updated before an exception stay updated.
+    """
+    n = len(forecasts)
+    q = table.q.tolist()
+    v = table.v.tolist()
+    alpha, gamma = cfg.step_size, cfg.discount
+    update = cfg.online_updates or not online
+    edges = _policy_edges(cfg.exploration)
+    if record:
+        # Greedy-adjusted forecast per day; only the updated row can change.
+        greedy = [adjusted_forecast(f, _greedy(*row), cfg) for f, row in zip(forecasts, q)]
+    records: list[DayRecord] = []
+    committed_sum = 0.0
+    action = None
+    try:
+        for t, actual in days:
+            if action is None:
+                action = _choose(q[t - 1], edges, draw)
+            if t < n:
+                action_next = _choose(q[t], edges, draw)
+                q_next, v_next = q[t][action_next], v[t]
+            else:
+                action_next, q_next, v_next = None, 0.0, 0.0
+            if update:
+                row = q[t - 1]
+                row[action] += alpha * (actual + gamma * q_next - row[action])
+                v[t - 1] += alpha * (actual + gamma * v_next - v[t - 1])
+            if record:
+                adjusted = adjusted_forecast(forecasts[t - 1], action, cfg)
+                if online:
+                    greedy[t - 1] = adjusted_forecast(forecasts[t - 1], _greedy(*q[t - 1]), cfg)
+                    rmf = sum(greedy)
+                else:
+                    committed_sum += adjusted
+                    rmf = committed_sum + sum(greedy[t:])
+                records.append(DayRecord(t, action, adjusted, actual, rmf))
+            action = action_next
+    finally:
+        table.q[:] = q
+        table.v[:] = v
+    return records
 
 
 def run_episode(
@@ -304,41 +396,22 @@ def run_episode(
     table: ValueTable,
     cfg: AgentConfig,
     rng: np.random.Generator,
+    record: bool = True,
 ) -> tuple[ValueTable, ReconciliationTrace]:
     """Traverse one training cycle, updating the table in place.
 
-    The trace's RMF for day t sums the committed adjusted forecasts of
-    days 1..t plus greedy adjustments of the remaining days under the
-    current Q.
+    Consumes one block of n uniform variates. The trace's RMF for day t
+    sums the committed adjusted forecasts of days 1..t plus greedy
+    adjustments of the remaining days under the current Q; with
+    ``record=False`` the trace is empty and no RMF is computed.
     """
     n = len(cycle.forecasts)
-    m = cycle.monthly_total
-    records: list[DayRecord] = []
-    committed_sum = 0.0
-    action = _policy_action(table, 1, cfg, rng)
-    for t in range(1, n + 1):
-        reward = float(cycle.actuals[t - 1])
-        state = _state(t, m, cycle.forecasts)
-        if t < n:
-            action_next = _policy_action(table, t + 1, cfg, rng)
-            state_next = _state(t + 1, m, cycle.forecasts)
-        else:
-            action_next = None
-            state_next = None
-        sarsa_step(table, state, action, reward, state_next, action_next, cfg)
-        committed_sum += adjusted_forecast(cycle.forecasts[t - 1], action, cfg)
-        rmf = committed_sum + _greedy_sum(table, cycle.forecasts, cfg, range(t + 1, n + 1))
-        records.append(
-            DayRecord(
-                day_index=t,
-                action=action,
-                adjusted_forecast=adjusted_forecast(cycle.forecasts[t - 1], action, cfg),
-                actual=reward,
-                rmf=rmf,
-            )
-        )
-        action = action_next
-    return table, ReconciliationTrace(tuple(records), monthly_total=m)
+    draws = iter(rng.random(n).tolist())
+    records = _walk(
+        table, cycle.forecasts.tolist(), enumerate(cycle.actuals.tolist(), start=1),
+        cfg, draws.__next__, online=False, record=record,
+    )
+    return table, ReconciliationTrace(tuple(records), monthly_total=cycle.monthly_total)
 
 
 def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
@@ -364,16 +437,23 @@ def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
     rng = rng_for(cfg.seed, "train")
     for _ in range(cfg.episodes):
         for cycle in history:
-            run_episode(cycle, table, cfg, rng)
+            run_episode(cycle, table, cfg, rng, record=False)
     return table
 
 
-def _iter_stream(actual_stream) -> Iterable[tuple[int | None, float]]:
-    for item in actual_stream:
+def _stream_days(actual_stream, n: int) -> Iterator[tuple[int, float]]:
+    """Number the streamed actuals 1, 2, ...; items are bare values or
+    (day_index, value) pairs, which must arrive in day order."""
+    for expected_day, item in enumerate(actual_stream, start=1):
         if isinstance(item, (tuple, list)) and len(item) == 2:
-            yield int(item[0]), float(item[1])
+            day, actual = int(item[0]), float(item[1])
+            if day != expected_day:
+                raise StreamOrderError(f"expected day {expected_day}, got day {day}")
         else:
-            yield None, float(item)
+            actual = float(item)
+        if expected_day > n:
+            raise StreamOrderError(f"day {expected_day} beyond the {n}-day cycle")
+        yield expected_day, actual
 
 
 def reconcile_online(
@@ -386,10 +466,10 @@ def reconcile_online(
     """Stream a test cycle's actuals and emit a revised total per day.
 
     After each observed day the greedy action for every day of the cycle
-    is recomputed from the current Q, and RMF is the sum of all n
-    adjusted daily forecasts. Actuals influence the revision only
-    through the TD updates (enabled by ``cfg.online_updates``), never by
-    direct substitution.
+    is read from the current Q, and RMF is the sum of all n adjusted
+    daily forecasts. Actuals influence the revision only through the TD
+    updates (enabled by ``cfg.online_updates``), never by direct
+    substitution. Each policy call consumes one uniform variate.
 
     The stream may cover only part of the cycle; items are either bare
     values or (day_index, value) pairs, which must arrive in day order.
@@ -397,41 +477,11 @@ def reconcile_online(
     n = len(forecast)
     if n > MAX_CYCLE_DAYS:
         raise ShapeError(f"cycle length {n} exceeds {MAX_CYCLE_DAYS}")
-    daily = forecast.daily
-    m = forecast.monthly_total
-    records: list[DayRecord] = []
-    action: int | None = None
-    for expected_day, (day, actual) in enumerate(_iter_stream(actual_stream), start=1):
-        if day is not None and day != expected_day:
-            raise StreamOrderError(
-                f"expected day {expected_day}, got day {day}"
-            )
-        t = expected_day
-        if t > n:
-            raise StreamOrderError(f"day {t} beyond the {n}-day cycle")
-        if action is None:
-            action = _policy_action(table, t, cfg, rng)
-        if t < n:
-            action_next = _policy_action(table, t + 1, cfg, rng)
-            state_next = _state(t + 1, m, daily)
-        else:
-            action_next = None
-            state_next = None
-        if cfg.online_updates:
-            state = _state(t, m, daily)
-            sarsa_step(table, state, action, actual, state_next, action_next, cfg)
-        rmf = _greedy_sum(table, daily, cfg, range(1, n + 1))
-        records.append(
-            DayRecord(
-                day_index=t,
-                action=action,
-                adjusted_forecast=adjusted_forecast(daily[t - 1], action, cfg),
-                actual=actual,
-                rmf=rmf,
-            )
-        )
-        action = action_next
-    return ReconciliationTrace(tuple(records), monthly_total=m)
+    records = _walk(
+        table, forecast.daily.tolist(), _stream_days(actual_stream, n), cfg, rng.random,
+        online=True, record=True,
+    )
+    return ReconciliationTrace(tuple(records), monthly_total=forecast.monthly_total)
 
 
 def save_table(table: ValueTable, path, cfg: AgentConfig) -> None:
@@ -449,18 +499,48 @@ def save_table(table: ValueTable, path, cfg: AgentConfig) -> None:
 
 
 def load_table(path) -> tuple[ValueTable, dict]:
-    """Load a Q snapshot; V is rebuilt as the per-day Q maximum."""
+    """Load a Q snapshot; V is rebuilt as the per-day Q maximum.
+
+    Every (day, action) entry must appear exactly once with a finite
+    value. A malformed, duplicate, out-of-range or missing entry raises
+    `DataError` naming the file and line.
+    """
     with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or not lines[0].startswith("#"):
+        lines = [(no, line.strip()) for no, line in enumerate(fh, start=1) if line.strip()]
+    if not lines or not lines[0][1].startswith("#"):
         raise ValueError(f"{path}: missing snapshot header line")
     meta = {}
-    for token in lines[0].lstrip("# ").split():
+    for token in lines[0][1].lstrip("# ").split():
         if "=" in token:
             key, value = token.split("=", 1)
             meta[key] = value
     q = np.zeros((MAX_CYCLE_DAYS, N_ACTIONS))
-    for line in lines[1:]:
-        day_str, action_str, value_str = line.split(",")
-        q[int(day_str) - 1, int(action_str)] = float(value_str)
+    seen: set[tuple[int, int]] = set()
+    for line_no, line in lines[1:]:
+        where = f"{path}:{line_no}"
+        try:
+            day_str, action_str, value_str = line.split(",")
+            day, action, value = int(day_str), int(action_str), float(value_str)
+        except ValueError:
+            raise DataError(f"{where}: expected day,action,q_value, got {line!r}") from None
+        if not (1 <= day <= MAX_CYCLE_DAYS and 0 <= action < N_ACTIONS):
+            raise DataError(
+                f"{where}: day {day}, action {action} outside "
+                f"1..{MAX_CYCLE_DAYS} x 0..{N_ACTIONS - 1}"
+            )
+        if (day, action) in seen:
+            raise DataError(f"{where}: duplicate entry for day {day}, action {action}")
+        if not isfinite(value):
+            raise DataError(f"{where}: q value {value_str!r} is not finite")
+        seen.add((day, action))
+        q[day - 1, action] = value
+    if len(seen) < MAX_CYCLE_DAYS * N_ACTIONS:
+        day, action = min(
+            (t, a) for t in range(1, MAX_CYCLE_DAYS + 1) for a in range(N_ACTIONS)
+            if (t, a) not in seen
+        )
+        raise DataError(
+            f"{path}:{lines[-1][0]}: table ends with {len(seen)} of "
+            f"{MAX_CYCLE_DAYS * N_ACTIONS} entries; day {day}, action {action} is missing"
+        )
     return ValueTable(q=q, v=q.max(axis=1)), meta

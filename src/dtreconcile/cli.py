@@ -140,12 +140,14 @@ def resolve_tolerance(raw: str | float, test_forecasts: np.ndarray) -> float:
             pct = float(raw.strip().rstrip("%"))
         except ValueError:
             raise ConfigError(f"bad tolerance {raw!r}") from None
+        if not pct > 0:
+            raise ConfigError(f"tolerance {raw!r} must be a positive percentage")
         return pct / 100.0 * float(np.sum(test_forecasts))
     try:
         value = float(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"bad tolerance {raw!r}") from None
-    if value <= 0:
+    if not value > 0:
         raise ConfigError("tolerance must be positive")
     return value
 
@@ -232,11 +234,11 @@ def prepare(config: RunConfig) -> PreparedExperiment:
     train_months = month_partition(filled, (config.train_start, config.train_end))
     test = month_partition(filled, (config.test_month, config.test_month))[0]
 
-    index = {d: v for d, v in zip(filled.timestamps, filled.values)}
-    all_days = filled.timestamps
+    start = filled.timestamps[0]
 
     def history_before(first_day: date) -> np.ndarray:
-        return np.array([index[d] for d in all_days if d < first_day])
+        # The filled series has one value per calendar day from `start`.
+        return filled.values[: (first_day - start).days]
 
     # Training months always use a simple forecaster; the external file
     # only covers the test cycle.
@@ -260,17 +262,20 @@ def prepare(config: RunConfig) -> PreparedExperiment:
         test_forecast = ForecastSet.from_daily(daily, test.label)
 
     tolerance_abs = resolve_tolerance(config.tolerance, test_forecast.daily)
-    agent_cfg = AgentConfig(
-        tolerance=tolerance_abs,
-        exploration=config.exploration,
-        step_size=config.step_size,
-        discount=config.discount,
-        episodes=config.episodes,
-        seed=config.seed,
-        online_updates=config.online_updates,
-        adjustment_unit=_resolve_unit(config, tolerance_abs, len(test)),
-        clamp_nonnegative=config.clamp_nonnegative,
-    )
+    try:
+        agent_cfg = AgentConfig(
+            tolerance=tolerance_abs,
+            exploration=config.exploration,
+            step_size=config.step_size,
+            discount=config.discount,
+            episodes=config.episodes,
+            seed=config.seed,
+            online_updates=config.online_updates,
+            adjustment_unit=_resolve_unit(config, tolerance_abs, len(test)),
+            clamp_nonnegative=config.clamp_nonnegative,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return PreparedExperiment(training, test, test_forecast, tolerance_abs, agent_cfg)
 
 
@@ -303,6 +308,12 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None) -> dict:
     With ``qtable_path`` set, training is skipped and the snapshot is
     streamed directly (the `reconcile` verb).
     """
+    snapshot_out = Path(config.output_dir) / "qtable.txt"
+    if qtable_path is not None and Path(qtable_path).resolve() == snapshot_out.resolve():
+        raise ConfigError(
+            f"--qtable {qtable_path} would be overwritten by this run's snapshot "
+            f"{snapshot_out}; set output_dir to another directory"
+        )
     prep = prepare(config)
     if qtable_path is None:
         table = train(prep.training, prep.agent_cfg)
@@ -323,7 +334,7 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None) -> dict:
     )
     out = Path(config.output_dir)
     _write(out / "metrics.csv", report.to_csv())
-    save_table(table, out / "qtable.txt", prep.agent_cfg)
+    save_table(table, snapshot_out, prep.agent_cfg)
     _write(out / "summary.json", _summary_json(config, prep, report))
 
     if config.grid_tolerances and config.grid_epsilons:

@@ -1,0 +1,157 @@
+"""Reference oracle for the agent's day loop.
+
+`run_episode` and `reconcile_online` as they stood before the scalar
+kernel: numpy scalars, one probability vector and one `EpisodeState` per
+policy call, and an O(n^2) greedy look-ahead per day. The kernel in
+`dtreconcile.agent` must match them bit for bit (tests/test_kernel.py).
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+import numpy as np
+
+from dtreconcile.agent import (
+    MAX_CYCLE_DAYS,
+    AgentConfig,
+    CycleData,
+    DayRecord,
+    EpisodeState,
+    ReconciliationTrace,
+    ValueTable,
+    adjusted_forecast,
+    egreedy_probabilities,
+    greedy_action,
+    sarsa_step,
+    select_action,
+)
+from dtreconcile.errors import ShapeError, StreamOrderError
+from dtreconcile.forecasting import ForecastSet
+
+
+def _state(day_index: int, monthly_total: float, forecasts: np.ndarray) -> EpisodeState:
+    remaining = monthly_total - float(np.sum(forecasts[:day_index]))
+    return EpisodeState(day_index=day_index, remaining_total=remaining)
+
+
+def _policy_action(table: ValueTable, day_index: int, cfg: AgentConfig,
+                   rng: np.random.Generator) -> int:
+    probs = egreedy_probabilities(table.q_row(day_index), cfg.exploration)
+    return select_action(probs, rng)
+
+
+def _greedy_sum(table: ValueTable, forecasts: np.ndarray, cfg: AgentConfig,
+                days: Iterable[int]) -> float:
+    return sum(
+        adjusted_forecast(forecasts[t - 1], greedy_action(table.q_row(t)), cfg)
+        for t in days
+    )
+
+
+def run_episode(
+    cycle: CycleData,
+    table: ValueTable,
+    cfg: AgentConfig,
+    rng: np.random.Generator,
+) -> tuple[ValueTable, ReconciliationTrace]:
+    """Traverse one training cycle, updating the table in place.
+
+    The trace's RMF for day t sums the committed adjusted forecasts of
+    days 1..t plus greedy adjustments of the remaining days under the
+    current Q.
+    """
+    n = len(cycle.forecasts)
+    m = cycle.monthly_total
+    records: list[DayRecord] = []
+    committed_sum = 0.0
+    action = _policy_action(table, 1, cfg, rng)
+    for t in range(1, n + 1):
+        reward = float(cycle.actuals[t - 1])
+        state = _state(t, m, cycle.forecasts)
+        if t < n:
+            action_next = _policy_action(table, t + 1, cfg, rng)
+            state_next = _state(t + 1, m, cycle.forecasts)
+        else:
+            action_next = None
+            state_next = None
+        sarsa_step(table, state, action, reward, state_next, action_next, cfg)
+        committed_sum += adjusted_forecast(cycle.forecasts[t - 1], action, cfg)
+        rmf = committed_sum + _greedy_sum(table, cycle.forecasts, cfg, range(t + 1, n + 1))
+        records.append(
+            DayRecord(
+                day_index=t,
+                action=action,
+                adjusted_forecast=adjusted_forecast(cycle.forecasts[t - 1], action, cfg),
+                actual=reward,
+                rmf=rmf,
+            )
+        )
+        action = action_next
+    return table, ReconciliationTrace(tuple(records), monthly_total=m)
+
+
+def _iter_stream(actual_stream) -> Iterable[tuple[int | None, float]]:
+    for item in actual_stream:
+        if isinstance(item, (tuple, list)) and len(item) == 2:
+            yield int(item[0]), float(item[1])
+        else:
+            yield None, float(item)
+
+
+def reconcile_online(
+    table: ValueTable,
+    forecast: ForecastSet,
+    actual_stream,
+    cfg: AgentConfig,
+    rng: np.random.Generator,
+) -> ReconciliationTrace:
+    """Stream a test cycle's actuals and emit a revised total per day.
+
+    After each observed day the greedy action for every day of the cycle
+    is recomputed from the current Q, and RMF is the sum of all n
+    adjusted daily forecasts. Actuals influence the revision only
+    through the TD updates (enabled by ``cfg.online_updates``), never by
+    direct substitution.
+
+    The stream may cover only part of the cycle; items are either bare
+    values or (day_index, value) pairs, which must arrive in day order.
+    """
+    n = len(forecast)
+    if n > MAX_CYCLE_DAYS:
+        raise ShapeError(f"cycle length {n} exceeds {MAX_CYCLE_DAYS}")
+    daily = forecast.daily
+    m = forecast.monthly_total
+    records: list[DayRecord] = []
+    action: int | None = None
+    for expected_day, (day, actual) in enumerate(_iter_stream(actual_stream), start=1):
+        if day is not None and day != expected_day:
+            raise StreamOrderError(
+                f"expected day {expected_day}, got day {day}"
+            )
+        t = expected_day
+        if t > n:
+            raise StreamOrderError(f"day {t} beyond the {n}-day cycle")
+        if action is None:
+            action = _policy_action(table, t, cfg, rng)
+        if t < n:
+            action_next = _policy_action(table, t + 1, cfg, rng)
+            state_next = _state(t + 1, m, daily)
+        else:
+            action_next = None
+            state_next = None
+        if cfg.online_updates:
+            state = _state(t, m, daily)
+            sarsa_step(table, state, action, actual, state_next, action_next, cfg)
+        rmf = _greedy_sum(table, daily, cfg, range(1, n + 1))
+        records.append(
+            DayRecord(
+                day_index=t,
+                action=action,
+                adjusted_forecast=adjusted_forecast(daily[t - 1], action, cfg),
+                actual=actual,
+                rmf=rmf,
+            )
+        )
+        action = action_next
+    return ReconciliationTrace(tuple(records), monthly_total=m)

@@ -28,6 +28,7 @@ from dtreconcile.agent import (
     train,
 )
 from dtreconcile.errors import (
+    DataError,
     DistributionError,
     InsufficientDataError,
     ShapeError,
@@ -251,6 +252,13 @@ def test_run_episode_length_mismatch():
         CycleData(np.ones(3), np.ones(4), 3.0)
 
 
+def test_cycle_rejects_non_finite_forecasts():
+    with pytest.raises(ValueError):
+        CycleData(np.array([1.0, np.nan]), np.ones(2), 3.0)
+    with pytest.raises(ValueError):
+        CycleData(np.ones(2), np.ones(2), np.inf)
+
+
 def test_train_zero_episodes_returns_initialization():
     forecasts = np.array([10.0, 20.0])
     cycle = CycleData(forecasts, np.array([9.0, 21.0]), 30.0)
@@ -431,4 +439,21 @@ def test_load_table_rejects_headerless_file(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1,0,2.0\n")
     with pytest.raises(ValueError):
+        load_table(path)
+
+
+@pytest.mark.parametrize("edit, line, message", [
+    (lambda rows: rows[:-1], 93, "92 of 93 entries; day 31, action 2 is missing"),
+    (lambda rows: rows[:5] + [rows[4]] + rows[6:], 7, "duplicate entry for day 2, action 1"),
+    (lambda rows: rows[:-1] + ["32,2,1.0"], 94, "day 32, action 2 outside"),
+    (lambda rows: rows[:-1] + ["31,3,1.0"], 94, "day 31, action 3 outside"),
+    (lambda rows: rows[:2] + ["garbage"] + rows[3:], 4, "expected day,action,q_value"),
+    (lambda rows: rows[:2] + ["1,2,nan"] + rows[3:], 4, "is not finite"),
+])
+def test_load_table_rejects_malformed_entries(tmp_path, edit, line, message):
+    path = tmp_path / "qtable.txt"
+    save_table(init_state_values(100.0, np.array([30.0, 70.0])), path, make_cfg())
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *edit(rows)]) + "\n")
+    with pytest.raises(DataError, match=f"{path}:{line}: .*{message}"):
         load_table(path)

@@ -152,6 +152,37 @@ def test_exit_codes(tmp_path, daily_csv, capsys):
     assert "missing.csv" in capsys.readouterr().err
     # 1: no configuration at all
     assert main(["run"]) == 1
+    # 1: agent settings out of range
+    cfg_path = write_config(tmp_path, daily_csv, tmp_path / "out")
+    for bad in ("tolerance=0%", "exploration=2", "step_size=0", "episodes=-1",
+                "discount=nan", "discount=5"):
+        assert main(["run", "--config", str(cfg_path), "--set", bad]) == 1, bad
+        assert "config error" in capsys.readouterr().err
+
+
+def test_reconcile_rejects_malformed_snapshot(tmp_path, daily_csv, capsys):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, daily_csv, out)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    snapshot = tmp_path / "truncated.txt"
+    snapshot.write_text("".join((out / "qtable.txt").read_text().splitlines(True)[:-1]))
+    capsys.readouterr()
+    assert main(["reconcile", "--config", str(cfg_path), "--qtable", str(snapshot),
+                 "--set", f"output_dir={tmp_path / 'out2'}"]) == 2
+    assert f"{snapshot}:93:" in capsys.readouterr().err
+
+
+def test_reconcile_refuses_to_overwrite_its_snapshot(tmp_path, daily_csv, capsys):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, daily_csv, out)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    snapshot = out / "qtable.txt"
+    before = snapshot.read_bytes()
+    capsys.readouterr()
+    assert main(["reconcile", "--config", str(cfg_path), "--qtable", str(snapshot)]) == 1
+    err = capsys.readouterr().err
+    assert str(snapshot) in err and str(out) in err
+    assert snapshot.read_bytes() == before
 
 
 def test_external_forecast_file(tmp_path, daily_csv):
