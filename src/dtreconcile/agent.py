@@ -508,7 +508,7 @@ def load_table(path) -> tuple[ValueTable, dict]:
     with open(path) as fh:
         lines = [(no, line.strip()) for no, line in enumerate(fh, start=1) if line.strip()]
     if not lines or not lines[0][1].startswith("#"):
-        raise ValueError(f"{path}: missing snapshot header line")
+        raise DataError(f"{path}: missing snapshot header line")
     meta = {}
     for token in lines[0][1].lstrip("# ").split():
         if "=" in token:

@@ -16,7 +16,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
 
@@ -26,8 +26,9 @@ from . import forecasting
 from .agent import AgentConfig, CycleData, load_table, reconcile_online, save_table, train
 from .data import (
     MonthlyActuals,
+    _parse_date,
+    _parse_value,
     fill_calendar,
-    iter_months,
     load_ohlcv_csv,
     month_partition,
     parse_month,
@@ -188,31 +189,36 @@ def forecast_month(
 
 def load_external_forecasts(path, month: MonthlyActuals) -> ForecastSet:
     """CSV `date,forecast` covering the test cycle, with an optional
-    `monthly_total,<value>` override row."""
+    `monthly_total,<value>` override row. Every error names the file, and
+    a bad row its line number."""
     by_date: dict[date, float] = {}
     monthly_total: float | None = None
     try:
         fh = open(path, newline="")
     except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
+        raise DataError(f"{path}: cannot open: {exc}") from exc
     with fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
             key = row[0].strip().lower()
             if key in ("date", "day"):  # header
                 continue
+            if len(row) < 2:
+                raise DataError(f"{path}: line {line_no}: too few fields")
+            value = _parse_value(row[1], path, line_no)
             if key == "monthly_total":
-                monthly_total = float(row[1])
+                monthly_total = value
                 continue
-            from .data import _parse_date
-
-            day = _parse_date(row[0], line_no)
-            by_date[day] = float(row[1])
+            try:
+                day = _parse_date(row[0], line_no)
+            except DataError as exc:
+                raise DataError(f"{path}: {exc}") from None
+            by_date[day] = value
     missing = [d for d in month.dates if d not in by_date]
     if missing:
         raise DataError(
-            f"external forecast file missing {len(missing)} days of "
+            f"{path}: no forecast for {len(missing)} days of "
             f"{month.label} (first {missing[0].isoformat()})"
         )
     daily = np.array([by_date[d] for d in month.dates])
@@ -358,6 +364,16 @@ def _write_grid(config: RunConfig, prep: PreparedExperiment, out: Path) -> None:
         resolve_tolerance(raw, prep.test_forecast.daily)
         for raw in config.grid_tolerances
     ]
+    # `run_grid` turns a failing cell into an `error` row; an out-of-range
+    # setting is a config error, so check every cell before the sweep.
+    for raw, tol in zip(config.grid_tolerances, tolerances):
+        for eps in config.grid_epsilons:
+            try:
+                replace(prep.agent_cfg, tolerance=tol, exploration=eps)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"grid_tolerances={raw}, grid_epsilons={eps}: {exc}"
+                ) from None
     test_cycle = CycleData(
         prep.test_forecast.daily,
         prep.test_month.values,

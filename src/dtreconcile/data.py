@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import calendar
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
+from math import isfinite
 
 import numpy as np
 
@@ -19,12 +21,31 @@ DEFAULT_VALUE_COLUMN = "Open"
 
 
 def _parse_date(text: str, line_no: int) -> date:
+    stripped = text.strip()
+    # Padded ASCII ISO dates skip strptime; any other text, and any text
+    # fromisoformat rejects, takes the strptime path.
+    if (len(stripped) == 10 and stripped.isascii()
+            and stripped[4] == "-" and stripped[7] == "-"):
+        try:
+            return date.fromisoformat(stripped)
+        except ValueError:
+            pass
     for fmt in _DATE_FORMATS:
         try:
-            return datetime.strptime(text.strip(), fmt).date()
+            return datetime.strptime(stripped, fmt).date()
         except ValueError:
             continue
     raise DataError(f"line {line_no}: unparseable date {text!r}")
+
+
+def _parse_value(text: str, path, line_no: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(f"{path}: line {line_no}: unparseable value {text!r}") from None
+    if not isfinite(value):
+        raise DataError(f"{path}: line {line_no}: value {text!r} is not finite")
+    return value
 
 
 def load_ohlcv_csv(
@@ -34,13 +55,14 @@ def load_ohlcv_csv(
 ) -> TimeSeries:
     """Read one value column of a daily CSV into a sorted series.
 
-    Accepts ISO (YYYY-MM-DD) and DD/MM/YY dates; rejects duplicate
-    dates and reports parse failures with their line number.
+    Accepts ISO (YYYY-MM-DD) and DD/MM/YY dates and finite values;
+    rejects duplicate dates. Every error names the file, and a bad row
+    its line number.
     """
     try:
         fh = open(path, newline="")
     except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
+        raise DataError(f"{path}: cannot open: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
         try:
@@ -53,21 +75,22 @@ def load_ohlcv_csv(
                 raise DataError(f"{path}: missing column {column!r} (have {header})")
         date_idx = header.index(date_column)
         value_idx = header.index(value_column)
+        min_fields = max(date_idx, value_idx) + 1
         observations: dict[date, float] = {}
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
-            if len(row) <= max(date_idx, value_idx):
-                raise DataError(f"line {line_no}: too few fields")
-            day = _parse_date(row[date_idx], line_no)
+            if len(row) < min_fields:
+                raise DataError(f"{path}: line {line_no}: too few fields")
             try:
-                value = float(row[value_idx])
-            except ValueError:
-                raise DataError(
-                    f"line {line_no}: unparseable value {row[value_idx]!r}"
-                ) from None
+                day = _parse_date(row[date_idx], line_no)
+            except DataError as exc:
+                raise DataError(f"{path}: {exc}") from None
+            value = _parse_value(row[value_idx], path, line_no)
             if day in observations:
-                raise DataError(f"line {line_no}: duplicate date {day.isoformat()}")
+                raise DataError(
+                    f"{path}: line {line_no}: duplicate date {day.isoformat()}"
+                )
             observations[day] = value
     if not observations:
         raise DataError(f"{path}: no data rows")
@@ -80,14 +103,15 @@ def fill_calendar(series: TimeSeries) -> TimeSeries:
     the nearest observed neighbors."""
     if len(series) == 0:
         raise DataError("cannot calendar-fill an empty series")
-    first, last = series.timestamps[0], series.timestamps[-1]
-    n_days = (last - first).days + 1
+    origin = series.timestamps[0].toordinal()
+    n_days = series.timestamps[-1].toordinal() - origin + 1
     if n_days == len(series):
         return series
-    observed = np.array([(d - first).days for d in series.timestamps], dtype=float)
+    observed = np.fromiter(map(date.toordinal, series.timestamps), float, len(series))
+    observed -= origin
     full = np.arange(n_days, dtype=float)
     values = np.interp(full, observed, series.values)
-    days = tuple(first + timedelta(days=int(k)) for k in range(n_days))
+    days = tuple(map(date.fromordinal, range(origin, origin + n_days)))
     return TimeSeries(days, values)
 
 
@@ -132,19 +156,24 @@ def month_partition(
     series: TimeSeries, month_range: tuple[str, str]
 ) -> list[MonthlyActuals]:
     """Split a calendar-complete series into full calendar months."""
-    index = {d: v for d, v in zip(series.timestamps, series.values)}
+    stamps = series.timestamps
     episodes = []
     for label in iter_months(*month_range):
         year, month = parse_month(label)
         n_days = calendar.monthrange(year, month)[1]
-        days = tuple(date(year, month, k) for k in range(1, n_days + 1))
-        missing = [d for d in days if d not in index]
-        if missing:
+        start = bisect_left(stamps, date(year, month, 1))
+        end = start + n_days
+        # Timestamps strictly increase, so n of them ending on the last
+        # day of the month are exactly the month's days.
+        if end > len(stamps) or stamps[end - 1] != date(year, month, n_days):
+            present = set(stamps[start:end])
+            missing = [d for k in range(1, n_days + 1)
+                       if (d := date(year, month, k)) not in present]
             raise DataError(
                 f"month {label} incomplete: {len(missing)} missing days "
                 f"(first {missing[0].isoformat()})"
             )
         episodes.append(
-            MonthlyActuals(label, days, np.array([index[d] for d in days]))
+            MonthlyActuals(label, stamps[start:end], series.values[start:end].copy())
         )
     return episodes

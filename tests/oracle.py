@@ -1,13 +1,22 @@
-"""Reference oracle for the agent's day loop.
+"""Reference oracles for the agent's day loop and the ingest layer.
 
 `run_episode` and `reconcile_online` as they stood before the scalar
 kernel: numpy scalars, one probability vector and one `EpisodeState` per
 policy call, and an O(n^2) greedy look-ahead per day. The kernel in
 `dtreconcile.agent` must match them bit for bit (tests/test_kernel.py).
+
+`_parse_date`, `load_ohlcv_csv`, `fill_calendar` and `month_partition`
+as they stood before the fast ingest path: `strptime` for every date, a
+per-day `timedelta` calendar and a dict over every calendar day. The
+functions in `dtreconcile.data` must match them bit for bit
+(tests/test_ingest.py).
 """
 
 from __future__ import annotations
 
+import calendar
+import csv
+from datetime import date, datetime, timedelta
 from typing import Iterable
 
 import numpy as np
@@ -26,8 +35,16 @@ from dtreconcile.agent import (
     sarsa_step,
     select_action,
 )
-from dtreconcile.errors import ShapeError, StreamOrderError
+from dtreconcile.data import (
+    DEFAULT_DATE_COLUMN,
+    DEFAULT_VALUE_COLUMN,
+    MonthlyActuals,
+    iter_months,
+    parse_month,
+)
+from dtreconcile.errors import DataError, ShapeError, StreamOrderError
 from dtreconcile.forecasting import ForecastSet
+from dtreconcile.hierarchy import TimeSeries
 
 
 def _state(day_index: int, monthly_total: float, forecasts: np.ndarray) -> EpisodeState:
@@ -155,3 +172,101 @@ def reconcile_online(
         )
         action = action_next
     return ReconciliationTrace(tuple(records), monthly_total=m)
+
+
+_DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%y")
+
+
+def _parse_date(text: str, line_no: int) -> date:
+    for fmt in _DATE_FORMATS:
+        try:
+            return datetime.strptime(text.strip(), fmt).date()
+        except ValueError:
+            continue
+    raise DataError(f"line {line_no}: unparseable date {text!r}")
+
+
+def load_ohlcv_csv(
+    path,
+    date_column: str = DEFAULT_DATE_COLUMN,
+    value_column: str = DEFAULT_VALUE_COLUMN,
+) -> TimeSeries:
+    """Read one value column of a daily CSV into a sorted series.
+
+    Accepts ISO (YYYY-MM-DD) and DD/MM/YY dates; rejects duplicate
+    dates and reports parse failures with their line number.
+    """
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        header = [name.strip() for name in header]
+        for column in (date_column, value_column):
+            if column not in header:
+                raise DataError(f"{path}: missing column {column!r} (have {header})")
+        date_idx = header.index(date_column)
+        value_idx = header.index(value_column)
+        observations: dict[date, float] = {}
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) <= max(date_idx, value_idx):
+                raise DataError(f"line {line_no}: too few fields")
+            day = _parse_date(row[date_idx], line_no)
+            try:
+                value = float(row[value_idx])
+            except ValueError:
+                raise DataError(
+                    f"line {line_no}: unparseable value {row[value_idx]!r}"
+                ) from None
+            if day in observations:
+                raise DataError(f"line {line_no}: duplicate date {day.isoformat()}")
+            observations[day] = value
+    if not observations:
+        raise DataError(f"{path}: no data rows")
+    days = sorted(observations)
+    return TimeSeries(tuple(days), np.array([observations[d] for d in days]))
+
+
+def fill_calendar(series: TimeSeries) -> TimeSeries:
+    """Fill missing calendar days by linear interpolation between
+    the nearest observed neighbors."""
+    if len(series) == 0:
+        raise DataError("cannot calendar-fill an empty series")
+    first, last = series.timestamps[0], series.timestamps[-1]
+    n_days = (last - first).days + 1
+    if n_days == len(series):
+        return series
+    observed = np.array([(d - first).days for d in series.timestamps], dtype=float)
+    full = np.arange(n_days, dtype=float)
+    values = np.interp(full, observed, series.values)
+    days = tuple(first + timedelta(days=int(k)) for k in range(n_days))
+    return TimeSeries(days, values)
+
+
+def month_partition(
+    series: TimeSeries, month_range: tuple[str, str]
+) -> list[MonthlyActuals]:
+    """Split a calendar-complete series into full calendar months."""
+    index = {d: v for d, v in zip(series.timestamps, series.values)}
+    episodes = []
+    for label in iter_months(*month_range):
+        year, month = parse_month(label)
+        n_days = calendar.monthrange(year, month)[1]
+        days = tuple(date(year, month, k) for k in range(1, n_days + 1))
+        missing = [d for d in days if d not in index]
+        if missing:
+            raise DataError(
+                f"month {label} incomplete: {len(missing)} missing days "
+                f"(first {missing[0].isoformat()})"
+            )
+        episodes.append(
+            MonthlyActuals(label, days, np.array([index[d] for d in days]))
+        )
+    return episodes

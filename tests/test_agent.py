@@ -438,7 +438,7 @@ def test_snapshot_round_trip(tmp_path):
 def test_load_table_rejects_headerless_file(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1,0,2.0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match=f"{path}: missing snapshot header"):
         load_table(path)
 
 

@@ -6,6 +6,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from dtreconcile import cli
 from dtreconcile.cli import (
     build_run_config,
     main,
@@ -158,6 +159,20 @@ def test_exit_codes(tmp_path, daily_csv, capsys):
                 "discount=nan", "discount=5"):
         assert main(["run", "--config", str(cfg_path), "--set", bad]) == 1, bad
         assert "config error" in capsys.readouterr().err
+    # 1: a grid cell out of range, before any cell is swept
+    assert main(["grid", "--config", str(cfg_path), "--set", "grid_tolerances=10%",
+                 "--set", "grid_epsilons=0.1,2"]) == 1
+    assert "grid_epsilons=2.0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "grid.csv").exists()
+    # 2: a non-finite value, named with its file and line
+    for bad in ("nan", "inf", "-Infinity"):
+        rows = [line.split(",") for line in daily_csv.read_text().splitlines()]
+        rows[4][1] = bad  # the Open value on line 5
+        bad_csv = tmp_path / f"{bad}.csv"
+        bad_csv.write_text("".join(",".join(row) + "\n" for row in rows))
+        assert main(["validate-data", "--config", str(cfg_path),
+                     "--set", f"data_path={bad_csv}"]) == 2, bad
+        assert f"{bad_csv}: line 5: value {bad!r} is not finite" in capsys.readouterr().err
 
 
 def test_reconcile_rejects_malformed_snapshot(tmp_path, daily_csv, capsys):
@@ -170,6 +185,10 @@ def test_reconcile_rejects_malformed_snapshot(tmp_path, daily_csv, capsys):
     assert main(["reconcile", "--config", str(cfg_path), "--qtable", str(snapshot),
                  "--set", f"output_dir={tmp_path / 'out2'}"]) == 2
     assert f"{snapshot}:93:" in capsys.readouterr().err
+    snapshot.write_text("".join((out / "qtable.txt").read_text().splitlines(True)[1:]))
+    assert main(["reconcile", "--config", str(cfg_path), "--qtable", str(snapshot),
+                 "--set", f"output_dir={tmp_path / 'out2'}"]) == 2
+    assert f"{snapshot}: missing snapshot header" in capsys.readouterr().err
 
 
 def test_reconcile_refuses_to_overwrite_its_snapshot(tmp_path, daily_csv, capsys):
@@ -216,6 +235,42 @@ def test_external_forecast_missing_days(tmp_path, daily_csv):
                f"external_forecast_path = {forecast_path}"],
     )
     assert main(["run", "--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2020-03-05", "too few fields"),
+    ("2020-03-05,abc", "unparseable value 'abc'"),
+    ("monthly_total,abc", "unparseable value 'abc'"),
+    ("monthly_total", "too few fields"),
+    ("2020-03-05,nan", "value 'nan' is not finite"),
+    ("2020-13-05,1", "unparseable date '2020-13-05'"),
+])
+def test_external_forecast_bad_row_names_file_and_line(tmp_path, daily_csv, capsys,
+                                                       row, message):
+    forecast_path = tmp_path / "forecast.csv"
+    rows = ["date,forecast", row]
+    rows += [f"2020-03-{day:02d},{value}" for day, value in zip(range(1, 32),
+                                                              REFERENCE_FORECASTS)]
+    forecast_path.write_text("\n".join(rows) + "\n")
+    cfg_path = write_config(
+        tmp_path, daily_csv, tmp_path / "out",
+        extra=["forecaster = external",
+               f"external_forecast_path = {forecast_path}"],
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert f"{forecast_path}: line 2: {message}" in capsys.readouterr().err
+
+
+# The names `perfbench/tracing.py` wraps for a traced benchmark run.
+TRACED_CLI_NAMES = (
+    "load_ohlcv_csv", "fill_calendar", "month_partition", "prepare", "train",
+    "reconcile_online", "save_table", "load_table", "build_metric_report", "run_grid",
+)
+
+
+@pytest.mark.parametrize("name", TRACED_CLI_NAMES)
+def test_cli_exposes_traced_names(name):
+    assert callable(getattr(cli, name))
 
 
 def test_adjustment_unit_per_day(tmp_path, daily_csv):
