@@ -5,80 +5,4 @@ high-frequency (daily) actuals with a tabular TD agent, alongside
 classical linear reconciliation baselines and a metric harness.
 """
 
-from .agent import (
-    AgentConfig,
-    CycleData,
-    ReconciliationTrace,
-    ValueTable,
-    build_action_set,
-    egreedy_probabilities,
-    init_state_values,
-    load_table,
-    reconcile_online,
-    run_episode,
-    sarsa_step,
-    save_table,
-    select_action,
-    train,
-)
-from .baselines import MappingMatrix, p_bottom_up, p_ols, p_top_down, p_wls, reconcile
-from .evaluation import (
-    GridReport,
-    MetricReport,
-    build_metric_report,
-    mape,
-    mape_rec,
-    pct_improvement,
-    run_grid,
-)
-from .forecasting import ForecastSet, drift, naive, seasonal_naive
-from .hierarchy import (
-    AggregationMatrix,
-    HierarchyVector,
-    TimeSeries,
-    aggregate_bottom,
-    build_two_level,
-    coherence_residual,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AgentConfig",
-    "AggregationMatrix",
-    "CycleData",
-    "ForecastSet",
-    "GridReport",
-    "HierarchyVector",
-    "MappingMatrix",
-    "MetricReport",
-    "ReconciliationTrace",
-    "TimeSeries",
-    "ValueTable",
-    "aggregate_bottom",
-    "build_action_set",
-    "build_metric_report",
-    "build_two_level",
-    "coherence_residual",
-    "drift",
-    "egreedy_probabilities",
-    "init_state_values",
-    "load_table",
-    "mape",
-    "mape_rec",
-    "naive",
-    "p_bottom_up",
-    "p_ols",
-    "p_top_down",
-    "p_wls",
-    "pct_improvement",
-    "reconcile",
-    "reconcile_online",
-    "run_episode",
-    "run_grid",
-    "sarsa_step",
-    "save_table",
-    "seasonal_naive",
-    "select_action",
-    "train",
-]

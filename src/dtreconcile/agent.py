@@ -111,14 +111,6 @@ class EpisodeState:
             raise ValueError("remaining total must be finite")
 
 
-@dataclass(frozen=True)
-class ActionSet:
-    """The three candidate adjusted daily forecasts, ordered
-    (increase, keep, decrease)."""
-
-    candidates: tuple[float, float, float]
-
-
 @dataclass
 class ValueTable:
     """Q(s, a) over (day, action) plus the diagnostic V(s) per day."""
@@ -214,12 +206,6 @@ def init_state_values(monthly_total: float, daily_forecasts) -> ValueTable:
     v[: daily.size] = remaining
     q = np.repeat(v[:, None], N_ACTIONS, axis=1)
     return ValueTable(q=q, v=v)
-
-
-def build_action_set(y_hat_t: float, cfg: AgentConfig) -> ActionSet:
-    """Candidate adjusted forecasts (y+u, y, y-u) for one day."""
-    u = cfg.unit
-    return ActionSet((y_hat_t + u, y_hat_t, y_hat_t - u))
 
 
 def adjusted_forecast(y_hat_t: float, action: int, cfg: AgentConfig) -> float:
@@ -420,8 +406,6 @@ def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
     The table is initialized from the first cycle's monthly total and
     base forecasts, then updated across all passes.
     """
-    if cfg.episodes > 0 and len(history) == 0:
-        raise InsufficientDataError("training requires at least one cycle")
     if not history:
         raise InsufficientDataError("cannot initialize a table without data")
     first = history[0]
@@ -503,10 +487,13 @@ def load_table(path) -> tuple[ValueTable, dict]:
 
     Every (day, action) entry must appear exactly once with a finite
     value. A malformed, duplicate, out-of-range or missing entry raises
-    `DataError` naming the file and line.
+    `DataError` naming the file and line; an unreadable file, naming the file.
     """
-    with open(path) as fh:
-        lines = [(no, line.strip()) for no, line in enumerate(fh, start=1) if line.strip()]
+    try:
+        with open(path) as fh:
+            lines = [(no, line.strip()) for no, line in enumerate(fh, start=1) if line.strip()]
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open: {exc}") from exc
     if not lines or not lines[0][1].startswith("#"):
         raise DataError(f"{path}: missing snapshot header line")
     meta = {}

@@ -16,7 +16,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from datetime import date
 from pathlib import Path
 
@@ -74,11 +74,17 @@ class RunConfig:
             )
         if self.forecaster == "external" and not self.external_forecast_path:
             raise ConfigError("external forecaster needs external_forecast_path")
-        y_end, m_end = parse_month(self.train_end)
-        y_test, m_test = parse_month(self.test_month)
-        if parse_month(self.train_start) > (y_end, m_end):
+        if self.seasonal_period < 1:
+            raise ConfigError("seasonal_period must be at least 1")
+        months = {}
+        for key in ("train_start", "train_end", "test_month"):
+            try:
+                months[key] = parse_month(getattr(self, key))
+            except DataError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+        if months["train_start"] > months["train_end"]:
             raise ConfigError("train_start is after train_end")
-        if (y_test, m_test) <= (y_end, m_end):
+        if months["test_month"] <= months["train_end"]:
             raise ConfigError("test month must follow the training range")
 
 
@@ -100,34 +106,39 @@ def parse_config_file(path) -> dict[str, str]:
     return mapping
 
 
-_BOOL_KEYS = {"online_updates", "clamp_nonnegative"}
-_INT_KEYS = {"seasonal_period", "episodes", "seed"}
-_FLOAT_KEYS = {"exploration", "step_size", "discount"}
+def _parse_bool(raw: str) -> bool:
+    word = raw.lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(raw)
+    return word in ("1", "true", "yes", "on")
+
+
+# Parser per declared `RunConfig` field type, keyed by the annotation text
+# (this module postpones annotations); a ValueError is a bad value.
+_PARSERS = {
+    "str": str,
+    "str | None": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "tuple[str, ...]": lambda raw: tuple(tok.strip() for tok in raw.split(",") if tok.strip()),
+    "tuple[float, ...]": lambda raw: tuple(float(tok) for tok in raw.split(",") if tok.strip()),
+}
 
 
 def build_run_config(mapping: dict[str, str]) -> RunConfig:
+    """Parse each value by its `RunConfig` field's declared type."""
+    declared = {f.name: f for f in fields(RunConfig)}
     kwargs: dict = {}
-    valid = set(RunConfig.__dataclass_fields__)
     for key, raw in mapping.items():
-        if key not in valid:
+        if key not in declared:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            if key in _BOOL_KEYS:
-                kwargs[key] = raw.lower() in ("1", "true", "yes", "on")
-            elif key in _INT_KEYS:
-                kwargs[key] = int(raw)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(raw)
-            elif key == "grid_tolerances":
-                kwargs[key] = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-            elif key == "grid_epsilons":
-                kwargs[key] = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-            else:
-                kwargs[key] = raw
+            kwargs[key] = _PARSERS[declared[key].type](raw)
         except ValueError:
             raise ConfigError(f"bad value for {key}: {raw!r}") from None
-    missing = [k for k in ("data_path", "train_start", "train_end", "test_month")
-               if k not in kwargs]
+    missing = [name for name, f in declared.items()
+               if f.default is MISSING and name not in kwargs]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
     return RunConfig(**kwargs)
@@ -190,7 +201,7 @@ def forecast_month(
 def load_external_forecasts(path, month: MonthlyActuals) -> ForecastSet:
     """CSV `date,forecast` covering the test cycle, with an optional
     `monthly_total,<value>` override row. Every error names the file, and
-    a bad row its line number."""
+    a bad or repeated row its line number."""
     by_date: dict[date, float] = {}
     monthly_total: float | None = None
     try:
@@ -208,12 +219,16 @@ def load_external_forecasts(path, month: MonthlyActuals) -> ForecastSet:
                 raise DataError(f"{path}: line {line_no}: too few fields")
             value = _parse_value(row[1], path, line_no)
             if key == "monthly_total":
+                if monthly_total is not None:
+                    raise DataError(f"{path}: line {line_no}: duplicate monthly_total row")
                 monthly_total = value
                 continue
             try:
                 day = _parse_date(row[0], line_no)
             except DataError as exc:
                 raise DataError(f"{path}: {exc}") from None
+            if day in by_date:
+                raise DataError(f"{path}: line {line_no}: duplicate date {day.isoformat()}")
             by_date[day] = value
     missing = [d for d in month.dates if d not in by_date]
     if missing:
@@ -230,8 +245,8 @@ class PreparedExperiment:
     training: list[CycleData]
     test_month: MonthlyActuals
     test_forecast: ForecastSet
-    tolerance_abs: float
     agent_cfg: AgentConfig
+    grid_tolerances: list[float]  # absolute, in `config.grid_tolerances` order
 
 
 def prepare(config: RunConfig) -> PreparedExperiment:
@@ -267,22 +282,27 @@ def prepare(config: RunConfig) -> PreparedExperiment:
         )
         test_forecast = ForecastSet.from_daily(daily, test.label)
 
-    tolerance_abs = resolve_tolerance(config.tolerance, test_forecast.daily)
+    tolerance = resolve_tolerance(config.tolerance, test_forecast.daily)
+    grid_tolerances = [resolve_tolerance(raw, test_forecast.daily)
+                       for raw in config.grid_tolerances]
+    # Settings the two dataclasses share by name are copied; the
+    # tolerance and the unit are resolved against the test cycle.
+    shared = {f.name: getattr(config, f.name) for f in fields(AgentConfig)
+              if hasattr(config, f.name)}
+    shared.update(tolerance=tolerance,
+                  adjustment_unit=_resolve_unit(config, tolerance, len(test)))
+    where = ""
     try:
-        agent_cfg = AgentConfig(
-            tolerance=tolerance_abs,
-            exploration=config.exploration,
-            step_size=config.step_size,
-            discount=config.discount,
-            episodes=config.episodes,
-            seed=config.seed,
-            online_updates=config.online_updates,
-            adjustment_unit=_resolve_unit(config, tolerance_abs, len(test)),
-            clamp_nonnegative=config.clamp_nonnegative,
-        )
+        agent_cfg = AgentConfig(**shared)
+        # `run_grid` turns a failing cell into an `error` row; an
+        # out-of-range setting is a config error, so check every cell here.
+        for raw, tol in zip(config.grid_tolerances, grid_tolerances):
+            for eps in config.grid_epsilons:
+                where = f"grid_tolerances={raw}, grid_epsilons={eps}: "
+                replace(agent_cfg, tolerance=tol, exploration=eps)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return PreparedExperiment(training, test, test_forecast, tolerance_abs, agent_cfg)
+        raise ConfigError(f"{where}{exc}") from None
+    return PreparedExperiment(training, test, test_forecast, agent_cfg, grid_tolerances)
 
 
 def _write(path: Path, content: str) -> None:
@@ -299,17 +319,16 @@ def _summary_json(config: RunConfig, prep: PreparedExperiment, report) -> str:
         "base_total": report.base_total,
         "actual_total": report.actual_total,
         "base_mape_pct": report.base_mape,
-        "resolved_tolerance": prep.tolerance_abs,
+        "resolved_tolerance": prep.agent_cfg.tolerance,
         "adjustment_unit": prep.agent_cfg.unit,
         "seed": config.seed,
-        "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in sorted(config.__dict__.items())},
+        "config": vars(config),
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def run_experiment(config: RunConfig, qtable_path: str | None = None) -> dict:
-    """Full pipeline; returns the final-day metrics.
+def run_experiment(config: RunConfig, qtable_path: str | None = None) -> None:
+    """Full pipeline: train, stream the test month, write the reports.
 
     With ``qtable_path`` set, training is skipped and the snapshot is
     streamed directly (the `reconcile` verb).
@@ -351,29 +370,9 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None) -> dict:
         f"final RMF {last.rmf:.1f}  MAPE_rec {last.mape_rec_pct:.2f}%  "
         f"%_f {last.pct_f:.2f}%  (base MAPE {report.base_mape:.2f}%)"
     )
-    return {
-        "final_rmf": last.rmf,
-        "mape_rec_pct": last.mape_rec_pct,
-        "pct_f": last.pct_f,
-        "base_mape_pct": report.base_mape,
-    }
 
 
 def _write_grid(config: RunConfig, prep: PreparedExperiment, out: Path) -> None:
-    tolerances = [
-        resolve_tolerance(raw, prep.test_forecast.daily)
-        for raw in config.grid_tolerances
-    ]
-    # `run_grid` turns a failing cell into an `error` row; an out-of-range
-    # setting is a config error, so check every cell before the sweep.
-    for raw, tol in zip(config.grid_tolerances, tolerances):
-        for eps in config.grid_epsilons:
-            try:
-                replace(prep.agent_cfg, tolerance=tol, exploration=eps)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"grid_tolerances={raw}, grid_epsilons={eps}: {exc}"
-                ) from None
     test_cycle = CycleData(
         prep.test_forecast.daily,
         prep.test_month.values,
@@ -381,7 +380,7 @@ def _write_grid(config: RunConfig, prep: PreparedExperiment, out: Path) -> None:
         label=prep.test_month.label,
     )
     grid = run_grid(
-        prep.training, test_cycle, tolerances, list(config.grid_epsilons),
+        prep.training, test_cycle, prep.grid_tolerances, list(config.grid_epsilons),
         prep.agent_cfg,
     )
     _write(out / "grid.csv", grid.to_csv())

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, ShapeError
-from .hierarchy import TimeSeries
 
 _MONTH_LABEL = re.compile(r"^(\d{4})-(\d{2})$")
 
@@ -73,8 +72,6 @@ class ForecastSet:
 
 
 def _history_values(history) -> np.ndarray:
-    if isinstance(history, TimeSeries):
-        return history.values
     return np.atleast_1d(np.asarray(history, dtype=float))
 
 

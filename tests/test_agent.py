@@ -15,7 +15,6 @@ from dtreconcile.agent import (
     EpisodeState,
     ValueTable,
     adjusted_forecast,
-    build_action_set,
     egreedy_probabilities,
     greedy_action,
     init_state_values,
@@ -80,17 +79,23 @@ def test_init_state_values_covers_max_cycle():
     assert np.all(table.v[2:] == 70.0)
 
 
-# --- action set -----------------------------------------------------------
+# --- adjusted forecasts ---------------------------------------------------
 
 
-def test_build_action_set_worked_example():
+def candidates(y_hat_t, cfg):
+    """Adjusted forecasts for (increase, keep, decrease)."""
+    return tuple(adjusted_forecast(y_hat_t, a, cfg)
+                 for a in (ACTION_INCREASE, ACTION_KEEP, ACTION_DECREASE))
+
+
+def test_adjusted_forecast_worked_example():
     cfg = make_cfg(tolerance=5.0)
-    assert build_action_set(30.0, cfg).candidates == (35.0, 30.0, 25.0)
+    assert candidates(30.0, cfg) == (35.0, 30.0, 25.0)
 
 
-def test_build_action_set_zero_forecast():
+def test_adjusted_forecast_zero_forecast():
     cfg = make_cfg(tolerance=1.0)
-    assert build_action_set(0.0, cfg).candidates == (1.0, 0.0, -1.0)
+    assert candidates(0.0, cfg) == (1.0, 0.0, -1.0)
 
 
 def test_zero_tolerance_rejected_at_config():
@@ -102,7 +107,7 @@ def test_zero_tolerance_rejected_at_config():
 
 def test_adjustment_unit_overrides_tolerance():
     cfg = make_cfg(tolerance=5.0, adjustment_unit=2.0)
-    assert build_action_set(30.0, cfg).candidates == (32.0, 30.0, 28.0)
+    assert candidates(30.0, cfg) == (32.0, 30.0, 28.0)
 
 
 def test_adjusted_forecast_clamp():

@@ -1,13 +1,18 @@
 """End-to-end tests for the command-line surface."""
 
 import json
+import string
+from dataclasses import fields
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtreconcile import cli
 from dtreconcile.cli import (
+    RunConfig,
     build_run_config,
     main,
     parse_config_file,
@@ -59,6 +64,23 @@ def test_build_run_config_validation(tmp_path):
         build_run_config({**base, "forecaster": "arima"})
     with pytest.raises(ConfigError):
         build_run_config({"data_path": "x.csv"})
+
+
+BASE_CONFIG = {"data_path": "x.csv", "train_start": "2019-01",
+               "train_end": "2020-02", "test_month": "2020-03"}
+CONFIG_TEXT = st.lists(
+    st.sampled_from([*"0123456789-/%,.e", *string.ascii_letters, "nan"]), max_size=12,
+).map("".join)
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.sampled_from([f.name for f in fields(RunConfig)]), raw=CONFIG_TEXT)
+def test_build_run_config_returns_config_or_config_error(key, raw):
+    try:
+        config = build_run_config({**BASE_CONFIG, key: raw})
+    except ConfigError:
+        return
+    assert isinstance(config, RunConfig)
 
 
 def test_resolve_tolerance_percentage_of_cycle_total():
@@ -159,11 +181,19 @@ def test_exit_codes(tmp_path, daily_csv, capsys):
                 "discount=nan", "discount=5"):
         assert main(["run", "--config", str(cfg_path), "--set", bad]) == 1, bad
         assert "config error" in capsys.readouterr().err
-    # 1: a grid cell out of range, before any cell is swept
-    assert main(["grid", "--config", str(cfg_path), "--set", "grid_tolerances=10%",
-                 "--set", "grid_epsilons=0.1,2"]) == 1
-    assert "grid_epsilons=2.0" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "grid.csv").exists()
+    # 1: a value its key's type does not accept, named with the key
+    for bad in ("online_updates=ture", "clamp_nonnegative=2", "train_start=2020/02",
+                "train_end=2020/02", "test_month=2020/02", "seasonal_period=0"):
+        assert main(["run", "--config", str(cfg_path), "--set", bad]) == 1, bad
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and bad.split("=")[0] in err, bad
+    # 1: a grid cell out of range, before any file is written
+    for verb in ("grid", "run"):
+        assert main([verb, "--config", str(cfg_path), "--set", "grid_tolerances=10%",
+                     "--set", "grid_epsilons=0.1,2"]) == 1, verb
+        assert "grid_epsilons=2.0" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir()), verb
     # 2: a non-finite value, named with its file and line
     for bad in ("nan", "inf", "-Infinity"):
         rows = [line.split(",") for line in daily_csv.read_text().splitlines()]
@@ -189,6 +219,10 @@ def test_reconcile_rejects_malformed_snapshot(tmp_path, daily_csv, capsys):
     assert main(["reconcile", "--config", str(cfg_path), "--qtable", str(snapshot),
                  "--set", f"output_dir={tmp_path / 'out2'}"]) == 2
     assert f"{snapshot}: missing snapshot header" in capsys.readouterr().err
+    missing = tmp_path / "nope.txt"
+    assert main(["reconcile", "--config", str(cfg_path), "--qtable", str(missing),
+                 "--set", f"output_dir={tmp_path / 'out2'}"]) == 2
+    assert f"data error: {missing}: cannot open" in capsys.readouterr().err
 
 
 def test_reconcile_refuses_to_overwrite_its_snapshot(tmp_path, daily_csv, capsys):
@@ -244,6 +278,11 @@ def test_external_forecast_missing_days(tmp_path, daily_csv):
     ("monthly_total", "too few fields"),
     ("2020-03-05,nan", "value 'nan' is not finite"),
     ("2020-13-05,1", "unparseable date '2020-13-05'"),
+    # Two rows; the error names the second.
+    pytest.param("2020-03-05,1\n2020-03-05,2", "duplicate date 2020-03-05",
+                 id="repeated-date"),
+    pytest.param("monthly_total,1\nmonthly_total,2", "duplicate monthly_total row",
+                 id="repeated-monthly-total"),
 ])
 def test_external_forecast_bad_row_names_file_and_line(tmp_path, daily_csv, capsys,
                                                        row, message):
@@ -258,7 +297,8 @@ def test_external_forecast_bad_row_names_file_and_line(tmp_path, daily_csv, caps
                f"external_forecast_path = {forecast_path}"],
     )
     assert main(["run", "--config", str(cfg_path)]) == 2
-    assert f"{forecast_path}: line 2: {message}" in capsys.readouterr().err
+    line = 2 + row.count("\n")
+    assert f"{forecast_path}: line {line}: {message}" in capsys.readouterr().err
 
 
 # The names `perfbench/tracing.py` wraps for a traced benchmark run.
