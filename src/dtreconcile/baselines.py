@@ -19,10 +19,9 @@ SHARES_TOL = 1e-9
 
 @dataclass(frozen=True)
 class MappingMatrix:
-    """m-by-n matrix P together with the method that produced it."""
+    """The m-by-n mapping matrix P."""
 
     entries: np.ndarray
-    method_tag: str
 
     def __post_init__(self) -> None:
         p = np.asarray(self.entries, dtype=float)
@@ -44,7 +43,7 @@ def _check_pair(s: AggregationMatrix, p: MappingMatrix) -> None:
 def p_bottom_up(s: AggregationMatrix) -> MappingMatrix:
     """Keep bottom forecasts untouched and re-sum the aggregates."""
     p = np.hstack([np.zeros((s.m, s.r)), np.eye(s.m)])
-    return MappingMatrix(p, "bottom_up")
+    return MappingMatrix(p)
 
 
 def p_top_down(shares: np.ndarray, s: AggregationMatrix) -> MappingMatrix:
@@ -58,7 +57,7 @@ def p_top_down(shares: np.ndarray, s: AggregationMatrix) -> MappingMatrix:
         raise ValueError(f"shares must sum to 1, got {shares.sum()}")
     p = np.zeros((s.m, s.n))
     p[:, 0] = shares
-    return MappingMatrix(p, "top_down")
+    return MappingMatrix(p)
 
 
 def p_ols(s: AggregationMatrix) -> MappingMatrix:
@@ -68,7 +67,7 @@ def p_ols(s: AggregationMatrix) -> MappingMatrix:
         p = np.linalg.solve(gram, s.entries.T)
     except np.linalg.LinAlgError as exc:  # unreachable for a valid S
         raise ValueError(f"singular normal matrix: {exc}") from exc
-    return MappingMatrix(p, "ols")
+    return MappingMatrix(p)
 
 
 def p_wls(s: AggregationMatrix, weights: np.ndarray) -> MappingMatrix:
@@ -84,7 +83,7 @@ def p_wls(s: AggregationMatrix, weights: np.ndarray) -> MappingMatrix:
         p = np.linalg.solve(st_winv @ s.entries, st_winv)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular weighted normal matrix: {exc}") from exc
-    return MappingMatrix(p, "wls")
+    return MappingMatrix(p)
 
 
 def reconcile(

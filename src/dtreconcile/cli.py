@@ -3,7 +3,8 @@
 Verbs:
   run            train on the configured months, stream the test month,
                  write metrics.csv / qtable.txt / summary.json
-  grid           tolerance x epsilon sweep, write grid.csv
+  grid           tolerance x epsilon sweep, write grid.csv (the only verb
+                 that sweeps; run and reconcile only check the grid keys)
   reconcile      load a Q-table snapshot and stream a cycle (no training)
   validate-data  ingestion and calendar checks only
 
@@ -36,7 +37,8 @@ from .data import (
 from .errors import ConfigError, DataError, ReconcileError
 from .evaluation import build_metric_report, run_grid
 from .forecasting import ForecastSet
-from .seeding import rng_for
+from .hierarchy import TimeSeries
+from .seeding import derive_seed, rng_for
 
 FORECASTERS = ("naive", "seasonal_naive", "drift", "external")
 
@@ -240,51 +242,54 @@ def load_external_forecasts(path, month: MonthlyActuals) -> ForecastSet:
     return ForecastSet.from_daily(daily, month.label, monthly_total=monthly_total)
 
 
+def _history_before(filled: TimeSeries, first_day: date) -> np.ndarray:
+    """The values before ``first_day``; ``filled`` has one per calendar day."""
+    return filled.values[: (first_day - filled.timestamps[0]).days]
+
+
 @dataclass
 class PreparedExperiment:
-    training: list[CycleData]
+    config: RunConfig
+    filled: TimeSeries
+    train_months: list[MonthlyActuals]
     test_month: MonthlyActuals
     test_forecast: ForecastSet
     agent_cfg: AgentConfig
-    grid_tolerances: list[float]  # absolute, in `config.grid_tolerances` order
+    # Row-major over grid_tolerances x grid_epsilons; each seed derives from
+    # the cell's coordinates, so a row does not depend on the sweep order.
+    grid_cells: list[AgentConfig]
+
+    def training(self) -> list[CycleData]:
+        """Each training month forecast from the data before it. The external
+        file covers only the test cycle, so it falls back to naive here."""
+        config = self.config
+        method = config.forecaster if config.forecaster != "external" else "naive"
+        cycles = []
+        for month in self.train_months:
+            daily = forecast_month(_history_before(self.filled, month.dates[0]), month,
+                                   method, config.seasonal_period)
+            cycles.append(CycleData(daily, month.values, float(daily.sum()), label=month.label))
+        return cycles
 
 
 def prepare(config: RunConfig) -> PreparedExperiment:
+    """Load and partition the data, forecast the test month, and build and
+    check every agent setting and grid cell before any file is written."""
     series = load_ohlcv_csv(config.data_path, config.date_column, config.value_column)
     filled = fill_calendar(series)
     train_months = month_partition(filled, (config.train_start, config.train_end))
     test = month_partition(filled, (config.test_month, config.test_month))[0]
 
-    start = filled.timestamps[0]
-
-    def history_before(first_day: date) -> np.ndarray:
-        # The filled series has one value per calendar day from `start`.
-        return filled.values[: (first_day - start).days]
-
-    # Training months always use a simple forecaster; the external file
-    # only covers the test cycle.
-    train_method = config.forecaster if config.forecaster != "external" else "naive"
-    training = []
-    for month in train_months:
-        daily = forecast_month(
-            history_before(month.dates[0]), month, train_method, config.seasonal_period
-        )
-        training.append(
-            CycleData(daily, month.values, float(daily.sum()), label=month.label)
-        )
-
     if config.forecaster == "external":
         test_forecast = load_external_forecasts(config.external_forecast_path, test)
     else:
         daily = forecast_month(
-            history_before(test.dates[0]), test, config.forecaster,
+            _history_before(filled, test.dates[0]), test, config.forecaster,
             config.seasonal_period,
         )
         test_forecast = ForecastSet.from_daily(daily, test.label)
 
     tolerance = resolve_tolerance(config.tolerance, test_forecast.daily)
-    grid_tolerances = [resolve_tolerance(raw, test_forecast.daily)
-                       for raw in config.grid_tolerances]
     # Settings the two dataclasses share by name are copied; the
     # tolerance and the unit are resolved against the test cycle.
     shared = {f.name: getattr(config, f.name) for f in fields(AgentConfig)
@@ -292,17 +297,19 @@ def prepare(config: RunConfig) -> PreparedExperiment:
     shared.update(tolerance=tolerance,
                   adjustment_unit=_resolve_unit(config, tolerance, len(test)))
     where = ""
+    grid_cells = []
     try:
         agent_cfg = AgentConfig(**shared)
-        # `run_grid` turns a failing cell into an `error` row; an
-        # out-of-range setting is a config error, so check every cell here.
-        for raw, tol in zip(config.grid_tolerances, grid_tolerances):
-            for eps in config.grid_epsilons:
+        for i, raw in enumerate(config.grid_tolerances):
+            tol = resolve_tolerance(raw, test_forecast.daily)
+            for j, eps in enumerate(config.grid_epsilons):
                 where = f"grid_tolerances={raw}, grid_epsilons={eps}: "
-                replace(agent_cfg, tolerance=tol, exploration=eps)
+                grid_cells.append(replace(agent_cfg, tolerance=tol, exploration=eps,
+                                          seed=derive_seed(agent_cfg.seed, f"grid:{i}:{j}")))
     except ValueError as exc:
         raise ConfigError(f"{where}{exc}") from None
-    return PreparedExperiment(training, test, test_forecast, agent_cfg, grid_tolerances)
+    return PreparedExperiment(config, filled, train_months, test, test_forecast,
+                              agent_cfg, grid_cells)
 
 
 def _write(path: Path, content: str) -> None:
@@ -341,7 +348,7 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None) -> None:
         )
     prep = prepare(config)
     if qtable_path is None:
-        table = train(prep.training, prep.agent_cfg)
+        table = train(prep.training(), prep.agent_cfg)
     else:
         table, _meta = load_table(qtable_path)
     trace = reconcile_online(
@@ -362,9 +369,6 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None) -> None:
     save_table(table, snapshot_out, prep.agent_cfg)
     _write(out / "summary.json", _summary_json(config, prep, report))
 
-    if config.grid_tolerances and config.grid_epsilons:
-        _write_grid(config, prep, out)
-
     last = report.rows[-1]
     print(
         f"final RMF {last.rmf:.1f}  MAPE_rec {last.mape_rec_pct:.2f}%  "
@@ -372,26 +376,19 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None) -> None:
     )
 
 
-def _write_grid(config: RunConfig, prep: PreparedExperiment, out: Path) -> None:
-    test_cycle = CycleData(
-        prep.test_forecast.daily,
-        prep.test_month.values,
-        prep.test_forecast.monthly_total,
-        label=prep.test_month.label,
-    )
-    grid = run_grid(
-        prep.training, test_cycle, prep.grid_tolerances, list(config.grid_epsilons),
-        prep.agent_cfg,
-    )
-    _write(out / "grid.csv", grid.to_csv())
-    print(f"grid: {len(grid.rows)} cells -> {out / 'grid.csv'}")
-
-
 def grid_experiment(config: RunConfig) -> None:
     if not (config.grid_tolerances and config.grid_epsilons):
         raise ConfigError("grid verb needs grid_tolerances and grid_epsilons")
     prep = prepare(config)
-    _write_grid(config, prep, Path(config.output_dir))
+    grid = run_grid(prep.training(), prep.test_forecast, prep.test_month.values,
+                    prep.grid_cells)
+    path = Path(config.output_dir) / "grid.csv"
+    _write(path, grid.to_csv())
+    for row in grid.rows:
+        if row.error is not None:
+            print(f"grid: cell tolerance={row.tolerance!r}, epsilon={row.epsilon!r} "
+                  f"failed: {row.error}", file=sys.stderr)
+    print(f"grid: {len(grid.rows)} cells -> {path}")
 
 
 def validate_data(config: RunConfig) -> None:

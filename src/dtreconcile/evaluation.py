@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .agent import AgentConfig, CycleData, ReconciliationTrace, reconcile_online, train
-from .errors import ShapeError
+from .errors import ReconcileError, ShapeError
 from .forecasting import ForecastSet
-from .seeding import derive_seed, rng_for
+from .seeding import rng_for
 
 
 def mape(actuals, forecasts) -> float:
@@ -140,51 +140,29 @@ class GridReport:
 
 def run_grid(
     training: Sequence[CycleData],
-    test: CycleData,
-    tolerances: Sequence[float],
-    epsilons: Sequence[float],
-    base_cfg: AgentConfig,
+    forecast: ForecastSet,
+    actuals,
+    cells: Sequence[AgentConfig],
 ) -> GridReport:
     """Train and reconcile one independent agent per grid cell.
 
-    Cell seeds derive from the base seed and the cell coordinates, so
-    rows do not depend on execution order. Failing cells are marked
-    rather than aborting the sweep.
+    Each cell carries its own tolerance, exploration and seed. A cell
+    that fails with a reconciliation or numeric error is marked with its
+    message rather than aborting the sweep; any other exception is a
+    fault and propagates.
     """
-    if not tolerances or not epsilons:
+    if not cells:
         raise ValueError("grid must have at least one tolerance and one epsilon")
+    actual_total = float(np.sum(actuals))
+    base_total = float(forecast.daily.sum())
     rows: list[GridRow] = []
-    for i, tol in enumerate(tolerances):
-        for j, eps in enumerate(epsilons):
-            try:
-                cfg = replace(
-                    base_cfg,
-                    tolerance=tol,
-                    exploration=eps,
-                    seed=derive_seed(base_cfg.seed, f"grid:{i}:{j}"),
-                )
-                table = train(training, cfg)
-                forecast = ForecastSet.from_daily(test.forecasts, test.label,
-                                                  monthly_total=test.monthly_total)
-                trace = reconcile_online(
-                    table, forecast, test.actuals, cfg, rng_for(cfg.seed, "online")
-                )
-                rows.append(
-                    GridRow(
-                        tolerance=float(tol),
-                        epsilon=float(eps),
-                        mape_rec_pct=mape_rec(float(test.actuals.sum()), trace.final_rmf),
-                        pct_f=pct_improvement(float(test.forecasts.sum()), trace.final_rmf),
-                    )
-                )
-            except Exception as exc:  # keep sweeping; mark the cell
-                rows.append(
-                    GridRow(
-                        tolerance=float(tol),
-                        epsilon=float(eps),
-                        mape_rec_pct=float("nan"),
-                        pct_f=float("nan"),
-                        error=str(exc),
-                    )
-                )
+    for cfg in cells:
+        try:
+            table = train(training, cfg)
+            rmf = reconcile_online(table, forecast, actuals, cfg,
+                                   rng_for(cfg.seed, "online")).final_rmf
+            scores, error = (mape_rec(actual_total, rmf), pct_improvement(base_total, rmf)), None
+        except (ReconcileError, ValueError, ZeroDivisionError) as exc:
+            scores, error = (float("nan"), float("nan")), str(exc)
+        rows.append(GridRow(float(cfg.tolerance), float(cfg.exploration), *scores, error=error))
     return GridReport(tuple(rows))

@@ -90,10 +90,6 @@ class HierarchyVector:
         full = np.atleast_1d(np.asarray(self.full, dtype=float))
         object.__setattr__(self, "full", full)
 
-    def aggregates(self, s: AggregationMatrix) -> np.ndarray:
-        self._check(s)
-        return self.full[: s.r]
-
     def bottom(self, s: AggregationMatrix) -> np.ndarray:
         self._check(s)
         return self.full[s.r:]

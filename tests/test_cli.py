@@ -2,7 +2,7 @@
 
 import json
 import string
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import date
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtreconcile import cli
+from dtreconcile import cli, evaluation
 from dtreconcile.cli import (
     RunConfig,
     build_run_config,
@@ -19,6 +19,7 @@ from dtreconcile.cli import (
     resolve_tolerance,
 )
 from dtreconcile.errors import ConfigError
+from dtreconcile.seeding import derive_seed
 
 from conftest import REFERENCE_FORECASTS, write_daily_csv
 
@@ -145,6 +146,70 @@ def test_grid_verb(tmp_path, daily_csv):
 def test_grid_verb_requires_grid_config(tmp_path, daily_csv):
     cfg_path = write_config(tmp_path, daily_csv, tmp_path / "out")
     assert main(["grid", "--config", str(cfg_path)]) == 1
+
+
+GRID_KEYS = ["grid_tolerances = 10%,20%", "grid_epsilons = 0.05,0.1,0.2"]
+
+
+def test_grid_verb_reports_failed_cells(tmp_path, daily_csv, capsys, monkeypatch):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, daily_csv, out, extra=GRID_KEYS)
+    train = evaluation.train
+
+    def failing_train(history, cfg):
+        if cfg.exploration == 0.1:
+            raise ValueError("injected cell failure")
+        return train(history, cfg)
+
+    monkeypatch.setattr(evaluation, "train", failing_train)
+    assert main(["grid", "--config", str(cfg_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"grid: 6 cells -> {out / 'grid.csv'}\n"
+    failed = [line for line in captured.err.splitlines() if line.startswith("grid: cell")]
+    assert len(failed) == 2
+    assert all("epsilon=0.1 failed: injected cell failure" in line for line in failed)
+    assert (out / "grid.csv").read_text().count(",error,error") == 2
+
+
+def test_only_grid_verb_sweeps(tmp_path, daily_csv, monkeypatch):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, daily_csv, out, extra=GRID_KEYS)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert not (out / "grid.csv").exists()
+
+    def no_training(*args):
+        raise AssertionError("reconcile trained an agent")
+
+    forecasts = []
+    forecast_month = cli.forecast_month
+
+    def recording_forecast(history, month, *rest):
+        forecasts.append(month.label)
+        return forecast_month(history, month, *rest)
+
+    monkeypatch.setattr(cli, "train", no_training)
+    monkeypatch.setattr(evaluation, "train", no_training)
+    monkeypatch.setattr(cli, "forecast_month", recording_forecast)
+    out2 = tmp_path / "out2"
+    assert main(["reconcile", "--config", str(cfg_path), "--qtable", str(out / "qtable.txt"),
+                 "--set", f"output_dir={out2}"]) == 0
+    assert sorted(path.name for path in out2.iterdir()) == [
+        "metrics.csv", "qtable.txt", "summary.json"]
+    assert forecasts == ["2020-03"]  # the test month only, no training cycles
+
+
+def test_prepare_builds_grid_cells_row_major(tmp_path, daily_csv):
+    cfg_path = write_config(tmp_path, daily_csv, tmp_path / "out", extra=GRID_KEYS)
+    prep = cli.prepare(build_run_config(parse_config_file(cfg_path)))
+    base = prep.agent_cfg
+    tolerances = [resolve_tolerance(raw, prep.test_forecast.daily) for raw in ("10%", "20%")]
+    assert [(cell.tolerance, cell.exploration, cell.seed) for cell in prep.grid_cells] == [
+        (tol, eps, derive_seed(7, f"grid:{i}:{j}"))
+        for i, tol in enumerate(tolerances) for j, eps in enumerate((0.05, 0.1, 0.2))
+    ]
+    for cell in prep.grid_cells:  # every other setting is the base config's
+        assert replace(cell, tolerance=base.tolerance, exploration=base.exploration,
+                       seed=base.seed) == base
 
 
 def test_reconcile_verb_uses_snapshot(tmp_path, daily_csv):

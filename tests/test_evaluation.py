@@ -1,10 +1,13 @@
 """Tests for metrics and the grid harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dtreconcile import evaluation
 from dtreconcile.agent import AgentConfig, CycleData, reconcile_online, train
 from dtreconcile.errors import ShapeError
 from dtreconcile.evaluation import (
@@ -111,10 +114,21 @@ def test_build_metric_report_columns():
     assert len(csv_text.splitlines()) == 29
 
 
+def _grid(training, test, tolerances, epsilons, base):
+    """Sweep row-major cells seeded by their coordinates, as `cli.prepare`
+    builds them."""
+    cells = [replace(base, tolerance=tol, exploration=eps,
+                     seed=derive_seed(base.seed, f"grid:{i}:{j}"))
+             for i, tol in enumerate(tolerances) for j, eps in enumerate(epsilons)]
+    forecast = ForecastSet.from_daily(test.forecasts, test.label,
+                                      monthly_total=test.monthly_total)
+    return run_grid(training, forecast, test.actuals, cells)
+
+
 def test_run_grid_shape_and_header():
     training, test = regime_shift_cycles(n_days=28, n_train=2)
     base = AgentConfig(tolerance=1.0, seed=5)
-    grid = run_grid(training, test, [5.0, 10.0, 20.0], [0.05, 0.1, 0.2], base)
+    grid = _grid(training, test, [5.0, 10.0, 20.0], [0.05, 0.1, 0.2], base)
     assert len(grid.rows) == 9
     lines = grid.to_csv().splitlines()
     assert lines[0] == "tolerance,epsilon,mape_rec_pct,pct_f"
@@ -124,9 +138,8 @@ def test_run_grid_shape_and_header():
 def test_run_grid_single_cell_matches_direct_run():
     training, test = regime_shift_cycles(n_days=28, n_train=2)
     base = AgentConfig(tolerance=1.0, exploration=0.5, seed=5)
-    grid = run_grid(training, test, [7.0], [0.1], base)
+    grid = _grid(training, test, [7.0], [0.1], base)
     cell = grid.rows[0]
-    from dataclasses import replace
 
     direct_cfg = replace(base, tolerance=7.0, exploration=0.1,
                          seed=derive_seed(5, "grid:0:0"))
@@ -139,22 +152,42 @@ def test_run_grid_single_cell_matches_direct_run():
 def test_run_grid_deterministic():
     training, test = regime_shift_cycles(n_days=28, n_train=2)
     base = AgentConfig(tolerance=1.0, seed=8)
-    g1 = run_grid(training, test, [5.0, 10.0], [0.05, 0.2], base)
-    g2 = run_grid(training, test, [5.0, 10.0], [0.05, 0.2], base)
+    g1 = _grid(training, test, [5.0, 10.0], [0.05, 0.2], base)
+    g2 = _grid(training, test, [5.0, 10.0], [0.05, 0.2], base)
     assert g1 == g2
 
 
-def test_run_grid_marks_failed_cells():
+def _train_failing_at(tolerance, exc):
+    def failing_train(history, cfg):
+        if cfg.tolerance == tolerance:
+            raise exc
+        return train(history, cfg)
+    return failing_train
+
+
+def test_run_grid_marks_failed_cells(monkeypatch):
     training, test = regime_shift_cycles(n_days=28, n_train=2)
     base = AgentConfig(tolerance=1.0, seed=8)
-    grid = run_grid(training, test, [-1.0, 5.0], [0.05], base)
+    monkeypatch.setattr(evaluation, "train",
+                        _train_failing_at(1.0, ValueError("injected cell failure")))
+    grid = _grid(training, test, [1.0, 5.0], [0.05], base)
     assert grid.rows[0].error is not None
     assert np.isnan(grid.rows[0].mape_rec_pct)
     assert grid.rows[1].error is None
     assert "error" in grid.to_csv()
 
 
+def test_run_grid_propagates_faults(monkeypatch):
+    # Only reconciliation and numeric errors mark a cell; a fault such as a
+    # TypeError is a bug and must not be hidden behind an `error` row.
+    training, test = regime_shift_cycles(n_days=28, n_train=2)
+    monkeypatch.setattr(evaluation, "train",
+                        _train_failing_at(5.0, TypeError("injected fault")))
+    with pytest.raises(TypeError, match="injected fault"):
+        _grid(training, test, [1.0, 5.0], [0.05], AgentConfig(tolerance=1.0, seed=8))
+
+
 def test_run_grid_rejects_empty_grid():
     training, test = regime_shift_cycles(n_days=28, n_train=1)
     with pytest.raises(ValueError):
-        run_grid(training, test, [], [0.05], AgentConfig(tolerance=1.0))
+        _grid(training, test, [], [0.05], AgentConfig(tolerance=1.0))
