@@ -21,10 +21,10 @@ repeats the float operations of the single-step helpers
 to walking the cycle with them. `run_episode(..., record=False)`, as
 `train` calls it, builds no trace and computes no RMF. A recorded RMF
 reads a per-call cache of each day's greedy-adjusted forecast; online
-revision refreshes only the row it has just updated. RMF sums go through
-the builtin `sum` over the day-ordered floats, because from Python 3.12
-`sum` compensates float rounding and a hand-written `+=` loop would not
-give the same last bits.
+revision refreshes only the row it has just updated. RMF sums fold the
+day-ordered floats left to right with `reduce(add, ..., 0.0)`, not with
+the builtin `sum`: from Python 3.12 `sum` compensates float rounding, so
+its last bits, and the output files, would depend on the Python version.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from math import isfinite
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -91,9 +93,7 @@ class AgentConfig:
         return self.tolerance if self.adjustment_unit is None else self.adjustment_unit
 
     def config_hash(self) -> str:
-        payload = json.dumps(
-            {k: v for k, v in sorted(self.__dict__.items())}, sort_keys=True
-        )
+        payload = json.dumps(self.__dict__, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
@@ -295,9 +295,8 @@ def sarsa_step(
 
 def _policy_edges(epsilon: float) -> tuple[tuple[float, float], ...]:
     """Inverse-CDF edges of `select_action` for each greedy action,
-    built with the float operations of `egreedy_probabilities`."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must be in [0, 1]")
+    built with the float operations of `egreedy_probabilities`; `AgentConfig`
+    has checked that ``epsilon`` is in [0, 1]."""
     low = epsilon / N_ACTIONS
     high = low + (1.0 - epsilon)
     return (
@@ -365,10 +364,10 @@ def _walk(
                 adjusted = adjusted_forecast(forecasts[t - 1], action, cfg)
                 if online:
                     greedy[t - 1] = adjusted_forecast(forecasts[t - 1], _greedy(*q[t - 1]), cfg)
-                    rmf = sum(greedy)
+                    rmf = reduce(add, greedy, 0.0)
                 else:
                     committed_sum += adjusted
-                    rmf = committed_sum + sum(greedy[t:])
+                    rmf = committed_sum + reduce(add, greedy[t:], 0.0)
                 records.append(DayRecord(t, action, adjusted, actual, rmf))
             action = action_next
     finally:
@@ -490,7 +489,8 @@ def load_table(path) -> tuple[ValueTable, dict]:
     `DataError` naming the file and line; an unreadable file, naming the file.
     """
     try:
-        with open(path) as fh:
+        # A byte that is not text decodes to U+FFFD and fails its line's parse.
+        with open(path, errors="replace") as fh:
             lines = [(no, line.strip()) for no, line in enumerate(fh, start=1) if line.strip()]
     except OSError as exc:
         raise DataError(f"{path}: cannot open: {exc}") from exc

@@ -14,30 +14,26 @@ Configuration is a flat key=value file; command-line --set overrides win.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
-from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-from . import forecasting
 from .agent import AgentConfig, CycleData, load_table, reconcile_online, save_table, train
 from .data import (
     MonthlyActuals,
-    _parse_date,
-    _parse_value,
+    TimeSeries,
     fill_calendar,
+    load_external_forecasts,
     load_ohlcv_csv,
     month_partition,
     parse_month,
 )
 from .errors import ConfigError, DataError, ReconcileError
 from .evaluation import build_metric_report, run_grid
-from .forecasting import ForecastSet
-from .hierarchy import TimeSeries
+from .forecasting import ForecastSet, forecast_month
 from .seeding import derive_seed, rng_for
 
 FORECASTERS = ("naive", "seasonal_naive", "drift", "external")
@@ -149,102 +145,35 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
 def resolve_tolerance(raw: str | float, test_forecasts: np.ndarray) -> float:
     """Absolute tolerance from a number or a percentage of the
     test-cycle forecast total."""
-    if isinstance(raw, str) and raw.strip().endswith("%"):
-        try:
-            pct = float(raw.strip().rstrip("%"))
-        except ValueError:
-            raise ConfigError(f"bad tolerance {raw!r}") from None
-        if not pct > 0:
-            raise ConfigError(f"tolerance {raw!r} must be a positive percentage")
-        return pct / 100.0 * float(np.sum(test_forecasts))
+    text = str(raw).strip()
+    percent = text.endswith("%")
     try:
-        value = float(raw)
-    except (TypeError, ValueError):
+        value = float(text.rstrip("%") if percent else text)
+    except ValueError:
         raise ConfigError(f"bad tolerance {raw!r}") from None
     if not value > 0:
-        raise ConfigError("tolerance must be positive")
-    return value
+        raise ConfigError(f"tolerance {raw!r} must be positive")
+    return value / 100.0 * float(np.sum(test_forecasts)) if percent else value
 
 
 def _resolve_unit(config: RunConfig, tolerance_abs: float, n_days: int) -> float | None:
-    if config.adjustment_unit is None:
+    unit = config.adjustment_unit
+    if unit is None:
         return None
-    if config.adjustment_unit.strip() == "per-day":
+    if unit.strip() == "per-day":
         return tolerance_abs / n_days
     try:
-        return float(config.adjustment_unit)
+        return float(unit)
     except ValueError:
-        raise ConfigError(
-            f"bad adjustment_unit {config.adjustment_unit!r}"
-        ) from None
+        raise ConfigError(f"bad adjustment_unit {unit!r}") from None
 
 
-def forecast_month(
-    history_values: np.ndarray,
-    month: MonthlyActuals,
-    forecaster: str,
-    period: int,
-) -> np.ndarray:
-    """Daily base forecasts for one month from the data preceding it.
-
-    A month with no preceding data falls back to repeating its own first
-    observation.
-    """
-    h = len(month)
-    if history_values.size == 0:
-        return np.full(h, month.values[0])
-    if forecaster == "seasonal_naive" and history_values.size >= period:
-        return forecasting.seasonal_naive(history_values, period, h)
-    if forecaster == "drift" and history_values.size >= 2:
-        return forecasting.drift(history_values, h)
-    return forecasting.naive(history_values, h)
-
-
-def load_external_forecasts(path, month: MonthlyActuals) -> ForecastSet:
-    """CSV `date,forecast` covering the test cycle, with an optional
-    `monthly_total,<value>` override row. Every error names the file, and
-    a bad or repeated row its line number."""
-    by_date: dict[date, float] = {}
-    monthly_total: float | None = None
+def _months(config: RunConfig, filled: TimeSeries, first: str, last: str) -> list[MonthlyActuals]:
+    """The complete months first..last of the data; a gap names the data file."""
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"{path}: cannot open: {exc}") from exc
-    with fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not "".join(row).strip():
-                continue
-            key = row[0].strip().lower()
-            if key in ("date", "day"):  # header
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}: line {line_no}: too few fields")
-            value = _parse_value(row[1], path, line_no)
-            if key == "monthly_total":
-                if monthly_total is not None:
-                    raise DataError(f"{path}: line {line_no}: duplicate monthly_total row")
-                monthly_total = value
-                continue
-            try:
-                day = _parse_date(row[0], line_no)
-            except DataError as exc:
-                raise DataError(f"{path}: {exc}") from None
-            if day in by_date:
-                raise DataError(f"{path}: line {line_no}: duplicate date {day.isoformat()}")
-            by_date[day] = value
-    missing = [d for d in month.dates if d not in by_date]
-    if missing:
-        raise DataError(
-            f"{path}: no forecast for {len(missing)} days of "
-            f"{month.label} (first {missing[0].isoformat()})"
-        )
-    daily = np.array([by_date[d] for d in month.dates])
-    return ForecastSet.from_daily(daily, month.label, monthly_total=monthly_total)
-
-
-def _history_before(filled: TimeSeries, first_day: date) -> np.ndarray:
-    """The values before ``first_day``; ``filled`` has one per calendar day."""
-    return filled.values[: (first_day - filled.timestamps[0]).days]
+        return month_partition(filled, (first, last))
+    except DataError as exc:
+        raise DataError(f"{config.data_path}: {exc}") from None
 
 
 @dataclass
@@ -260,34 +189,37 @@ class PreparedExperiment:
     grid_cells: list[AgentConfig]
 
     def training(self) -> list[CycleData]:
-        """Each training month forecast from the data before it. The external
-        file covers only the test cycle, so it falls back to naive here."""
+        """Each training month forecast from the data before it."""
         config = self.config
-        method = config.forecaster if config.forecaster != "external" else "naive"
         cycles = []
         for month in self.train_months:
-            daily = forecast_month(_history_before(self.filled, month.dates[0]), month,
-                                   method, config.seasonal_period)
+            daily = forecast_month(self.filled, month, config.forecaster, config.seasonal_period)
             cycles.append(CycleData(daily, month.values, float(daily.sum()), label=month.label))
         return cycles
 
 
 def prepare(config: RunConfig) -> PreparedExperiment:
-    """Load and partition the data, forecast the test month, and build and
-    check every agent setting and grid cell before any file is written."""
+    """Load and partition the data, forecast the test month, check its two
+    totals, and build and check every agent setting and grid cell, all
+    before any file is written."""
     series = load_ohlcv_csv(config.data_path, config.date_column, config.value_column)
     filled = fill_calendar(series)
-    train_months = month_partition(filled, (config.train_start, config.train_end))
-    test = month_partition(filled, (config.test_month, config.test_month))[0]
+    train_months = _months(config, filled, config.train_start, config.train_end)
+    test = _months(config, filled, config.test_month, config.test_month)[0]
 
     if config.forecaster == "external":
-        test_forecast = load_external_forecasts(config.external_forecast_path, test)
+        base_path = config.external_forecast_path
+        test_forecast = load_external_forecasts(base_path, test)
     else:
-        daily = forecast_month(
-            _history_before(filled, test.dates[0]), test, config.forecaster,
-            config.seasonal_period,
-        )
+        base_path = config.data_path
+        daily = forecast_month(filled, test, config.forecaster, config.seasonal_period)
         test_forecast = ForecastSet.from_daily(daily, test.label)
+    # MAPE_rec divides by the actual total and %_f by the base total.
+    for path, total, what in ((config.data_path, test.values.sum(), "actuals"),
+                              (base_path, test_forecast.daily.sum(), "base forecasts")):
+        if total == 0:
+            raise DataError(f"{path}: the {what} of test month {test.label} sum to 0; "
+                            "MAPE_rec and %_f need nonzero totals")
 
     tolerance = resolve_tolerance(config.tolerance, test_forecast.daily)
     # Settings the two dataclasses share by name are copied; the
@@ -302,9 +234,11 @@ def prepare(config: RunConfig) -> PreparedExperiment:
         agent_cfg = AgentConfig(**shared)
         for i, raw in enumerate(config.grid_tolerances):
             tol = resolve_tolerance(raw, test_forecast.daily)
+            unit = _resolve_unit(config, tol, len(test))
             for j, eps in enumerate(config.grid_epsilons):
                 where = f"grid_tolerances={raw}, grid_epsilons={eps}: "
-                grid_cells.append(replace(agent_cfg, tolerance=tol, exploration=eps,
+                grid_cells.append(replace(agent_cfg, tolerance=tol, adjustment_unit=unit,
+                                          exploration=eps,
                                           seed=derive_seed(agent_cfg.seed, f"grid:{i}:{j}")))
     except ValueError as exc:
         raise ConfigError(f"{where}{exc}") from None
@@ -394,7 +328,7 @@ def grid_experiment(config: RunConfig) -> None:
 def validate_data(config: RunConfig) -> None:
     series = load_ohlcv_csv(config.data_path, config.date_column, config.value_column)
     filled = fill_calendar(series)
-    months = month_partition(filled, (config.train_start, config.test_month))
+    months = _months(config, filled, config.train_start, config.test_month)
     print(
         f"{config.data_path}: {len(series)} rows, {len(filled)} after calendar "
         f"fill, {len(months)} complete months "

@@ -1,4 +1,5 @@
-"""CSV ingestion, calendar completion, and monthly partitioning."""
+"""The daily series type, CSV ingestion (the OHLCV data and the external
+forecast file), calendar completion, and monthly partitioning."""
 
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import DataError
-from .hierarchy import TimeSeries
+from .errors import DataError, ShapeError
+from .forecasting import ForecastSet
 
 _DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%y")
 
@@ -20,7 +21,32 @@ DEFAULT_DATE_COLUMN = "Date"
 DEFAULT_VALUE_COLUMN = "Open"
 
 
-def _parse_date(text: str, line_no: int) -> date:
+@dataclass(frozen=True)
+class TimeSeries:
+    """Daily observations: ordered calendar dates with finite values."""
+
+    timestamps: tuple[date, ...]
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "timestamps", tuple(self.timestamps))
+        if len(self.timestamps) != values.size:
+            raise ShapeError(
+                f"{len(self.timestamps)} timestamps but {values.size} values"
+            )
+        if not np.all(np.isfinite(values)):
+            raise ValueError("time series values must be finite")
+        for prev, cur in zip(self.timestamps, self.timestamps[1:]):
+            if cur <= prev:
+                raise ValueError(f"timestamps not strictly increasing at {cur}")
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+
+def _parse_date(text: str, path, line_no: int) -> date:
     stripped = text.strip()
     # Padded ASCII ISO dates skip strptime; any other text, and any text
     # fromisoformat rejects, takes the strptime path.
@@ -35,7 +61,7 @@ def _parse_date(text: str, line_no: int) -> date:
             return datetime.strptime(stripped, fmt).date()
         except ValueError:
             continue
-    raise DataError(f"line {line_no}: unparseable date {text!r}")
+    raise DataError(f"{path}: line {line_no}: unparseable date {text!r}")
 
 
 def _parse_value(text: str, path, line_no: int) -> float:
@@ -46,6 +72,35 @@ def _parse_value(text: str, path, line_no: int) -> float:
     if not isfinite(value):
         raise DataError(f"{path}: line {line_no}: value {text!r} is not finite")
     return value
+
+
+def _rows(path):
+    """Every non-blank row of a CSV file as (line number, row). A byte that
+    is not text decodes to U+FFFD, so its field fails to parse on its line."""
+    try:
+        fh = open(path, newline="", errors="replace")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open: {exc}") from exc
+    with fh:
+        for line_no, row in enumerate(csv.reader(fh), start=1):
+            if "".join(row).strip():
+                yield line_no, row
+
+
+def _dated_values(rows, path, date_idx: int, value_idx: int) -> dict[date, float]:
+    """One finite value per date from (line number, row) pairs; a short
+    row, a bad date or value, or a repeated date names the file and line."""
+    min_fields = max(date_idx, value_idx) + 1
+    observations: dict[date, float] = {}
+    for line_no, row in rows:
+        if len(row) < min_fields:
+            raise DataError(f"{path}: line {line_no}: too few fields")
+        day = _parse_date(row[date_idx], path, line_no)
+        value = _parse_value(row[value_idx], path, line_no)
+        if day in observations:
+            raise DataError(f"{path}: line {line_no}: duplicate date {day.isoformat()}")
+        observations[day] = value
+    return observations
 
 
 def load_ohlcv_csv(
@@ -59,39 +114,16 @@ def load_ohlcv_csv(
     rejects duplicate dates. Every error names the file, and a bad row
     its line number.
     """
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"{path}: cannot open: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [name.strip() for name in header]
-        for column in (date_column, value_column):
-            if column not in header:
-                raise DataError(f"{path}: missing column {column!r} (have {header})")
-        date_idx = header.index(date_column)
-        value_idx = header.index(value_column)
-        min_fields = max(date_idx, value_idx) + 1
-        observations: dict[date, float] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
-            if len(row) < min_fields:
-                raise DataError(f"{path}: line {line_no}: too few fields")
-            try:
-                day = _parse_date(row[date_idx], line_no)
-            except DataError as exc:
-                raise DataError(f"{path}: {exc}") from None
-            value = _parse_value(row[value_idx], path, line_no)
-            if day in observations:
-                raise DataError(
-                    f"{path}: line {line_no}: duplicate date {day.isoformat()}"
-                )
-            observations[day] = value
+    rows = _rows(path)
+    _, header = next(rows, (None, None))
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    header = [name.strip() for name in header]
+    for column in (date_column, value_column):
+        if column not in header:
+            raise DataError(f"{path}: missing column {column!r} (have {header})")
+    observations = _dated_values(rows, path, header.index(date_column),
+                                 header.index(value_column))
     if not observations:
         raise DataError(f"{path}: no data rows")
     days = sorted(observations)
@@ -177,3 +209,33 @@ def month_partition(
             MonthlyActuals(label, stamps[start:end], series.values[start:end].copy())
         )
     return episodes
+
+
+def load_external_forecasts(path, month: MonthlyActuals) -> ForecastSet:
+    """CSV `date,forecast` covering the test cycle, with an optional
+    `monthly_total,<value>` override row. Every error names the file, and
+    a bad or repeated row its line number."""
+    totals: list[float] = []
+
+    def forecast_rows():
+        # Header rows are skipped and the total row is taken out; a total
+        # row with one field goes on to fail the field count.
+        for line_no, row in _rows(path):
+            key = row[0].strip().lower()
+            if key == "monthly_total" and len(row) >= 2:
+                totals.append(_parse_value(row[1], path, line_no))
+                if len(totals) > 1:
+                    raise DataError(f"{path}: line {line_no}: duplicate monthly_total row")
+            elif key not in ("date", "day"):
+                yield line_no, row
+
+    by_date = _dated_values(forecast_rows(), path, 0, 1)
+    missing = [d for d in month.dates if d not in by_date]
+    if missing:
+        raise DataError(
+            f"{path}: no forecast for {len(missing)} days of "
+            f"{month.label} (first {missing[0].isoformat()})"
+        )
+    daily = np.array([by_date[d] for d in month.dates])
+    return ForecastSet.from_daily(daily, month.label,
+                                  monthly_total=totals[0] if totals else None)

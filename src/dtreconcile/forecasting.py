@@ -2,7 +2,8 @@
 
 The revision agent is forecaster-agnostic: it consumes whatever daily
 base forecasts exist for a cycle. These naive/seasonal/drift methods are
-sane defaults when no external forecast file is supplied.
+sane defaults when no external forecast file is supplied;
+`forecast_month` picks one for a month and decides the fallbacks.
 """
 
 from __future__ import annotations
@@ -71,13 +72,9 @@ class ForecastSet:
         return int(self.daily.size)
 
 
-def _history_values(history) -> np.ndarray:
-    return np.atleast_1d(np.asarray(history, dtype=float))
-
-
 def naive(history, h: int) -> np.ndarray:
     """Repeat the last observed value h steps ahead."""
-    values = _history_values(history)
+    values = np.atleast_1d(np.asarray(history, dtype=float))
     if values.size == 0:
         raise InsufficientDataError("naive forecast needs at least one observation")
     if h < 1:
@@ -87,7 +84,7 @@ def naive(history, h: int) -> np.ndarray:
 
 def seasonal_naive(history, period: int, h: int) -> np.ndarray:
     """Repeat the last full seasonal cycle, wrapping past the period."""
-    values = _history_values(history)
+    values = np.atleast_1d(np.asarray(history, dtype=float))
     if period < 1:
         raise ValueError("period must be positive")
     if values.size < period:
@@ -102,10 +99,30 @@ def seasonal_naive(history, period: int, h: int) -> np.ndarray:
 
 def drift(history, h: int) -> np.ndarray:
     """Extend the straight line through the first and last observations."""
-    values = _history_values(history)
+    values = np.atleast_1d(np.asarray(history, dtype=float))
     if values.size < 2:
         raise InsufficientDataError("drift forecast needs at least two observations")
     if h < 1:
         raise ValueError("horizon must be positive")
     slope = (values[-1] - values[0]) / (values.size - 1)
     return values[-1] + slope * np.arange(1, h + 1)
+
+
+def forecast_month(series, month, method: str, period: int) -> np.ndarray:
+    """Daily base forecasts for one month (a `data.MonthlyActuals`) from the
+    values before it in ``series``, a `data.TimeSeries` with one value per
+    calendar day. Short of history, and for any other method (an `external`
+    file covers only the test cycle), this is `naive`; with no history at
+    all, the month's own first observation repeated."""
+    history = series.values[: (month.dates[0] - series.timestamps[0]).days]
+    h = len(month)
+    if history.size == 0:
+        return np.full(h, month.values[0])
+    try:
+        if method == "seasonal_naive":
+            return seasonal_naive(history, period, h)
+        if method == "drift":
+            return drift(history, h)
+    except InsufficientDataError:
+        pass
+    return naive(history, h)

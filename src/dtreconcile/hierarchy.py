@@ -9,36 +9,10 @@ aggregates-first then bottom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 
 from .errors import HierarchyError, ShapeError
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """Daily observations: ordered calendar dates with finite values."""
-
-    timestamps: tuple[date, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "timestamps", tuple(self.timestamps))
-        if len(self.timestamps) != values.size:
-            raise ShapeError(
-                f"{len(self.timestamps)} timestamps but {values.size} values"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("time series values must be finite")
-        for prev, cur in zip(self.timestamps, self.timestamps[1:]):
-            if cur <= prev:
-                raise ValueError(f"timestamps not strictly increasing at {cur}")
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
 
 
 @dataclass(frozen=True)
@@ -91,12 +65,9 @@ class HierarchyVector:
         object.__setattr__(self, "full", full)
 
     def bottom(self, s: AggregationMatrix) -> np.ndarray:
-        self._check(s)
-        return self.full[s.r:]
-
-    def _check(self, s: AggregationMatrix) -> None:
         if self.full.size != s.n:
             raise ShapeError(f"vector length {self.full.size} != n={s.n}")
+        return self.full[s.r:]
 
 
 def build_two_level(n_bottom: int) -> AggregationMatrix:
@@ -123,6 +94,4 @@ def coherence_residual(y: HierarchyVector, s: AggregationMatrix) -> float:
 
     Zero iff every aggregate equals the sum of its bottom entries.
     """
-    if y.full.size != s.n:
-        raise ShapeError(f"vector length {y.full.size} != n={s.n}")
     return float(np.max(np.abs(y.full - s.entries @ y.bottom(s))))

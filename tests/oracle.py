@@ -39,12 +39,12 @@ from dtreconcile.data import (
     DEFAULT_DATE_COLUMN,
     DEFAULT_VALUE_COLUMN,
     MonthlyActuals,
+    TimeSeries,
     iter_months,
     parse_month,
 )
 from dtreconcile.errors import DataError, ShapeError, StreamOrderError
 from dtreconcile.forecasting import ForecastSet
-from dtreconcile.hierarchy import TimeSeries
 
 
 def _state(day_index: int, monthly_total: float, forecasts: np.ndarray) -> EpisodeState:
@@ -60,10 +60,11 @@ def _policy_action(table: ValueTable, day_index: int, cfg: AgentConfig,
 
 def _greedy_sum(table: ValueTable, forecasts: np.ndarray, cfg: AgentConfig,
                 days: Iterable[int]) -> float:
-    return sum(
-        adjusted_forecast(forecasts[t - 1], greedy_action(table.q_row(t)), cfg)
-        for t in days
-    )
+    # Left to right: from Python 3.12 the builtin `sum` compensates rounding.
+    total = 0.0
+    for t in days:
+        total += adjusted_forecast(forecasts[t - 1], greedy_action(table.q_row(t)), cfg)
+    return total
 
 
 def run_episode(

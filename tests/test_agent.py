@@ -295,6 +295,24 @@ def test_train_warns_on_large_step_reward_product():
         train([cycle], make_cfg(step_size=1.0, episodes=1))
 
 
+def test_learned_fixed_point_is_actuals_from_day_t_on():
+    # Characterises the learning rule, not a target: Q(t) starts at the
+    # forecast remaining after day t (criterion 6), but the TD target adds
+    # day t's own actual (criterion 5), so with gamma = 1 every visited
+    # Q(t, a) converges to the actuals of days t..n, one day offset.
+    forecasts = np.array([10.0, 20.0, 30.0, 40.0])
+    actuals = np.array([12.0, 18.0, 33.0, 41.0])
+    cycle = CycleData(forecasts, actuals, float(forecasts.sum()))
+    start = init_state_values(cycle.monthly_total, forecasts)
+    assert list(start.q[:4, 0]) == [90.0, 70.0, 40.0, 0.0]  # forecast after day t
+    table = train([cycle], make_cfg(exploration=0.5, step_size=0.2, discount=1.0,
+                                    episodes=2000))
+    actuals_from_t = np.cumsum(actuals[::-1])[::-1]  # 104, 92, 74, 41
+    assert np.all(table.q[:4] != start.q[:4])  # every (day, action) was visited
+    assert np.allclose(table.q[:4], actuals_from_t[:, None], rtol=0, atol=1e-6)
+    assert np.allclose(table.v[:4], actuals_from_t, rtol=0, atol=1e-6)
+
+
 # --- online reconciliation ------------------------------------------------
 
 

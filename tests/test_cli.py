@@ -1,15 +1,21 @@
 """End-to-end tests for the command-line surface."""
 
+import builtins
 import json
+import math
 import string
+import subprocess
+import sys
 from dataclasses import fields, replace
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dtreconcile
 from dtreconcile import cli, evaluation
 from dtreconcile.cli import (
     RunConfig,
@@ -21,7 +27,7 @@ from dtreconcile.cli import (
 from dtreconcile.errors import ConfigError
 from dtreconcile.seeding import derive_seed
 
-from conftest import REFERENCE_FORECASTS, write_daily_csv
+from conftest import REFERENCE_FORECASTS, nifty_like_value, write_daily_csv
 
 
 def write_config(tmp_path, data_path, out_dir, extra=()):
@@ -200,16 +206,25 @@ def test_only_grid_verb_sweeps(tmp_path, daily_csv, monkeypatch):
 
 def test_prepare_builds_grid_cells_row_major(tmp_path, daily_csv):
     cfg_path = write_config(tmp_path, daily_csv, tmp_path / "out", extra=GRID_KEYS)
-    prep = cli.prepare(build_run_config(parse_config_file(cfg_path)))
-    base = prep.agent_cfg
-    tolerances = [resolve_tolerance(raw, prep.test_forecast.daily) for raw in ("10%", "20%")]
-    assert [(cell.tolerance, cell.exploration, cell.seed) for cell in prep.grid_cells] == [
-        (tol, eps, derive_seed(7, f"grid:{i}:{j}"))
-        for i, tol in enumerate(tolerances) for j, eps in enumerate((0.05, 0.1, 0.2))
-    ]
-    for cell in prep.grid_cells:  # every other setting is the base config's
-        assert replace(cell, tolerance=base.tolerance, exploration=base.exploration,
-                       seed=base.seed) == base
+    for unit in (None, "per-day", "250"):
+        mapping = parse_config_file(cfg_path)
+        if unit is not None:
+            mapping["adjustment_unit"] = unit
+        prep = cli.prepare(build_run_config(mapping))
+        base = prep.agent_cfg
+        tolerances = [resolve_tolerance(raw, prep.test_forecast.daily) for raw in ("10%", "20%")]
+        # A per-day unit follows the cell's own tolerance; an absolute one stays.
+        units = {None: [None, None], "per-day": [tol / 31 for tol in tolerances],
+                 "250": [250.0, 250.0]}[unit]
+        assert [(cell.tolerance, cell.adjustment_unit, cell.exploration, cell.seed)
+                for cell in prep.grid_cells] == [
+            (tol, cell_unit, eps, derive_seed(7, f"grid:{i}:{j}"))
+            for i, (tol, cell_unit) in enumerate(zip(tolerances, units))
+            for j, eps in enumerate((0.05, 0.1, 0.2))
+        ], unit
+        for cell in prep.grid_cells:  # every other setting is the base config's
+            assert replace(cell, tolerance=base.tolerance, adjustment_unit=base.adjustment_unit,
+                           exploration=base.exploration, seed=base.seed) == base
 
 
 def test_reconcile_verb_uses_snapshot(tmp_path, daily_csv):
@@ -268,6 +283,45 @@ def test_exit_codes(tmp_path, daily_csv, capsys):
         assert main(["validate-data", "--config", str(cfg_path),
                      "--set", f"data_path={bad_csv}"]) == 2, bad
         assert f"{bad_csv}: line 5: value {bad!r} is not finite" in capsys.readouterr().err
+    # 2: a zero actual or base total, naming the test month and the file at
+    # fault, before any tolerance is resolved or any file is written
+    trained = tmp_path / "trained"
+    assert main(["run", "--config", str(cfg_path), "--set", f"output_dir={trained}"]) == 0
+    zero_actuals = tmp_path / "zero_actuals.csv"
+    write_daily_csv(zero_actuals, date(2018, 12, 1), date(2020, 3, 31),
+                    lambda d: 0.0 if d >= date(2020, 3, 1) else nifty_like_value(d),
+                    skip_weekends=False)
+    zero_base = tmp_path / "zero_base.csv"  # naive repeats February's last day
+    write_daily_csv(zero_base, date(2018, 12, 1), date(2020, 3, 31),
+                    lambda d: 0.0 if d == date(2020, 2, 29) else nifty_like_value(d),
+                    skip_weekends=False)
+    zero_forecast = tmp_path / "zero_forecast.csv"
+    zero_forecast.write_text("date,forecast\n" + "".join(
+        f"2020-03-{day:02d},0\n" for day in range(1, 32)))
+    out = tmp_path / "zero_out"
+    for keys, at_fault, what in (
+        ([f"data_path={zero_actuals}"], zero_actuals, "actuals"),
+        ([f"data_path={zero_base}"], zero_base, "base forecasts"),
+        (["forecaster=external", f"external_forecast_path={zero_forecast}"], zero_forecast,
+         "base forecasts"),
+    ):
+        for verb in (["run"], ["grid"], ["reconcile", "--qtable", str(trained / "qtable.txt")]):
+            for tolerance in ("20%", "5000"):
+                argv = [*verb, "--config", str(cfg_path), "--set", f"output_dir={out}",
+                        "--set", f"tolerance={tolerance}", "--set", "grid_tolerances=10%,500",
+                        "--set", "grid_epsilons=0.1"]
+                for key in keys:
+                    argv += ["--set", key]
+                assert main(argv) == 2, (at_fault, verb, tolerance)
+                assert (f"data error: {at_fault}: the {what} of test month 2020-03 sum to 0"
+                        in capsys.readouterr().err), (at_fault, verb, tolerance)
+                assert not out.exists() or not any(out.iterdir()), (at_fault, verb)
+    # 2: a month missing from the data names the data file
+    short = tmp_path / "short.csv"
+    write_daily_csv(short, date(2018, 12, 1), date(2020, 3, 30), nifty_like_value)
+    for verb in ("run", "validate-data"):
+        assert main([verb, "--config", str(cfg_path), "--set", f"data_path={short}"]) == 2
+        assert f"data error: {short}: month 2020-03 incomplete" in capsys.readouterr().err
 
 
 def test_reconcile_rejects_malformed_snapshot(tmp_path, daily_csv, capsys):
@@ -376,6 +430,47 @@ TRACED_CLI_NAMES = (
 @pytest.mark.parametrize("name", TRACED_CLI_NAMES)
 def test_cli_exposes_traced_names(name):
     assert callable(getattr(cli, name))
+
+
+def test_cli_import_loads_no_hierarchy_code():
+    code = ("import sys, dtreconcile.cli; print(sorted(name for name in sys.modules "
+            "if name in ('dtreconcile.hierarchy', 'dtreconcile.baselines')))")
+    src = str(Path(dtreconcile.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={"PYTHONPATH": src})
+    assert result.stdout == "[]\n"
+
+
+def _neumaier_sum(builtin_sum):
+    """`sum` as Python 3.12 computes it: compensated (Neumaier) over floats."""
+    def compensated(iterable, /, start=0):
+        items = list(iterable)
+        if type(start) is not int or not all(type(x) is float for x in items):
+            return builtin_sum(items, start)
+        total, compensation = float(start), 0.0
+        for x in items:
+            t = total + x
+            if abs(total) >= abs(x):
+                compensation += (total - t) + x
+            else:
+                compensation += (x - t) + total
+            total = t
+        return total + compensation if compensation and math.isfinite(compensation) else total
+    return compensated
+
+
+def test_output_bytes_do_not_depend_on_compensated_sum(tmp_path, daily_csv, monkeypatch):
+    # Runs on an emulation of Python 3.12's `sum`, so it also guards on 3.11.
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, daily_csv, out,
+                            extra=["adjustment_unit = per-day", "exploration = 0.3"])
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    plain = {name: (out / name).read_bytes() for name in ("metrics.csv", "summary.json")}
+    monkeypatch.setattr(builtins, "sum", _neumaier_sum(builtins.sum))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    monkeypatch.undo()
+    for name, content in plain.items():
+        assert (out / name).read_bytes() == content, name
 
 
 def test_adjustment_unit_per_day(tmp_path, daily_csv):

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from dtreconcile.data import (
+    TimeSeries,
     fill_calendar,
     iter_months,
     load_ohlcv_csv,
     month_partition,
 )
 from dtreconcile.errors import DataError
-from dtreconcile.hierarchy import TimeSeries
 
 from conftest import write_daily_csv
 

@@ -1,10 +1,14 @@
 """Tests for the base forecasters and the per-cycle container."""
 
+from datetime import date, timedelta
+
 import numpy as np
 import pytest
 
+from dtreconcile import forecasting
+from dtreconcile.data import MonthlyActuals, TimeSeries
 from dtreconcile.errors import InsufficientDataError, ShapeError
-from dtreconcile.forecasting import ForecastSet, drift, naive, seasonal_naive
+from dtreconcile.forecasting import ForecastSet, drift, forecast_month, naive, seasonal_naive
 
 
 def test_naive_repeats_last():
@@ -93,3 +97,33 @@ def test_forecast_set_calendar_label_checks_day_count():
         ForecastSet.from_daily([1.0] * 30, "2020-03")  # March has 31 days
     fs = ForecastSet.from_daily([1.0] * 29, "2020-02")  # leap year
     assert len(fs) == 29
+
+
+def test_forecast_month_falls_back_to_naive(monkeypatch):
+    history = np.array([1.0, 2.0, 3.0])
+    start = date(2020, 1, 29)  # three days of history before February
+    days = tuple(start + timedelta(days=k) for k in range(32))
+    series = TimeSeries(days, np.concatenate([history, np.full(29, 7.0)]))
+    month = MonthlyActuals("2020-02", days[3:], series.values[3:])
+    assert np.array_equal(forecast_month(series, month, "seasonal_naive", 2),
+                          seasonal_naive(history, 2, 29))
+    assert np.array_equal(forecast_month(series, month, "drift", 7), drift(history, 29))
+    # Short of history, or with no method of its own: naive.
+    short = TimeSeries(days[2:], series.values[2:])
+    for method, period, data in (("seasonal_naive", 4, series), ("drift", 7, short),
+                                 ("naive", 7, series), ("external", 7, series)):
+        assert np.array_equal(forecast_month(data, month, method, period),
+                              naive(data.values[:-29], 29)), method
+    # No history at all: the month's own first observation.
+    first = TimeSeries(month.dates, month.values)
+    assert np.array_equal(forecast_month(first, month, "drift", 7), np.full(29, 7.0))
+    # The forecasters are looked up as module globals, so a wrapper sees each call.
+    calls = []
+    for name in ("naive", "seasonal_naive", "drift"):
+        original = getattr(forecasting, name)
+        monkeypatch.setattr(forecasting, name,
+                            lambda *args, name=name, original=original:
+                            calls.append(name) or original(*args))
+    forecast_month(series, month, "seasonal_naive", 4)
+    forecast_month(series, month, "drift", 7)
+    assert calls == ["seasonal_naive", "naive", "drift"]

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dtreconcile.data import TimeSeries
 from dtreconcile.errors import HierarchyError, ShapeError
 from dtreconcile.hierarchy import (
     AggregationMatrix,
     HierarchyVector,
-    TimeSeries,
     aggregate_bottom,
     build_two_level,
     coherence_residual,

@@ -55,8 +55,10 @@ def outcome(fn, *args):
 @EXAMPLES
 @given(date_texts, st.integers(1, 10**6))
 def test_parse_date_matches_oracle(text, line_no):
-    new = outcome(data._parse_date, text, line_no)
-    assert new == outcome(oracle._parse_date, text, line_no)
+    new = outcome(data._parse_date, text, "daily.csv", line_no)
+    old = outcome(oracle._parse_date, text, line_no)
+    # The parser now names the file in its message.
+    assert new == (old if old[0] == "ok" else ("error", f"daily.csv: {old[1]}"))
     assert new[0] == "error" or type(new[1]) is date
 
 
