@@ -10,12 +10,16 @@ monthly forecast (RMF) is the sum of the adjusted daily forecasts.
 Learning is carried by Q keyed on (day index, action); a state-value
 table V is updated with the same rule purely as a diagnostic.
 
+Q is held as 31 rows of three Python floats and V as one list of 31,
+and the cycle containers hold tuples of Python floats, so the agent
+needs no numpy. Only `train` imports it, for its block draws from the
+``train`` stream (see `seeding`).
+
 One private scalar kernel, `_walk`, runs the day loop for training
 episodes (`run_episode`, which `train` calls once per cycle and pass)
-and for online revision (`reconcile_online`). Each call converts Q, V,
-the forecasts and the actuals to Python floats once and writes Q and V
-back into the table's arrays when it returns or raises. The kernel
-repeats the float operations of the single-step helpers
+and for online revision (`reconcile_online`). It updates the table's
+rows in place, so rows updated before an exception stay updated. The
+kernel repeats the float operations of the single-step helpers
 (`egreedy_probabilities`, `select_action`, `sarsa_step`,
 `adjusted_forecast`) in the same order, so its results are bit-identical
 to walking the cycle with them. `run_episode(..., record=False)`, as
@@ -34,16 +38,16 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 from math import isfinite
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import DataError, DistributionError, InsufficientDataError, ShapeError
 from .errors import StreamOrderError
 from .forecasting import ForecastSet
-from .seeding import rng_for
+from .seeding import derive_seed
+from .totals import pairwise_sum
 
 MAX_CYCLE_DAYS = 31
 N_ACTIONS = 3
@@ -52,7 +56,7 @@ ACTION_INCREASE = 0
 ACTION_KEEP = 1
 ACTION_DECREASE = 2
 
-_ACTION_DELTAS = np.array([1.0, 0.0, -1.0])
+_ACTION_DELTAS = (1.0, 0.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -107,55 +111,63 @@ class EpisodeState:
     def __post_init__(self) -> None:
         if not 1 <= self.day_index <= MAX_CYCLE_DAYS:
             raise ValueError(f"day index {self.day_index} outside 1..{MAX_CYCLE_DAYS}")
-        if not np.isfinite(self.remaining_total):
+        if not isfinite(self.remaining_total):
             raise ValueError("remaining total must be finite")
 
 
 @dataclass
 class ValueTable:
-    """Q(s, a) over (day, action) plus the diagnostic V(s) per day."""
+    """Q(s, a) over (day, action) plus the diagnostic V(s) per day.
 
-    q: np.ndarray  # (MAX_CYCLE_DAYS, N_ACTIONS)
-    v: np.ndarray  # (MAX_CYCLE_DAYS,)
+    ``q`` is a list of MAX_CYCLE_DAYS rows, each a list of N_ACTIONS
+    floats, indexed ``q[day - 1][action]``; ``v`` is a list of
+    MAX_CYCLE_DAYS floats. Any nested sequence of numbers of that shape
+    is copied in as Python floats."""
+
+    q: list[list[float]]
+    v: list[float]
 
     def __post_init__(self) -> None:
-        self.q = np.asarray(self.q, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        if self.q.shape != (MAX_CYCLE_DAYS, N_ACTIONS):
+        try:
+            self.q = [list(map(float, row)) for row in self.q]
+            self.v = list(map(float, self.v))
+        except TypeError:
+            raise ShapeError("Q rows and V entries must be numbers") from None
+        if len(self.q) != MAX_CYCLE_DAYS or any(len(row) != N_ACTIONS for row in self.q):
             raise ShapeError(f"Q table must be {MAX_CYCLE_DAYS}x{N_ACTIONS}")
-        if self.v.shape != (MAX_CYCLE_DAYS,):
+        if len(self.v) != MAX_CYCLE_DAYS:
             raise ShapeError(f"V table must have {MAX_CYCLE_DAYS} entries")
-        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.v))):
+        if not (all(isfinite(x) for row in self.q for x in row) and all(map(isfinite, self.v))):
             raise ValueError("value tables must be finite")
 
-    def q_row(self, day_index: int) -> np.ndarray:
+    def q_row(self, day_index: int) -> list[float]:
         return self.q[day_index - 1]
 
     def copy(self) -> "ValueTable":
-        return ValueTable(self.q.copy(), self.v.copy())
+        return ValueTable(self.q, self.v)
 
 
 @dataclass(frozen=True)
 class CycleData:
     """One monthly episode: daily forecasts, daily actuals, monthly total."""
 
-    forecasts: np.ndarray
-    actuals: np.ndarray
+    forecasts: tuple[float, ...]
+    actuals: tuple[float, ...]
     monthly_total: float
     label: str = ""
 
     def __post_init__(self) -> None:
-        forecasts = np.atleast_1d(np.asarray(self.forecasts, dtype=float))
-        actuals = np.atleast_1d(np.asarray(self.actuals, dtype=float))
+        forecasts = tuple(map(float, self.forecasts))
+        actuals = tuple(map(float, self.actuals))
         object.__setattr__(self, "forecasts", forecasts)
         object.__setattr__(self, "actuals", actuals)
-        if forecasts.size != actuals.size:
+        if len(forecasts) != len(actuals):
             raise ShapeError(
-                f"{forecasts.size} forecasts but {actuals.size} actuals"
+                f"{len(forecasts)} forecasts but {len(actuals)} actuals"
             )
-        if not 1 <= forecasts.size <= MAX_CYCLE_DAYS:
-            raise ShapeError(f"cycle length {forecasts.size} outside 1..{MAX_CYCLE_DAYS}")
-        if not (np.all(np.isfinite(forecasts)) and np.isfinite(self.monthly_total)):
+        if not 1 <= len(forecasts) <= MAX_CYCLE_DAYS:
+            raise ShapeError(f"cycle length {len(forecasts)} outside 1..{MAX_CYCLE_DAYS}")
+        if not (all(map(isfinite, forecasts)) and isfinite(self.monthly_total)):
             raise ValueError("forecasts and monthly total must be finite")
 
 
@@ -179,8 +191,8 @@ class ReconciliationTrace:
         return len(self.records)
 
     @property
-    def rmf(self) -> np.ndarray:
-        return np.array([rec.rmf for rec in self.records])
+    def rmf(self) -> tuple[float, ...]:
+        return tuple(rec.rmf for rec in self.records)
 
     @property
     def final_rmf(self) -> float:
@@ -196,16 +208,15 @@ def init_state_values(monthly_total: float, daily_forecasts) -> ValueTable:
     the cycle length keep the end-of-cycle remainder so the table always
     covers the maximum cycle length.
     """
-    daily = np.atleast_1d(np.asarray(daily_forecasts, dtype=float))
-    if daily.size == 0:
+    daily = list(map(float, daily_forecasts))
+    if not daily:
         raise InsufficientDataError("cannot initialize values for an empty cycle")
-    if daily.size > MAX_CYCLE_DAYS:
-        raise ShapeError(f"cycle length {daily.size} exceeds {MAX_CYCLE_DAYS}")
-    remaining = monthly_total - np.cumsum(daily)
-    v = np.full(MAX_CYCLE_DAYS, remaining[-1])
-    v[: daily.size] = remaining
-    q = np.repeat(v[:, None], N_ACTIONS, axis=1)
-    return ValueTable(q=q, v=v)
+    if len(daily) > MAX_CYCLE_DAYS:
+        raise ShapeError(f"cycle length {len(daily)} exceeds {MAX_CYCLE_DAYS}")
+    # Running sums left to right, as np.cumsum adds them.
+    remaining = [monthly_total - running for running in accumulate(daily)]
+    v = remaining + [remaining[-1]] * (MAX_CYCLE_DAYS - len(daily))
+    return ValueTable(q=[[value] * N_ACTIONS for value in v], v=v)
 
 
 def adjusted_forecast(y_hat_t: float, action: int, cfg: AgentConfig) -> float:
@@ -234,27 +245,29 @@ def greedy_action(q_row) -> int:
     return _greedy(q0, q1, q2)
 
 
-def egreedy_probabilities(q_row, epsilon: float) -> np.ndarray:
+def egreedy_probabilities(q_row, epsilon: float) -> list[float]:
     """Epsilon-greedy selection probabilities over the three actions."""
-    q_row = np.asarray(q_row, dtype=float)
-    if q_row.shape != (N_ACTIONS,) or not np.all(np.isfinite(q_row)):
+    q_row = list(map(float, q_row))
+    if len(q_row) != N_ACTIONS or not all(map(isfinite, q_row)):
         raise DistributionError("need a finite Q row with one entry per action")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be in [0, 1]")
-    probs = np.full(N_ACTIONS, epsilon / N_ACTIONS)
+    probs = [epsilon / N_ACTIONS] * N_ACTIONS
     probs[greedy_action(q_row)] += 1.0 - epsilon
     return probs
 
 
-def select_action(probs, rng: np.random.Generator) -> int:
-    """Draw one action index; consumes exactly one uniform variate."""
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape != (N_ACTIONS,):
+def select_action(probs, rng) -> int:
+    """Draw one action index with ``rng.random()``; consumes exactly one
+    uniform variate."""
+    probs = list(map(float, probs))
+    if len(probs) != N_ACTIONS:
         raise DistributionError(f"need {N_ACTIONS} probabilities")
-    if np.any(probs < 0) or not np.all(np.isfinite(probs)):
+    if any(p < 0 for p in probs) or not all(map(isfinite, probs)):
         raise DistributionError("probabilities must be finite and nonnegative")
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise DistributionError(f"probabilities sum to {probs.sum()}, not 1")
+    total = pairwise_sum(probs)
+    if abs(total - 1.0) > 1e-9:
+        raise DistributionError(f"probabilities sum to {total}, not 1")
     u = rng.random()
     edge = 0.0
     for action in range(N_ACTIONS - 1):
@@ -286,9 +299,10 @@ def sarsa_step(
     else:
         if a_next is None:
             raise ValueError("non-terminal update needs the successor action")
-        q_next = table.q[s_next.day_index - 1, a_next]
+        q_next = table.q[s_next.day_index - 1][a_next]
         v_next = table.v[s_next.day_index - 1]
-    table.q[t, a] += alpha * (r + gamma * q_next - table.q[t, a])
+    row = table.q[t]
+    row[a] += alpha * (r + gamma * q_next - row[a])
     table.v[t] += alpha * (r + gamma * v_next - table.v[t])
     return table
 
@@ -318,7 +332,7 @@ def _choose(row: list[float], edges, draw) -> int:
 
 def _walk(
     table: ValueTable,
-    forecasts: list[float],
+    forecasts: Sequence[float],
     days: Iterable[tuple[int, float]],
     cfg: AgentConfig,
     draw: Callable[[], float],
@@ -332,12 +346,10 @@ def _walk(
     running sum of committed adjusted forecasts plus the greedy
     look-ahead over the days after it. Online revision updates only
     under ``cfg.online_updates``, and a day's RMF is the greedy sum over
-    the whole cycle. Q and V are written back to ``table`` on return and
-    on error, so rows updated before an exception stay updated.
+    the whole cycle. Q and V are updated in place in ``table``.
     """
     n = len(forecasts)
-    q = table.q.tolist()
-    v = table.v.tolist()
+    q, v = table.q, table.v
     alpha, gamma = cfg.step_size, cfg.discount
     update = cfg.online_updates or not online
     edges = _policy_edges(cfg.exploration)
@@ -347,32 +359,28 @@ def _walk(
     records: list[DayRecord] = []
     committed_sum = 0.0
     action = None
-    try:
-        for t, actual in days:
-            if action is None:
-                action = _choose(q[t - 1], edges, draw)
-            if t < n:
-                action_next = _choose(q[t], edges, draw)
-                q_next, v_next = q[t][action_next], v[t]
+    for t, actual in days:
+        if action is None:
+            action = _choose(q[t - 1], edges, draw)
+        if t < n:
+            action_next = _choose(q[t], edges, draw)
+            q_next, v_next = q[t][action_next], v[t]
+        else:
+            action_next, q_next, v_next = None, 0.0, 0.0
+        if update:
+            row = q[t - 1]
+            row[action] += alpha * (actual + gamma * q_next - row[action])
+            v[t - 1] += alpha * (actual + gamma * v_next - v[t - 1])
+        if record:
+            adjusted = adjusted_forecast(forecasts[t - 1], action, cfg)
+            if online:
+                greedy[t - 1] = adjusted_forecast(forecasts[t - 1], _greedy(*q[t - 1]), cfg)
+                rmf = reduce(add, greedy, 0.0)
             else:
-                action_next, q_next, v_next = None, 0.0, 0.0
-            if update:
-                row = q[t - 1]
-                row[action] += alpha * (actual + gamma * q_next - row[action])
-                v[t - 1] += alpha * (actual + gamma * v_next - v[t - 1])
-            if record:
-                adjusted = adjusted_forecast(forecasts[t - 1], action, cfg)
-                if online:
-                    greedy[t - 1] = adjusted_forecast(forecasts[t - 1], _greedy(*q[t - 1]), cfg)
-                    rmf = reduce(add, greedy, 0.0)
-                else:
-                    committed_sum += adjusted
-                    rmf = committed_sum + reduce(add, greedy[t:], 0.0)
-                records.append(DayRecord(t, action, adjusted, actual, rmf))
-            action = action_next
-    finally:
-        table.q[:] = q
-        table.v[:] = v
+                committed_sum += adjusted
+                rmf = committed_sum + reduce(add, greedy[t:], 0.0)
+            records.append(DayRecord(t, action, adjusted, actual, rmf))
+        action = action_next
     return records
 
 
@@ -380,12 +388,13 @@ def run_episode(
     cycle: CycleData,
     table: ValueTable,
     cfg: AgentConfig,
-    rng: np.random.Generator,
+    rng,
     record: bool = True,
 ) -> tuple[ValueTable, ReconciliationTrace]:
     """Traverse one training cycle, updating the table in place.
 
-    Consumes one block of n uniform variates. The trace's RMF for day t
+    Consumes one block of n uniform variates, ``rng.random(n)``, from a
+    numpy generator or a `seeding.Generator`. The trace's RMF for day t
     sums the committed adjusted forecasts of days 1..t plus greedy
     adjustments of the remaining days under the current Q; with
     ``record=False`` the trace is empty and no RMF is computed.
@@ -393,7 +402,7 @@ def run_episode(
     n = len(cycle.forecasts)
     draws = iter(rng.random(n).tolist())
     records = _walk(
-        table, cycle.forecasts.tolist(), enumerate(cycle.actuals.tolist(), start=1),
+        table, cycle.forecasts, enumerate(cycle.actuals, start=1),
         cfg, draws.__next__, online=False, record=record,
     )
     return table, ReconciliationTrace(tuple(records), monthly_total=cycle.monthly_total)
@@ -403,21 +412,26 @@ def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
     """Run ``cfg.episodes`` chronological passes over the training cycles.
 
     The table is initialized from the first cycle's monthly total and
-    base forecasts, then updated across all passes.
+    base forecasts, then updated across all passes. Each cycle draws one
+    block of uniforms from numpy's generator on the ``train`` stream;
+    the block draw is why training, and nothing else on the command
+    line, imports numpy.
     """
+    import numpy as np
+
     if not history:
         raise InsufficientDataError("cannot initialize a table without data")
     first = history[0]
     table = init_state_values(first.monthly_total, first.forecasts)
-    max_reward = max(float(np.max(np.abs(c.actuals))) for c in history)
-    value_scale = float(np.max(np.abs(table.v)))
+    max_reward = max(max(map(abs, c.actuals)) for c in history)
+    value_scale = max(map(abs, table.v))
     if cfg.step_size * max_reward > max(value_scale, 1e-12):
         warnings.warn(
             f"step size {cfg.step_size} times max reward {max_reward} exceeds "
             f"the initial value scale {value_scale}; updates may diverge",
             stacklevel=2,
         )
-    rng = rng_for(cfg.seed, "train")
+    rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
     for _ in range(cfg.episodes):
         for cycle in history:
             run_episode(cycle, table, cfg, rng, record=False)
@@ -444,7 +458,7 @@ def reconcile_online(
     forecast: ForecastSet,
     actual_stream,
     cfg: AgentConfig,
-    rng: np.random.Generator,
+    rng,
 ) -> ReconciliationTrace:
     """Stream a test cycle's actuals and emit a revised total per day.
 
@@ -452,7 +466,8 @@ def reconcile_online(
     is read from the current Q, and RMF is the sum of all n adjusted
     daily forecasts. Actuals influence the revision only through the TD
     updates (enabled by ``cfg.online_updates``), never by direct
-    substitution. Each policy call consumes one uniform variate.
+    substitution. Each policy call consumes one uniform variate,
+    ``rng.random()``.
 
     The stream may cover only part of the cycle; items are either bare
     values or (day_index, value) pairs, which must arrive in day order.
@@ -461,7 +476,7 @@ def reconcile_online(
     if n > MAX_CYCLE_DAYS:
         raise ShapeError(f"cycle length {n} exceeds {MAX_CYCLE_DAYS}")
     records = _walk(
-        table, forecast.daily.tolist(), _stream_days(actual_stream, n), cfg, rng.random,
+        table, forecast.daily, _stream_days(actual_stream, n), cfg, rng.random,
         online=True, record=True,
     )
     return ReconciliationTrace(tuple(records), monthly_total=forecast.monthly_total)
@@ -474,9 +489,9 @@ def save_table(table: ValueTable, path, cfg: AgentConfig) -> None:
     snapshot can be matched back to the run that produced it.
     """
     lines = [f"# config_hash={cfg.config_hash()} seed={cfg.seed}"]
-    for t in range(1, MAX_CYCLE_DAYS + 1):
-        for a in range(N_ACTIONS):
-            lines.append(f"{t},{a},{float(table.q[t - 1, a])!r}")
+    for t, row in enumerate(table.q, start=1):
+        for a, value in enumerate(row):
+            lines.append(f"{t},{a},{value!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -501,7 +516,7 @@ def load_table(path) -> tuple[ValueTable, dict]:
         if "=" in token:
             key, value = token.split("=", 1)
             meta[key] = value
-    q = np.zeros((MAX_CYCLE_DAYS, N_ACTIONS))
+    q = [[0.0] * N_ACTIONS for _ in range(MAX_CYCLE_DAYS)]
     seen: set[tuple[int, int]] = set()
     for line_no, line in lines[1:]:
         where = f"{path}:{line_no}"
@@ -520,7 +535,7 @@ def load_table(path) -> tuple[ValueTable, dict]:
         if not isfinite(value):
             raise DataError(f"{where}: q value {value_str!r} is not finite")
         seen.add((day, action))
-        q[day - 1, action] = value
+        q[day - 1][action] = value
     if len(seen) < MAX_CYCLE_DAYS * N_ACTIONS:
         day, action = min(
             (t, a) for t in range(1, MAX_CYCLE_DAYS + 1) for a in range(N_ACTIONS)
@@ -530,4 +545,4 @@ def load_table(path) -> tuple[ValueTable, dict]:
             f"{path}:{lines[-1][0]}: table ends with {len(seen)} of "
             f"{MAX_CYCLE_DAYS * N_ACTIONS} entries; day {day}, action {action} is missing"
         )
-    return ValueTable(q=q, v=q.max(axis=1)), meta
+    return ValueTable(q=q, v=[max(row) for row in q]), meta

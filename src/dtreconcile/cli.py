@@ -19,8 +19,6 @@ import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .agent import AgentConfig, CycleData, load_table, reconcile_online, save_table, train
 from .data import (
     MonthlyActuals,
@@ -35,6 +33,7 @@ from .errors import ConfigError, DataError, ReconcileError
 from .evaluation import build_metric_report, run_grid
 from .forecasting import ForecastSet, forecast_month
 from .seeding import derive_seed, rng_for
+from .totals import pairwise_sum
 
 FORECASTERS = ("naive", "seasonal_naive", "drift", "external")
 
@@ -142,18 +141,22 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def resolve_tolerance(raw: str | float, test_forecasts: np.ndarray) -> float:
+def _is_percentage(raw: str | float) -> bool:
+    return str(raw).strip().endswith("%")
+
+
+def resolve_tolerance(raw: str | float, test_forecasts) -> float:
     """Absolute tolerance from a number or a percentage of the
     test-cycle forecast total."""
     text = str(raw).strip()
-    percent = text.endswith("%")
+    percent = _is_percentage(text)
     try:
         value = float(text.rstrip("%") if percent else text)
     except ValueError:
         raise ConfigError(f"bad tolerance {raw!r}") from None
     if not value > 0:
         raise ConfigError(f"tolerance {raw!r} must be positive")
-    return value / 100.0 * float(np.sum(test_forecasts)) if percent else value
+    return value / 100.0 * pairwise_sum(test_forecasts) if percent else value
 
 
 def _resolve_unit(config: RunConfig, tolerance_abs: float, n_days: int) -> float | None:
@@ -194,7 +197,7 @@ class PreparedExperiment:
         cycles = []
         for month in self.train_months:
             daily = forecast_month(self.filled, month, config.forecaster, config.seasonal_period)
-            cycles.append(CycleData(daily, month.values, float(daily.sum()), label=month.label))
+            cycles.append(CycleData(daily, month.values, pairwise_sum(daily), label=month.label))
         return cycles
 
 
@@ -215,11 +218,18 @@ def prepare(config: RunConfig) -> PreparedExperiment:
         daily = forecast_month(filled, test, config.forecaster, config.seasonal_period)
         test_forecast = ForecastSet.from_daily(daily, test.label)
     # MAPE_rec divides by the actual total and %_f by the base total.
-    for path, total, what in ((config.data_path, test.values.sum(), "actuals"),
-                              (base_path, test_forecast.daily.sum(), "base forecasts")):
+    base_total = pairwise_sum(test_forecast.daily)
+    for path, total, what in ((config.data_path, pairwise_sum(test.values), "actuals"),
+                              (base_path, base_total, "base forecasts")):
         if total == 0:
             raise DataError(f"{path}: the {what} of test month {test.label} sum to 0; "
                             "MAPE_rec and %_f need nonzero totals")
+    # A percentage tolerance is a share of the base total; below 0 it would
+    # be a negative tolerance, and the data, not the config, is at fault.
+    if base_total < 0 and any(map(_is_percentage, (config.tolerance, *config.grid_tolerances))):
+        raise DataError(f"{base_path}: the base forecasts of test month {test.label} sum to "
+                        f"{base_total!r}, below 0; a percentage tolerance needs a positive "
+                        "total")
 
     tolerance = resolve_tolerance(config.tolerance, test_forecast.daily)
     # Settings the two dataclasses share by name are copied; the

@@ -9,8 +9,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, datetime
 from math import isfinite
-
-import numpy as np
+from operator import lt
 
 from .errors import DataError, ShapeError
 from .forecasting import ForecastSet
@@ -26,21 +25,22 @@ class TimeSeries:
     """Daily observations: ordered calendar dates with finite values."""
 
     timestamps: tuple[date, ...]
-    values: np.ndarray
+    values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        values = tuple(map(float, self.values))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "timestamps", tuple(self.timestamps))
-        if len(self.timestamps) != values.size:
+        if len(self.timestamps) != len(values):
             raise ShapeError(
-                f"{len(self.timestamps)} timestamps but {values.size} values"
+                f"{len(self.timestamps)} timestamps but {len(values)} values"
             )
-        if not np.all(np.isfinite(values)):
+        if not all(map(isfinite, values)):
             raise ValueError("time series values must be finite")
-        for prev, cur in zip(self.timestamps, self.timestamps[1:]):
-            if cur <= prev:
-                raise ValueError(f"timestamps not strictly increasing at {cur}")
+        stamps = self.timestamps
+        if not all(map(lt, stamps, stamps[1:])):
+            cur = next(cur for prev, cur in zip(stamps, stamps[1:]) if cur <= prev)
+            raise ValueError(f"timestamps not strictly increasing at {cur}")
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -127,24 +127,39 @@ def load_ohlcv_csv(
     if not observations:
         raise DataError(f"{path}: no data rows")
     days = sorted(observations)
-    return TimeSeries(tuple(days), np.array([observations[d] for d in days]))
+    return TimeSeries(tuple(days), tuple(map(observations.__getitem__, days)))
 
 
 def fill_calendar(series: TimeSeries) -> TimeSeries:
     """Fill missing calendar days by linear interpolation between
-    the nearest observed neighbors."""
+    the nearest observed neighbors.
+
+    A missing day x between observed days x0 and x1 gets
+    ``slope * (x - x0) + f0`` with ``slope = (f1 - f0) / (x1 - x0)``, the
+    float operations of ``np.interp`` in their order, so the filled
+    values equal numpy's bit for bit."""
     if len(series) == 0:
         raise DataError("cannot calendar-fill an empty series")
-    origin = series.timestamps[0].toordinal()
-    n_days = series.timestamps[-1].toordinal() - origin + 1
-    if n_days == len(series):
+    stamps, values = series.timestamps, series.values
+    x0, f0 = stamps[0].toordinal(), values[0]
+    if stamps[-1].toordinal() - x0 + 1 == len(series):
         return series
-    observed = np.fromiter(map(date.toordinal, series.timestamps), float, len(series))
-    observed -= origin
-    full = np.arange(n_days, dtype=float)
-    values = np.interp(full, observed, series.values)
-    days = tuple(map(date.fromordinal, range(origin, origin + n_days)))
-    return TimeSeries(days, values)
+    # Observed days keep their date objects; only missing days are made.
+    days: list[date] = []
+    filled: list[float] = []
+    add_day, add_value = days.append, filled.append
+    for day, f1 in zip(stamps, values):
+        x1 = day.toordinal()
+        span = x1 - x0
+        if span > 1:
+            slope = (f1 - f0) / span
+            for step in range(1, span):
+                add_day(date.fromordinal(x0 + step))
+                add_value(slope * step + f0)
+        add_day(day)
+        add_value(f1)
+        x0, f0 = x1, f1
+    return TimeSeries(days, filled)
 
 
 @dataclass(frozen=True)
@@ -153,7 +168,7 @@ class MonthlyActuals:
 
     label: str  # "YYYY-MM"
     dates: tuple[date, ...]
-    values: np.ndarray
+    values: tuple[float, ...]
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -206,7 +221,7 @@ def month_partition(
                 f"(first {missing[0].isoformat()})"
             )
         episodes.append(
-            MonthlyActuals(label, stamps[start:end], series.values[start:end].copy())
+            MonthlyActuals(label, stamps[start:end], series.values[start:end])
         )
     return episodes
 
@@ -236,6 +251,6 @@ def load_external_forecasts(path, month: MonthlyActuals) -> ForecastSet:
             f"{path}: no forecast for {len(missing)} days of "
             f"{month.label} (first {missing[0].isoformat()})"
         )
-    daily = np.array([by_date[d] for d in month.dates])
+    daily = tuple(map(by_date.__getitem__, month.dates))
     return ForecastSet.from_daily(daily, month.label,
                                   monthly_total=totals[0] if totals else None)

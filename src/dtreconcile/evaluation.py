@@ -6,25 +6,25 @@ import io
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .agent import AgentConfig, CycleData, ReconciliationTrace, reconcile_online, train
 from .errors import ReconcileError, ShapeError
 from .forecasting import ForecastSet
 from .seeding import rng_for
+from .totals import pairwise_sum
 
 
 def mape(actuals, forecasts) -> float:
     """Mean absolute percentage error, in percent."""
-    actuals = np.atleast_1d(np.asarray(actuals, dtype=float))
-    forecasts = np.atleast_1d(np.asarray(forecasts, dtype=float))
-    if actuals.shape != forecasts.shape:
+    actuals = list(map(float, actuals))
+    forecasts = list(map(float, forecasts))
+    if len(actuals) != len(forecasts):
         raise ShapeError(
-            f"{actuals.size} actuals but {forecasts.size} forecasts"
+            f"{len(actuals)} actuals but {len(forecasts)} forecasts"
         )
-    if np.any(actuals == 0):
+    if any(a == 0 for a in actuals):
         raise ZeroDivisionError("MAPE undefined for zero actuals")
-    return float(np.mean(np.abs(actuals - forecasts) / np.abs(actuals)) * 100.0)
+    errors = [abs(a - f) / abs(a) for a, f in zip(actuals, forecasts)]
+    return pairwise_sum(errors) / len(errors) * 100.0
 
 
 def mape_rec(actual_total: float, rmf: float) -> float:
@@ -82,19 +82,19 @@ def build_metric_report(
     ``actuals``/``forecasts`` cover the whole cycle; the cycle-level
     totals anchor the per-day percentages.
     """
-    actuals = np.atleast_1d(np.asarray(actuals, dtype=float))
-    forecasts = np.atleast_1d(np.asarray(forecasts, dtype=float))
-    if actuals.shape != forecasts.shape:
+    actuals = tuple(map(float, actuals))
+    forecasts = tuple(map(float, forecasts))
+    if len(actuals) != len(forecasts):
         raise ShapeError("actuals and forecasts must cover the same cycle")
     if labels is None:
         labels = [str(rec.day_index) for rec in trace.records]
-    actual_total = float(actuals.sum())
-    base_total = float(forecasts.sum())
+    actual_total = pairwise_sum(actuals)
+    base_total = pairwise_sum(forecasts)
     rows = tuple(
         MetricRow(
             label=str(label),
-            actual=float(actuals[rec.day_index - 1]),
-            forecast=float(forecasts[rec.day_index - 1]),
+            actual=actuals[rec.day_index - 1],
+            forecast=forecasts[rec.day_index - 1],
             rmf=rec.rmf,
             mape_rec_pct=mape_rec(actual_total, rec.rmf),
             pct_f=pct_improvement(base_total, rec.rmf),
@@ -153,8 +153,8 @@ def run_grid(
     """
     if not cells:
         raise ValueError("grid must have at least one tolerance and one epsilon")
-    actual_total = float(np.sum(actuals))
-    base_total = float(forecast.daily.sum())
+    actual_total = pairwise_sum(actuals)
+    base_total = pairwise_sum(forecast.daily)
     rows: list[GridRow] = []
     for cfg in cells:
         try:

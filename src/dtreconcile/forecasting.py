@@ -12,10 +12,10 @@ import calendar
 import re
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from math import isfinite
 
 from .errors import InsufficientDataError, ShapeError
+from .totals import pairwise_sum
 
 _MONTH_LABEL = re.compile(r"^(\d{4})-(\d{2})$")
 
@@ -24,40 +24,42 @@ _MONTH_LABEL = re.compile(r"^(\d{4})-(\d{2})$")
 class ForecastSet:
     """Daily base forecasts for one cycle plus the monthly total."""
 
-    daily: np.ndarray
+    daily: tuple[float, ...]
     monthly_total: float
     cycle_label: str = ""
 
     def __post_init__(self) -> None:
-        daily = np.atleast_1d(np.asarray(self.daily, dtype=float))
+        daily = tuple(map(float, self.daily))
         object.__setattr__(self, "daily", daily)
-        if daily.size == 0:
+        if not daily:
             raise ShapeError("forecast cycle is empty")
-        if not np.all(np.isfinite(daily)) or not np.isfinite(self.monthly_total):
+        if not (all(map(isfinite, daily)) and isfinite(self.monthly_total)):
             raise ValueError("forecasts must be finite")
         match = _MONTH_LABEL.match(self.cycle_label)
         if match:
             year, month = int(match.group(1)), int(match.group(2))
             n_days = calendar.monthrange(year, month)[1]
-            if daily.size != n_days:
+            if len(daily) != n_days:
                 raise ShapeError(
-                    f"{self.cycle_label} has {n_days} days but got {daily.size} forecasts"
+                    f"{self.cycle_label} has {n_days} days but got {len(daily)} forecasts"
                 )
 
     @classmethod
     def from_daily(
         cls,
-        daily: np.ndarray,
+        daily,
         cycle_label: str = "",
         monthly_total: float | None = None,
     ) -> "ForecastSet":
         """Build a set whose total defaults to the sum of daily forecasts.
 
         An externally supplied total overrides the sum; if the two differ
-        by more than 0.1% a coherence warning is emitted.
+        by more than 0.1% a coherence warning is emitted. The override
+        reaches no output and no agent setting: the warning is its only
+        effect.
         """
-        daily = np.atleast_1d(np.asarray(daily, dtype=float))
-        implied = float(daily.sum())
+        daily = tuple(map(float, daily))
+        implied = pairwise_sum(daily)
         if monthly_total is None:
             monthly_total = implied
         elif implied != 0 and abs(monthly_total - implied) > 1e-3 * abs(implied):
@@ -69,46 +71,44 @@ class ForecastSet:
         return cls(daily=daily, monthly_total=float(monthly_total), cycle_label=cycle_label)
 
     def __len__(self) -> int:
-        return int(self.daily.size)
+        return len(self.daily)
 
 
-def naive(history, h: int) -> np.ndarray:
+def naive(history, h: int) -> tuple[float, ...]:
     """Repeat the last observed value h steps ahead."""
-    values = np.atleast_1d(np.asarray(history, dtype=float))
-    if values.size == 0:
+    if len(history) == 0:
         raise InsufficientDataError("naive forecast needs at least one observation")
     if h < 1:
         raise ValueError("horizon must be positive")
-    return np.full(h, values[-1])
+    return (float(history[-1]),) * h
 
 
-def seasonal_naive(history, period: int, h: int) -> np.ndarray:
+def seasonal_naive(history, period: int, h: int) -> tuple[float, ...]:
     """Repeat the last full seasonal cycle, wrapping past the period."""
-    values = np.atleast_1d(np.asarray(history, dtype=float))
     if period < 1:
         raise ValueError("period must be positive")
-    if values.size < period:
+    if len(history) < period:
         raise InsufficientDataError(
-            f"seasonal naive needs at least {period} observations, got {values.size}"
+            f"seasonal naive needs at least {period} observations, got {len(history)}"
         )
     if h < 1:
         raise ValueError("horizon must be positive")
-    last_cycle = values[values.size - period:]
-    return np.array([last_cycle[(k - 1) % period] for k in range(1, h + 1)])
+    last_cycle = [float(x) for x in history[len(history) - period:]]
+    return tuple(last_cycle[(k - 1) % period] for k in range(1, h + 1))
 
 
-def drift(history, h: int) -> np.ndarray:
+def drift(history, h: int) -> tuple[float, ...]:
     """Extend the straight line through the first and last observations."""
-    values = np.atleast_1d(np.asarray(history, dtype=float))
-    if values.size < 2:
+    if len(history) < 2:
         raise InsufficientDataError("drift forecast needs at least two observations")
     if h < 1:
         raise ValueError("horizon must be positive")
-    slope = (values[-1] - values[0]) / (values.size - 1)
-    return values[-1] + slope * np.arange(1, h + 1)
+    first, last = float(history[0]), float(history[-1])
+    slope = (last - first) / (len(history) - 1)
+    return tuple(last + slope * k for k in range(1, h + 1))
 
 
-def forecast_month(series, month, method: str, period: int) -> np.ndarray:
+def forecast_month(series, month, method: str, period: int) -> tuple[float, ...]:
     """Daily base forecasts for one month (a `data.MonthlyActuals`) from the
     values before it in ``series``, a `data.TimeSeries` with one value per
     calendar day. Short of history, and for any other method (an `external`
@@ -116,8 +116,8 @@ def forecast_month(series, month, method: str, period: int) -> np.ndarray:
     all, the month's own first observation repeated."""
     history = series.values[: (month.dates[0] - series.timestamps[0]).days]
     h = len(month)
-    if history.size == 0:
-        return np.full(h, month.values[0])
+    if not history:
+        return (month.values[0],) * h
     try:
         if method == "seasonal_naive":
             return seasonal_naive(history, period, h)

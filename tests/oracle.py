@@ -267,7 +267,6 @@ def month_partition(
                 f"month {label} incomplete: {len(missing)} missing days "
                 f"(first {missing[0].isoformat()})"
             )
-        episodes.append(
-            MonthlyActuals(label, days, np.array([index[d] for d in days]))
-        )
+        values = np.array([index[d] for d in days])
+        episodes.append(MonthlyActuals(label, days, tuple(values.tolist())))
     return episodes

@@ -91,7 +91,7 @@ def test_criterion_4_policy_distribution():
     q_row = np.array([2.0, 5.0, 1.0])
     draws = 300_000
     for epsilon in (0.0, 0.05, 0.1, 0.2, 1.0):
-        probs = egreedy_probabilities(q_row, epsilon)
+        probs = np.array(egreedy_probabilities(q_row, epsilon))
         assert abs(probs.sum() - 1.0) <= 1e-12
         # select_action consumes one uniform per draw; vectorize the
         # same inverse-CDF mapping after checking it agrees.
@@ -109,12 +109,12 @@ def test_criterion_4_policy_distribution():
 def test_criterion_5_td_update_oracle():
     cfg = AgentConfig(tolerance=1.0, step_size=0.1)
     table = ValueTable(q=np.zeros((MAX_CYCLE_DAYS, 3)), v=np.zeros(MAX_CYCLE_DAYS))
-    table.q[0, ACTION_KEEP] = 120.0
-    table.q[1, ACTION_KEEP] = 95.0
+    table.q[0][ACTION_KEEP] = 120.0
+    table.q[1][ACTION_KEEP] = 95.0
     table.v[0], table.v[1] = 120.0, 95.0
     sarsa_step(table, EpisodeState(1, 120.0), ACTION_KEEP, 18.0,
                EpisodeState(2, 95.0), ACTION_KEEP, cfg)
-    assert abs(table.q[0, ACTION_KEEP] - 119.3) <= 1e-12
+    assert abs(table.q[0][ACTION_KEEP] - 119.3) <= 1e-12
     assert abs(table.v[0] - 119.3) <= 1e-12
 
     forecasts = np.array([10.0, 12.0])
@@ -126,7 +126,7 @@ def test_criterion_5_td_update_oracle():
     results, pair = enumerate_two_day_oracle(forecasts, actuals, 22.0, cfg2)
     assert tuple(rec.action for rec in trace.records) == pair
     for (t, a), value in results[pair].items():
-        assert abs(table2.q[t, a] - value) <= 1e-12
+        assert abs(table2.q[t][a] - value) <= 1e-12
     print("ACCEPTANCE PASS: criterion 5 (TD update oracle)")
 
 
@@ -161,8 +161,8 @@ def regime_shift_traces():
 def test_criterion_7_regime_shift_property(regime_shift_traces):
     successes = 0
     for cfg, trace, test in regime_shift_traces:
-        base_total = float(test.forecasts.sum())
-        actual_total = float(test.actuals.sum())
+        base_total = float(np.sum(test.forecasts))
+        actual_total = float(np.sum(test.actuals))
         base_mape = mape_rec(actual_total, base_total)
         if (trace.final_rmf < base_total
                 and mape_rec(actual_total, trace.final_rmf) < base_mape):
@@ -175,7 +175,7 @@ def test_criterion_8_rmf_band(regime_shift_traces):
     for cfg, trace, test in regime_shift_traces:
         n = len(test.forecasts)
         band = n * cfg.unit + 1e-9
-        assert np.all(np.abs(trace.rmf - trace.monthly_total) <= band)
+        assert np.all(np.abs(np.array(trace.rmf) - trace.monthly_total) <= band)
     print("ACCEPTANCE PASS: criterion 8 (RMF band invariant)")
 
 

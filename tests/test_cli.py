@@ -3,6 +3,7 @@
 import builtins
 import json
 import math
+import shutil
 import string
 import subprocess
 import sys
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dtreconcile
-from dtreconcile import cli, evaluation
+from dtreconcile import agent, cli, evaluation, forecasting
+from dtreconcile.agent import AgentConfig, CycleData, init_state_values
 from dtreconcile.cli import (
     RunConfig,
     build_run_config,
@@ -25,7 +27,7 @@ from dtreconcile.cli import (
     resolve_tolerance,
 )
 from dtreconcile.errors import ConfigError
-from dtreconcile.seeding import derive_seed
+from dtreconcile.seeding import derive_seed, rng_for
 
 from conftest import REFERENCE_FORECASTS, nifty_like_value, write_daily_csv
 
@@ -316,6 +318,36 @@ def test_exit_codes(tmp_path, daily_csv, capsys):
                 assert (f"data error: {at_fault}: the {what} of test month 2020-03 sum to 0"
                         in capsys.readouterr().err), (at_fault, verb, tolerance)
                 assert not out.exists() or not any(out.iterdir()), (at_fault, verb)
+    # 2: a percentage tolerance, or grid tolerance, on base forecasts that sum
+    # below 0 names the file at fault and the test month, before any file is
+    # written; an absolute tolerance still runs
+    negative = tmp_path / "negative.csv"  # negated: naive forecasts below 0
+    write_daily_csv(negative, date(2018, 12, 1), date(2020, 3, 31),
+                    lambda d: -nifty_like_value(d))
+    negative_forecast = tmp_path / "negative_forecast.csv"
+    negative_forecast.write_text("date,forecast\n" + "".join(
+        f"2020-03-{day:02d},{-value}\n" for day, value in zip(range(1, 32), REFERENCE_FORECASTS)))
+    out = tmp_path / "negative_out"
+    for keys, at_fault in (
+        ([f"data_path={negative}"], negative),
+        (["forecaster=external", f"external_forecast_path={negative_forecast}"],
+         negative_forecast),
+    ):
+        keys = [arg for key in [*keys, f"output_dir={out}", "grid_epsilons=0.1"]
+                for arg in ("--set", key)]
+        for verb in (["run"], ["grid"], ["reconcile", "--qtable", str(trained / "qtable.txt")]):
+            for tolerances in (["tolerance=20%", "grid_tolerances=500"],
+                               ["tolerance=5000", "grid_tolerances=500,10%"]):
+                argv = [*verb, "--config", str(cfg_path), *keys]
+                for key in tolerances:
+                    argv += ["--set", key]
+                assert main(argv) == 2, (at_fault, verb, tolerances)
+                assert (f"data error: {at_fault}: the base forecasts of test month 2020-03 "
+                        "sum to -" in capsys.readouterr().err), (at_fault, verb, tolerances)
+                assert not out.exists() or not any(out.iterdir()), (at_fault, verb)
+        assert main(["run", "--config", str(cfg_path), *keys, "--set", "tolerance=5000",
+                     "--set", "grid_tolerances=500"]) == 0, at_fault
+        shutil.rmtree(out)
     # 2: a month missing from the data names the data file
     short = tmp_path / "short.csv"
     write_daily_csv(short, date(2018, 12, 1), date(2020, 3, 30), nifty_like_value)
@@ -420,25 +452,69 @@ def test_external_forecast_bad_row_names_file_and_line(tmp_path, daily_csv, caps
     assert f"{forecast_path}: line {line}: {message}" in capsys.readouterr().err
 
 
-# The names `perfbench/tracing.py` wraps for a traced benchmark run.
-TRACED_CLI_NAMES = (
+# The names `perfbench/tracing.py` wraps for a traced benchmark run, by
+# owner; the test id is the bare name for a `cli` attribute.
+TRACED_NAMES = [(cli, name) for name in (
     "load_ohlcv_csv", "fill_calendar", "month_partition", "prepare", "train",
     "reconcile_online", "save_table", "load_table", "build_metric_report", "run_grid",
-)
+)] + [(agent, "run_episode"), (evaluation, "train"), (evaluation, "reconcile_online"),
+      (forecasting, "naive"), (forecasting, "seasonal_naive"), (forecasting, "drift"),
+      (evaluation.MetricReport, "to_csv"), (evaluation.GridReport, "to_csv")]
 
 
-@pytest.mark.parametrize("name", TRACED_CLI_NAMES)
-def test_cli_exposes_traced_names(name):
-    assert callable(getattr(cli, name))
+@pytest.mark.parametrize("owner, name", TRACED_NAMES, ids=[
+    name if owner is cli else f"{owner.__name__.rsplit('.', 1)[-1]}.{name}"
+    for owner, name in TRACED_NAMES])
+def test_cli_exposes_traced_names(owner, name):
+    assert callable(getattr(owner, name))
 
 
-def test_cli_import_loads_no_hierarchy_code():
-    code = ("import sys, dtreconcile.cli; print(sorted(name for name in sys.modules "
-            "if name in ('dtreconcile.hierarchy', 'dtreconcile.baselines')))")
+def test_run_episode_keeps_the_traced_shape():
+    # The tracer counts `len(args[0].forecasts)` and `len(result[1])`.
+    cycle = CycleData([10.0, 20.0], [11.0, 19.0], 30.0)
+    table = init_state_values(30.0, cycle.forecasts)
+    result = agent.run_episode(cycle, table, AgentConfig(tolerance=1.0), rng_for(0, "t"))
+    assert len(result) == 2 and result[0] is table
+    assert len(cycle.forecasts) == len(result[1]) == 2
+
+
+# Run in a fresh interpreter with the config, the snapshot and an output
+# directory as arguments; prints the exit codes and the modules loaded.
+DAILY_VERBS_SCRIPT = """
+import contextlib, io, json, sys
+from dtreconcile import cli
+
+def loaded():
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] == "numpy"
+                  or name in ("dtreconcile.hierarchy", "dtreconcile.baselines"))
+
+cfg, snapshot, out = sys.argv[1:]
+report = {"import": loaded()}
+with contextlib.redirect_stdout(io.StringIO()):
+    report["daily"] = [cli.main(["validate-data", "--config", cfg]),
+                       cli.main(["reconcile", "--config", cfg, "--qtable", snapshot,
+                                 "--set", "output_dir=" + out])]
+    report["after_daily"] = loaded()
+    report["run"] = cli.main(["run", "--config", cfg, "--set", "output_dir=" + out])
+print(json.dumps(report))
+"""
+
+
+def test_cli_import_loads_no_hierarchy_code(tmp_path, daily_csv):
+    # `validate-data` and `reconcile` load neither numpy nor the baselines:
+    # a top-level `import numpy` anywhere on their path fails here. `run`
+    # imports numpy inside training and still succeeds.
+    cfg_path = write_config(tmp_path, daily_csv, tmp_path / "trained")
+    assert main(["run", "--config", str(cfg_path)]) == 0
     src = str(Path(dtreconcile.__file__).parents[1])
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            check=True, env={"PYTHONPATH": src})
-    assert result.stdout == "[]\n"
+    result = subprocess.run(
+        [sys.executable, "-c", DAILY_VERBS_SCRIPT, str(cfg_path),
+         str(tmp_path / "trained" / "qtable.txt"), str(tmp_path / "daily_out")],
+        capture_output=True, text=True, check=True, env={"PYTHONPATH": src})
+    report = json.loads(result.stdout)
+    assert report == {"import": [], "daily": [0, 0], "after_daily": [], "run": 0}, result.stderr
+    assert (tmp_path / "daily_out" / "metrics.csv").exists()
 
 
 def _neumaier_sum(builtin_sum):

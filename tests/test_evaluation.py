@@ -101,7 +101,7 @@ def test_build_metric_report_columns():
     report = build_metric_report(trace, test.actuals, test.forecasts)
     assert len(report.rows) == 28
     assert report.base_total == pytest.approx(2800.0)
-    assert report.actual_total == pytest.approx(float(test.actuals.sum()))
+    assert report.actual_total == pytest.approx(float(np.sum(test.actuals)))
     last = report.rows[-1]
     assert last.mape_rec_pct == pytest.approx(
         mape_rec(report.actual_total, trace.final_rmf)
@@ -145,7 +145,7 @@ def test_run_grid_single_cell_matches_direct_run():
                          seed=derive_seed(5, "grid:0:0"))
     trace = _small_run(direct_cfg, training, test)
     assert cell.mape_rec_pct == pytest.approx(
-        mape_rec(float(test.actuals.sum()), trace.final_rmf)
+        mape_rec(float(np.sum(test.actuals)), trace.final_rmf)
     )
 
 

@@ -63,7 +63,7 @@ def test_drift_needs_two_points():
 def test_forecasters_return_h_finite_values(fn, args):
     for h in (1, 5, 40):
         out = fn(*args, h)
-        assert out.shape == (h,)
+        assert np.shape(out) == (h,)
         assert np.all(np.isfinite(out))
 
 

@@ -74,8 +74,8 @@ def bits(records):
 
 
 def assert_same_tables(a: ValueTable, b: ValueTable):
-    assert a.q.tobytes() == b.q.tobytes()
-    assert a.v.tobytes() == b.v.tobytes()
+    assert [[x.hex() for x in row] for row in a.q] == [[x.hex() for x in row] for row in b.q]
+    assert [x.hex() for x in a.v] == [x.hex() for x in b.v]
 
 
 @EXAMPLES
