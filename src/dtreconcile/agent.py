@@ -45,7 +45,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DataError, DistributionError, InsufficientDataError, ShapeError
 from .errors import StreamOrderError
-from .forecasting import ForecastSet
 from .seeding import derive_seed
 from .totals import pairwise_sum
 
@@ -79,8 +78,8 @@ class AgentConfig:
     clamp_nonnegative: bool = False
 
     def __post_init__(self) -> None:
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not (self.tolerance > 0 and isfinite(self.tolerance)):
+            raise ValueError("tolerance must be positive and finite")
         if not 0.0 <= self.exploration <= 1.0:
             raise ValueError("exploration probability must be in [0, 1]")
         if not 0.0 < self.step_size <= 1.0:
@@ -89,8 +88,9 @@ class AgentConfig:
             raise ValueError("discount must be in [0, 1]")
         if self.episodes < 0:
             raise ValueError("episodes must be nonnegative")
-        if self.adjustment_unit is not None and not self.adjustment_unit > 0:
-            raise ValueError("adjustment unit must be positive")
+        unit = self.adjustment_unit
+        if unit is not None and not (unit > 0 and isfinite(unit)):
+            raise ValueError("adjustment unit must be positive and finite")
 
     @property
     def unit(self) -> float:
@@ -154,7 +154,6 @@ class CycleData:
     forecasts: tuple[float, ...]
     actuals: tuple[float, ...]
     monthly_total: float
-    label: str = ""
 
     def __post_init__(self) -> None:
         forecasts = tuple(map(float, self.forecasts))
@@ -185,7 +184,6 @@ class ReconciliationTrace:
     """Per-day revision record for one traversed cycle."""
 
     records: tuple[DayRecord, ...]
-    monthly_total: float
 
     def __len__(self) -> int:
         return len(self.records)
@@ -405,7 +403,7 @@ def run_episode(
         table, cycle.forecasts, enumerate(cycle.actuals, start=1),
         cfg, draws.__next__, online=False, record=record,
     )
-    return table, ReconciliationTrace(tuple(records), monthly_total=cycle.monthly_total)
+    return table, ReconciliationTrace(tuple(records))
 
 
 def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
@@ -455,12 +453,13 @@ def _stream_days(actual_stream, n: int) -> Iterator[tuple[int, float]]:
 
 def reconcile_online(
     table: ValueTable,
-    forecast: ForecastSet,
+    forecasts: Sequence[float],
     actual_stream,
     cfg: AgentConfig,
     rng,
 ) -> ReconciliationTrace:
-    """Stream a test cycle's actuals and emit a revised total per day.
+    """Stream a test cycle's actuals against its daily base forecasts
+    and emit a revised total per day.
 
     After each observed day the greedy action for every day of the cycle
     is read from the current Q, and RMF is the sum of all n adjusted
@@ -472,14 +471,17 @@ def reconcile_online(
     The stream may cover only part of the cycle; items are either bare
     values or (day_index, value) pairs, which must arrive in day order.
     """
-    n = len(forecast)
-    if n > MAX_CYCLE_DAYS:
-        raise ShapeError(f"cycle length {n} exceeds {MAX_CYCLE_DAYS}")
+    forecasts = tuple(map(float, forecasts))
+    n = len(forecasts)
+    if not 1 <= n <= MAX_CYCLE_DAYS:
+        raise ShapeError(f"cycle length {n} outside 1..{MAX_CYCLE_DAYS}")
+    if not all(map(isfinite, forecasts)):
+        raise ValueError("forecasts must be finite")
     records = _walk(
-        table, forecast.daily, _stream_days(actual_stream, n), cfg, rng.random,
+        table, forecasts, _stream_days(actual_stream, n), cfg, rng.random,
         online=True, record=True,
     )
-    return ReconciliationTrace(tuple(records), monthly_total=forecast.monthly_total)
+    return ReconciliationTrace(tuple(records))
 
 
 def save_table(table: ValueTable, path, cfg: AgentConfig) -> None:

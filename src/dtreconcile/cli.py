@@ -31,7 +31,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, ReconcileError
 from .evaluation import build_metric_report, run_grid
-from .forecasting import ForecastSet, forecast_month
+from .forecasting import forecast_month
 from .seeding import derive_seed, rng_for
 from .totals import pairwise_sum
 
@@ -89,7 +89,9 @@ def parse_config_file(path) -> dict[str, str]:
     """Read a flat key=value file, ignoring blanks and # comments."""
     mapping: dict[str, str] = {}
     try:
-        text = Path(path).read_text()
+        # A byte that is not text decodes to U+FFFD, which a comment
+        # ignores and which makes a key unknown or a value bad.
+        text = Path(path).read_text(errors="replace")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -131,6 +133,8 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
         if key not in declared:
             raise ConfigError(f"unknown config key {key!r}")
         try:
+            if "\0" in raw:  # no path, column name or number holds a NUL
+                raise ValueError(raw)
             kwargs[key] = _PARSERS[declared[key].type](raw)
         except ValueError:
             raise ConfigError(f"bad value for {key}: {raw!r}") from None
@@ -179,13 +183,17 @@ def _months(config: RunConfig, filled: TimeSeries, first: str, last: str) -> lis
         raise DataError(f"{config.data_path}: {exc}") from None
 
 
+def _cycle(daily: tuple[float, ...], month: MonthlyActuals) -> CycleData:
+    return CycleData(daily, month.values, pairwise_sum(daily))
+
+
 @dataclass
 class PreparedExperiment:
     config: RunConfig
     filled: TimeSeries
     train_months: list[MonthlyActuals]
-    test_month: MonthlyActuals
-    test_forecast: ForecastSet
+    test_month: MonthlyActuals  # its dates label the rows of metrics.csv
+    test: CycleData
     agent_cfg: AgentConfig
     # Row-major over grid_tolerances x grid_epsilons; each seed derives from
     # the cell's coordinates, so a row does not depend on the sweep order.
@@ -194,11 +202,9 @@ class PreparedExperiment:
     def training(self) -> list[CycleData]:
         """Each training month forecast from the data before it."""
         config = self.config
-        cycles = []
-        for month in self.train_months:
-            daily = forecast_month(self.filled, month, config.forecaster, config.seasonal_period)
-            cycles.append(CycleData(daily, month.values, pairwise_sum(daily), label=month.label))
-        return cycles
+        return [_cycle(forecast_month(self.filled, month, config.forecaster,
+                                      config.seasonal_period), month)
+                for month in self.train_months]
 
 
 def prepare(config: RunConfig) -> PreparedExperiment:
@@ -208,43 +214,43 @@ def prepare(config: RunConfig) -> PreparedExperiment:
     series = load_ohlcv_csv(config.data_path, config.date_column, config.value_column)
     filled = fill_calendar(series)
     train_months = _months(config, filled, config.train_start, config.train_end)
-    test = _months(config, filled, config.test_month, config.test_month)[0]
+    month = _months(config, filled, config.test_month, config.test_month)[0]
 
     if config.forecaster == "external":
         base_path = config.external_forecast_path
-        test_forecast = load_external_forecasts(base_path, test)
+        daily = load_external_forecasts(base_path, month)
     else:
         base_path = config.data_path
-        daily = forecast_month(filled, test, config.forecaster, config.seasonal_period)
-        test_forecast = ForecastSet.from_daily(daily, test.label)
+        daily = forecast_month(filled, month, config.forecaster, config.seasonal_period)
+    test = _cycle(daily, month)
     # MAPE_rec divides by the actual total and %_f by the base total.
-    base_total = pairwise_sum(test_forecast.daily)
-    for path, total, what in ((config.data_path, pairwise_sum(test.values), "actuals"),
+    base_total = test.monthly_total
+    for path, total, what in ((config.data_path, pairwise_sum(test.actuals), "actuals"),
                               (base_path, base_total, "base forecasts")):
         if total == 0:
-            raise DataError(f"{path}: the {what} of test month {test.label} sum to 0; "
+            raise DataError(f"{path}: the {what} of test month {month.label} sum to 0; "
                             "MAPE_rec and %_f need nonzero totals")
     # A percentage tolerance is a share of the base total; below 0 it would
     # be a negative tolerance, and the data, not the config, is at fault.
     if base_total < 0 and any(map(_is_percentage, (config.tolerance, *config.grid_tolerances))):
-        raise DataError(f"{base_path}: the base forecasts of test month {test.label} sum to "
+        raise DataError(f"{base_path}: the base forecasts of test month {month.label} sum to "
                         f"{base_total!r}, below 0; a percentage tolerance needs a positive "
                         "total")
 
-    tolerance = resolve_tolerance(config.tolerance, test_forecast.daily)
+    tolerance = resolve_tolerance(config.tolerance, daily)
     # Settings the two dataclasses share by name are copied; the
     # tolerance and the unit are resolved against the test cycle.
     shared = {f.name: getattr(config, f.name) for f in fields(AgentConfig)
               if hasattr(config, f.name)}
     shared.update(tolerance=tolerance,
-                  adjustment_unit=_resolve_unit(config, tolerance, len(test)))
+                  adjustment_unit=_resolve_unit(config, tolerance, len(month)))
     where = ""
     grid_cells = []
     try:
         agent_cfg = AgentConfig(**shared)
         for i, raw in enumerate(config.grid_tolerances):
-            tol = resolve_tolerance(raw, test_forecast.daily)
-            unit = _resolve_unit(config, tol, len(test))
+            tol = resolve_tolerance(raw, daily)
+            unit = _resolve_unit(config, tol, len(month))
             for j, eps in enumerate(config.grid_epsilons):
                 where = f"grid_tolerances={raw}, grid_epsilons={eps}: "
                 grid_cells.append(replace(agent_cfg, tolerance=tol, adjustment_unit=unit,
@@ -252,7 +258,7 @@ def prepare(config: RunConfig) -> PreparedExperiment:
                                           seed=derive_seed(agent_cfg.seed, f"grid:{i}:{j}")))
     except ValueError as exc:
         raise ConfigError(f"{where}{exc}") from None
-    return PreparedExperiment(config, filled, train_months, test, test_forecast,
+    return PreparedExperiment(config, filled, train_months, month, test,
                               agent_cfg, grid_cells)
 
 
@@ -295,17 +301,18 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None) -> None:
         table = train(prep.training(), prep.agent_cfg)
     else:
         table, _meta = load_table(qtable_path)
+    test = prep.test
     trace = reconcile_online(
         table,
-        prep.test_forecast,
-        prep.test_month.values,
+        test.forecasts,
+        test.actuals,
         prep.agent_cfg,
         rng_for(prep.agent_cfg.seed, "online"),
     )
     report = build_metric_report(
         trace,
-        prep.test_month.values,
-        prep.test_forecast.daily,
+        test.actuals,
+        test.forecasts,
         labels=[d.isoformat() for d in prep.test_month.dates[: len(trace)]],
     )
     out = Path(config.output_dir)
@@ -324,8 +331,7 @@ def grid_experiment(config: RunConfig) -> None:
     if not (config.grid_tolerances and config.grid_epsilons):
         raise ConfigError("grid verb needs grid_tolerances and grid_epsilons")
     prep = prepare(config)
-    grid = run_grid(prep.training(), prep.test_forecast, prep.test_month.values,
-                    prep.grid_cells)
+    grid = run_grid(prep.training(), prep.test, prep.grid_cells)
     path = Path(config.output_dir) / "grid.csv"
     _write(path, grid.to_csv())
     for row in grid.rows:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import calendar
 import csv
+import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -12,7 +13,7 @@ from math import isfinite
 from operator import lt
 
 from .errors import DataError, ShapeError
-from .forecasting import ForecastSet
+from .totals import pairwise_sum
 
 _DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%y")
 
@@ -178,7 +179,7 @@ def parse_month(label: str) -> tuple[int, int]:
     try:
         year_str, month_str = label.split("-")
         year, month = int(year_str), int(month_str)
-        if not 1 <= month <= 12:
+        if not (1 <= month <= 12 and date.min.year <= year <= date.max.year):
             raise ValueError
     except ValueError:
         raise DataError(f"bad month label {label!r}; expected YYYY-MM") from None
@@ -226,10 +227,12 @@ def month_partition(
     return episodes
 
 
-def load_external_forecasts(path, month: MonthlyActuals) -> ForecastSet:
-    """CSV `date,forecast` covering the test cycle, with an optional
-    `monthly_total,<value>` override row. Every error names the file, and
-    a bad or repeated row its line number."""
+def load_external_forecasts(path, month: MonthlyActuals) -> tuple[float, ...]:
+    """The daily forecasts of a CSV `date,forecast` covering the test
+    cycle. An optional `monthly_total,<value>` row is parsed and checked,
+    and warns when it differs from the sum of the daily forecasts by more
+    than 0.1%; that warning is its only effect. Every error names the
+    file, and a bad or repeated row its line number."""
     totals: list[float] = []
 
     def forecast_rows():
@@ -252,5 +255,11 @@ def load_external_forecasts(path, month: MonthlyActuals) -> ForecastSet:
             f"{month.label} (first {missing[0].isoformat()})"
         )
     daily = tuple(map(by_date.__getitem__, month.dates))
-    return ForecastSet.from_daily(daily, month.label,
-                                  monthly_total=totals[0] if totals else None)
+    implied = pairwise_sum(daily)
+    if totals and implied != 0 and abs(totals[0] - implied) > 1e-3 * abs(implied):
+        warnings.warn(
+            f"monthly total {totals[0]} differs from sum of daily "
+            f"forecasts {implied} by more than 0.1%",
+            stacklevel=2,
+        )
+    return daily

@@ -8,7 +8,6 @@ from typing import Sequence
 
 from .agent import AgentConfig, CycleData, ReconciliationTrace, reconcile_online, train
 from .errors import ReconcileError, ShapeError
-from .forecasting import ForecastSet
 from .seeding import rng_for
 from .totals import pairwise_sum
 
@@ -140,11 +139,11 @@ class GridReport:
 
 def run_grid(
     training: Sequence[CycleData],
-    forecast: ForecastSet,
-    actuals,
+    test: CycleData,
     cells: Sequence[AgentConfig],
 ) -> GridReport:
-    """Train and reconcile one independent agent per grid cell.
+    """Train one independent agent per grid cell and stream the test
+    cycle's actuals through it.
 
     Each cell carries its own tolerance, exploration and seed. A cell
     that fails with a reconciliation or numeric error is marked with its
@@ -153,13 +152,13 @@ def run_grid(
     """
     if not cells:
         raise ValueError("grid must have at least one tolerance and one epsilon")
-    actual_total = pairwise_sum(actuals)
-    base_total = pairwise_sum(forecast.daily)
+    actual_total = pairwise_sum(test.actuals)
+    base_total = pairwise_sum(test.forecasts)
     rows: list[GridRow] = []
     for cfg in cells:
         try:
             table = train(training, cfg)
-            rmf = reconcile_online(table, forecast, actuals, cfg,
+            rmf = reconcile_online(table, test.forecasts, test.actuals, cfg,
                                    rng_for(cfg.seed, "online")).final_rmf
             scores, error = (mape_rec(actual_total, rmf), pct_improvement(base_total, rmf)), None
         except (ReconcileError, ValueError, ZeroDivisionError) as exc:

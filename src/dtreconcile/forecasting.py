@@ -1,77 +1,15 @@
-"""Simple base forecasters and the per-cycle forecast container.
+"""Simple base forecasters.
 
 The revision agent is forecaster-agnostic: it consumes whatever daily
 base forecasts exist for a cycle. These naive/seasonal/drift methods are
-sane defaults when no external forecast file is supplied;
-`forecast_month` picks one for a month and decides the fallbacks.
+sane defaults when no external forecast file is supplied (that file is
+read by `data.load_external_forecasts`); `forecast_month` picks one for
+a month and decides the fallbacks.
 """
 
 from __future__ import annotations
 
-import calendar
-import re
-import warnings
-from dataclasses import dataclass
-from math import isfinite
-
-from .errors import InsufficientDataError, ShapeError
-from .totals import pairwise_sum
-
-_MONTH_LABEL = re.compile(r"^(\d{4})-(\d{2})$")
-
-
-@dataclass(frozen=True)
-class ForecastSet:
-    """Daily base forecasts for one cycle plus the monthly total."""
-
-    daily: tuple[float, ...]
-    monthly_total: float
-    cycle_label: str = ""
-
-    def __post_init__(self) -> None:
-        daily = tuple(map(float, self.daily))
-        object.__setattr__(self, "daily", daily)
-        if not daily:
-            raise ShapeError("forecast cycle is empty")
-        if not (all(map(isfinite, daily)) and isfinite(self.monthly_total)):
-            raise ValueError("forecasts must be finite")
-        match = _MONTH_LABEL.match(self.cycle_label)
-        if match:
-            year, month = int(match.group(1)), int(match.group(2))
-            n_days = calendar.monthrange(year, month)[1]
-            if len(daily) != n_days:
-                raise ShapeError(
-                    f"{self.cycle_label} has {n_days} days but got {len(daily)} forecasts"
-                )
-
-    @classmethod
-    def from_daily(
-        cls,
-        daily,
-        cycle_label: str = "",
-        monthly_total: float | None = None,
-    ) -> "ForecastSet":
-        """Build a set whose total defaults to the sum of daily forecasts.
-
-        An externally supplied total overrides the sum; if the two differ
-        by more than 0.1% a coherence warning is emitted. The override
-        reaches no output and no agent setting: the warning is its only
-        effect.
-        """
-        daily = tuple(map(float, daily))
-        implied = pairwise_sum(daily)
-        if monthly_total is None:
-            monthly_total = implied
-        elif implied != 0 and abs(monthly_total - implied) > 1e-3 * abs(implied):
-            warnings.warn(
-                f"monthly total {monthly_total} differs from sum of daily "
-                f"forecasts {implied} by more than 0.1%",
-                stacklevel=2,
-            )
-        return cls(daily=daily, monthly_total=float(monthly_total), cycle_label=cycle_label)
-
-    def __len__(self) -> int:
-        return len(self.daily)
+from .errors import InsufficientDataError
 
 
 def naive(history, h: int) -> tuple[float, ...]:

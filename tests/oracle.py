@@ -44,7 +44,6 @@ from dtreconcile.data import (
     parse_month,
 )
 from dtreconcile.errors import DataError, ShapeError, StreamOrderError
-from dtreconcile.forecasting import ForecastSet
 
 
 def _state(day_index: int, monthly_total: float, forecasts: np.ndarray) -> EpisodeState:
@@ -106,7 +105,7 @@ def run_episode(
             )
         )
         action = action_next
-    return table, ReconciliationTrace(tuple(records), monthly_total=m)
+    return table, ReconciliationTrace(tuple(records))
 
 
 def _iter_stream(actual_stream) -> Iterable[tuple[int | None, float]]:
@@ -119,7 +118,7 @@ def _iter_stream(actual_stream) -> Iterable[tuple[int | None, float]]:
 
 def reconcile_online(
     table: ValueTable,
-    forecast: ForecastSet,
+    forecasts,
     actual_stream,
     cfg: AgentConfig,
     rng: np.random.Generator,
@@ -135,11 +134,11 @@ def reconcile_online(
     The stream may cover only part of the cycle; items are either bare
     values or (day_index, value) pairs, which must arrive in day order.
     """
-    n = len(forecast)
-    if n > MAX_CYCLE_DAYS:
-        raise ShapeError(f"cycle length {n} exceeds {MAX_CYCLE_DAYS}")
-    daily = forecast.daily
-    m = forecast.monthly_total
+    daily = tuple(map(float, forecasts))
+    n = len(daily)
+    if not 1 <= n <= MAX_CYCLE_DAYS:
+        raise ShapeError(f"cycle length {n} outside 1..{MAX_CYCLE_DAYS}")
+    m = float(np.sum(daily))
     records: list[DayRecord] = []
     action: int | None = None
     for expected_day, (day, actual) in enumerate(_iter_stream(actual_stream), start=1):
@@ -172,7 +171,7 @@ def reconcile_online(
             )
         )
         action = action_next
-    return ReconciliationTrace(tuple(records), monthly_total=m)
+    return ReconciliationTrace(tuple(records))
 
 
 _DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%y")

@@ -33,7 +33,6 @@ from dtreconcile.errors import (
     ShapeError,
     StreamOrderError,
 )
-from dtreconcile.forecasting import ForecastSet
 from dtreconcile.seeding import rng_for
 
 
@@ -99,10 +98,11 @@ def test_adjusted_forecast_zero_forecast():
 
 
 def test_zero_tolerance_rejected_at_config():
-    with pytest.raises(ValueError):
-        make_cfg(tolerance=0.0)
-    with pytest.raises(ValueError):
-        make_cfg(adjustment_unit=0.0)
+    for bad in (0.0, np.inf):
+        with pytest.raises(ValueError):
+            make_cfg(tolerance=bad)
+        with pytest.raises(ValueError):
+            make_cfg(adjustment_unit=bad)
 
 
 def test_adjustment_unit_overrides_tolerance():
@@ -318,18 +318,16 @@ def test_learned_fixed_point_is_actuals_from_day_t_on():
 
 
 def test_reconcile_online_keep_forcing_table():
-    forecast = ForecastSet.from_daily(np.full(5, 10.0))
     cfg = make_cfg(online_updates=False)
-    trace = reconcile_online(forcing_table(ACTION_KEEP), forecast,
+    trace = reconcile_online(forcing_table(ACTION_KEEP), np.full(5, 10.0),
                              np.full(5, 9.0), cfg, rng_for(0, "o"))
     assert np.allclose(trace.rmf, 50.0)
 
 
 def test_reconcile_online_decrease_forcing_table():
     n = 31
-    forecast = ForecastSet.from_daily(np.full(n, 10.0))
     cfg = make_cfg(tolerance=2.0, online_updates=False)
-    trace = reconcile_online(forcing_table(ACTION_DECREASE), forecast,
+    trace = reconcile_online(forcing_table(ACTION_DECREASE), np.full(n, 10.0),
                              np.full(n, 9.0), cfg, rng_for(0, "o"))
     assert np.allclose(trace.rmf, 310.0 - n * 2.0)
 
@@ -337,10 +335,10 @@ def test_reconcile_online_decrease_forcing_table():
 def test_reconcile_online_collapse_hand_simulation():
     """3-day cycle, actuals collapse after day 1: the day-2 penalty
     dethrones 'keep' and ties break toward 'decrease'."""
-    forecast = ForecastSet.from_daily(np.array([10.0, 10.0, 10.0]))
-    table = init_state_values(30.0, forecast.daily)
+    forecasts = [10.0, 10.0, 10.0]
+    table = init_state_values(30.0, forecasts)
     cfg = make_cfg(tolerance=1.0, step_size=0.5, exploration=0.0)
-    trace = reconcile_online(table, forecast, [10.0, 5.0, 5.0], cfg, rng_for(1, "o"))
+    trace = reconcile_online(table, forecasts, [10.0, 5.0, 5.0], cfg, rng_for(1, "o"))
     assert [rec.action for rec in trace.records] == [ACTION_KEEP] * 3
     assert list(trace.rmf) == [30.0, 29.0, 29.0]
     assert trace.final_rmf < 30.0
@@ -350,26 +348,26 @@ def test_reconcile_online_collapse_hand_simulation():
 
 
 def test_reconcile_online_partial_stream():
-    forecast = ForecastSet.from_daily(np.full(10, 10.0))
-    table = init_state_values(100.0, forecast.daily)
-    trace = reconcile_online(table, forecast, [10.0, 10.0, 10.0],
+    forecasts = np.full(10, 10.0)
+    table = init_state_values(100.0, forecasts)
+    trace = reconcile_online(table, forecasts, [10.0, 10.0, 10.0],
                              make_cfg(), rng_for(0, "o"))
     assert len(trace) == 3
 
 
 def test_reconcile_online_out_of_order_stream():
-    forecast = ForecastSet.from_daily(np.full(5, 10.0))
-    table = init_state_values(50.0, forecast.daily)
+    forecasts = np.full(5, 10.0)
+    table = init_state_values(50.0, forecasts)
     with pytest.raises(StreamOrderError):
-        reconcile_online(table, forecast, [(1, 10.0), (3, 10.0)],
+        reconcile_online(table, forecasts, [(1, 10.0), (3, 10.0)],
                          make_cfg(), rng_for(0, "o"))
 
 
 def test_reconcile_online_without_updates_leaves_table_unchanged():
-    forecast = ForecastSet.from_daily(np.full(5, 10.0))
-    table = init_state_values(50.0, forecast.daily)
+    forecasts = np.full(5, 10.0)
+    table = init_state_values(50.0, forecasts)
     before = table.copy().q
-    reconcile_online(table, forecast, np.full(5, 3.0),
+    reconcile_online(table, forecasts, np.full(5, 3.0),
                      make_cfg(online_updates=False), rng_for(0, "o"))
     assert np.array_equal(table.q, before)
 
@@ -377,11 +375,10 @@ def test_reconcile_online_without_updates_leaves_table_unchanged():
 def test_rmf_band_invariant():
     rng = np.random.default_rng(5)
     forecasts = rng.uniform(80, 120, 28)
-    forecast = ForecastSet.from_daily(forecasts)
-    m = forecast.monthly_total
+    m = float(forecasts.sum())
     cfg = make_cfg(tolerance=3.0, exploration=0.3, seed=9)
     table = init_state_values(m, forecasts)
-    trace = reconcile_online(table, forecast, rng.uniform(60, 140, 28),
+    trace = reconcile_online(table, forecasts, rng.uniform(60, 140, 28),
                              cfg, rng_for(9, "o"))
     assert np.all(np.abs(np.array(trace.rmf) - m) <= 28 * cfg.unit + 1e-9)
 
@@ -389,11 +386,10 @@ def test_rmf_band_invariant():
 def test_zero_adjustment_limit():
     rng = np.random.default_rng(6)
     forecasts = rng.uniform(80, 120, 30)
-    forecast = ForecastSet.from_daily(forecasts)
-    m = forecast.monthly_total
+    m = float(forecasts.sum())
     cfg = make_cfg(tolerance=1e-9 * m, exploration=0.2, step_size=0.3)
     table = init_state_values(m, forecasts)
-    trace = reconcile_online(table, forecast, rng.uniform(60, 140, 30),
+    trace = reconcile_online(table, forecasts, rng.uniform(60, 140, 30),
                              cfg, rng_for(3, "o"))
     assert np.all(np.abs(np.array(trace.rmf) - m) <= 1e-6 * m)
 

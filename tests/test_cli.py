@@ -7,6 +7,7 @@ import shutil
 import string
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
@@ -214,7 +215,7 @@ def test_prepare_builds_grid_cells_row_major(tmp_path, daily_csv):
             mapping["adjustment_unit"] = unit
         prep = cli.prepare(build_run_config(mapping))
         base = prep.agent_cfg
-        tolerances = [resolve_tolerance(raw, prep.test_forecast.daily) for raw in ("10%", "20%")]
+        tolerances = [resolve_tolerance(raw, prep.test.forecasts) for raw in ("10%", "20%")]
         # A per-day unit follows the cell's own tolerance; an absolute one stays.
         units = {None: [None, None], "per-day": [tol / 31 for tol in tolerances],
                  "250": [250.0, 250.0]}[unit]
@@ -265,7 +266,8 @@ def test_exit_codes(tmp_path, daily_csv, capsys):
         assert "config error" in capsys.readouterr().err
     # 1: a value its key's type does not accept, named with the key
     for bad in ("online_updates=ture", "clamp_nonnegative=2", "train_start=2020/02",
-                "train_end=2020/02", "test_month=2020/02", "seasonal_period=0"):
+                "train_end=2020/02", "test_month=2020/02", "seasonal_period=0",
+                "train_start=0-01", "test_month=20200-03"):
         assert main(["run", "--config", str(cfg_path), "--set", bad]) == 1, bad
         err = capsys.readouterr().err
         assert err.startswith("config error") and bad.split("=")[0] in err, bad
@@ -289,6 +291,20 @@ def test_exit_codes(tmp_path, daily_csv, capsys):
     # fault, before any tolerance is resolved or any file is written
     trained = tmp_path / "trained"
     assert main(["run", "--config", str(cfg_path), "--set", f"output_dir={trained}"]) == 0
+    # 1: an infinite tolerance, unit or grid tolerance, before any file is written
+    out = tmp_path / "inf_out"
+    for verb in (["run"], ["grid"], ["reconcile", "--qtable", str(trained / "qtable.txt")]):
+        for bad, message in (
+            ("tolerance=inf", "tolerance"), ("tolerance=inf%", "tolerance"),
+            ("tolerance=1e400", "tolerance"), ("adjustment_unit=inf", "adjustment unit"),
+            ("grid_tolerances=inf%", "grid_tolerances=inf%, grid_epsilons=0.1: tolerance"),
+        ):
+            assert main([*verb, "--config", str(cfg_path), "--set", f"output_dir={out}",
+                         "--set", "grid_tolerances=10%", "--set", "grid_epsilons=0.1",
+                         "--set", bad]) == 1, (verb, bad)
+            assert (f"config error: {message} must be positive and finite"
+                    in capsys.readouterr().err), (verb, bad)
+            assert not out.exists(), (verb, bad)
     zero_actuals = tmp_path / "zero_actuals.csv"
     write_daily_csv(zero_actuals, date(2018, 12, 1), date(2020, 3, 31),
                     lambda d: 0.0 if d >= date(2020, 3, 1) else nifty_like_value(d),
@@ -411,6 +427,33 @@ def test_external_forecast_file(tmp_path, daily_csv):
     )
 
 
+def test_external_monthly_total_row_reaches_no_output(tmp_path, daily_csv):
+    # An incoherent `monthly_total` row warns, and that is all it does.
+    outputs, warned = [], []
+    for name, total_row in (("plain", ""), ("with_total", "monthly_total,400000\n")):
+        forecast_path = tmp_path / f"{name}.csv"
+        forecast_path.write_text("date,forecast\n" + "".join(
+            f"2020-03-{day:02d},{value}\n" for day, value in zip(range(1, 32),
+                                                                REFERENCE_FORECASTS))
+            + total_row)
+        out = tmp_path / name
+        cfg_path = write_config(tmp_path, daily_csv, out,
+                                extra=["forecaster = external",
+                                       f"external_forecast_path = {forecast_path}"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(cfg_path)]) == 0
+        warned.append([str(w.message) for w in caught
+                       if str(w.message).startswith("monthly total")])
+        summary = json.loads((out / "summary.json").read_text())
+        summary.pop("config")
+        outputs.append(((out / "metrics.csv").read_bytes(), (out / "qtable.txt").read_bytes(),
+                        summary))
+    assert outputs[0] == outputs[1]
+    assert warned[0] == [] and len(warned[1]) == 1
+    assert warned[1][0].startswith("monthly total 400000.0 differs from sum of daily forecasts")
+
+
 def test_external_forecast_missing_days(tmp_path, daily_csv):
     forecast_path = tmp_path / "forecast.csv"
     forecast_path.write_text("date,forecast\n2020-03-01,100\n")
@@ -515,6 +558,17 @@ def test_cli_import_loads_no_hierarchy_code(tmp_path, daily_csv):
     report = json.loads(result.stdout)
     assert report == {"import": [], "daily": [0, 0], "after_daily": [], "run": 0}, result.stderr
     assert (tmp_path / "daily_out" / "metrics.csv").exists()
+    # The module graph: the agent and the metrics never load the forecasters,
+    # and the forecasters load nothing of the package but its errors.
+    for modules, expected in (
+        ("agent, evaluation", {"agent", "errors", "evaluation", "seeding", "totals"}),
+        ("forecasting", {"errors", "forecasting"}),
+    ):
+        result = subprocess.run(
+            [sys.executable, "-c", f"import sys\nfrom dtreconcile import {modules}\n"
+             "print(' '.join(n for n in sys.modules if n.startswith('dtreconcile.')))"],
+            capture_output=True, text=True, check=True, env={"PYTHONPATH": src})
+        assert {name.split(".")[1] for name in result.stdout.split()} == expected, modules
 
 
 def _neumaier_sum(builtin_sum):

@@ -1,14 +1,17 @@
 """Tests for CSV ingestion, calendar fill, and month partitioning."""
 
+import warnings
 from datetime import date
 
 import numpy as np
 import pytest
 
 from dtreconcile.data import (
+    MonthlyActuals,
     TimeSeries,
     fill_calendar,
     iter_months,
+    load_external_forecasts,
     load_ohlcv_csv,
     month_partition,
 )
@@ -149,3 +152,27 @@ def test_load_fill_partition_pipeline(tmp_path):
     filled = fill_calendar(series)
     months = month_partition(filled, ("2020-01", "2020-02"))
     assert [len(m) for m in months] == [31, 29]
+
+
+def _external_forecasts(tmp_path, total_row):
+    """Load a February-2021 forecast file of 28 rows of 100 (sum 2800)
+    followed by ``total_row``."""
+    month = MonthlyActuals("2021-02", tuple(date(2021, 2, k) for k in range(1, 29)),
+                           (1.0,) * 28)
+    path = tmp_path / "forecast.csv"
+    path.write_text("date,forecast\n" + "".join(f"{day.isoformat()},100\n" for day in month.dates)
+                    + total_row)
+    return load_external_forecasts(path, month)
+
+
+def test_external_monthly_total_warns_on_incoherence(tmp_path):
+    with pytest.warns(UserWarning, match="monthly total 3000.0 differs"):
+        daily = _external_forecasts(tmp_path, "monthly_total,3000\n")
+    assert daily == (100.0,) * 28
+
+
+def test_external_monthly_total_within_tolerance_is_silent(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for total_row in ("monthly_total,2800.5\n", ""):
+            assert _external_forecasts(tmp_path, total_row) == (100.0,) * 28

@@ -17,7 +17,6 @@ from dtreconcile.evaluation import (
     pct_improvement,
     run_grid,
 )
-from dtreconcile.forecasting import ForecastSet
 from dtreconcile.seeding import derive_seed, rng_for
 
 from conftest import regime_shift_cycles
@@ -88,9 +87,7 @@ def test_metric_zero_denominators():
 
 def _small_run(cfg, training, test):
     table = train(training, cfg)
-    forecast = ForecastSet.from_daily(test.forecasts,
-                                      monthly_total=test.monthly_total)
-    return reconcile_online(table, forecast, test.actuals, cfg,
+    return reconcile_online(table, test.forecasts, test.actuals, cfg,
                             rng_for(cfg.seed, "online"))
 
 
@@ -120,9 +117,7 @@ def _grid(training, test, tolerances, epsilons, base):
     cells = [replace(base, tolerance=tol, exploration=eps,
                      seed=derive_seed(base.seed, f"grid:{i}:{j}"))
              for i, tol in enumerate(tolerances) for j, eps in enumerate(epsilons)]
-    forecast = ForecastSet.from_daily(test.forecasts, test.label,
-                                      monthly_total=test.monthly_total)
-    return run_grid(training, forecast, test.actuals, cells)
+    return run_grid(training, test, cells)
 
 
 def test_run_grid_shape_and_header():

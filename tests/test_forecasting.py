@@ -1,4 +1,4 @@
-"""Tests for the base forecasters and the per-cycle container."""
+"""Tests for the base forecasters."""
 
 from datetime import date, timedelta
 
@@ -7,8 +7,8 @@ import pytest
 
 from dtreconcile import forecasting
 from dtreconcile.data import MonthlyActuals, TimeSeries
-from dtreconcile.errors import InsufficientDataError, ShapeError
-from dtreconcile.forecasting import ForecastSet, drift, forecast_month, naive, seasonal_naive
+from dtreconcile.errors import InsufficientDataError
+from dtreconcile.forecasting import drift, forecast_month, naive, seasonal_naive
 
 
 def test_naive_repeats_last():
@@ -71,32 +71,6 @@ def test_naive_outputs_are_observed_values():
     history = [3.0, 1.0, 4.0, 1.0, 5.0]
     assert set(naive(history, 6)).issubset(set(history))
     assert set(seasonal_naive(history, 2, 6)).issubset(set(history))
-
-
-def test_forecast_set_total_defaults_to_sum():
-    fs = ForecastSet.from_daily([10.0, 20.0, 30.0], "cycle")
-    assert fs.monthly_total == 60.0
-
-
-def test_forecast_set_override_warns_on_incoherence():
-    with pytest.warns(UserWarning):
-        ForecastSet.from_daily([10.0, 20.0, 30.0], "cycle", monthly_total=70.0)
-
-
-def test_forecast_set_override_within_tolerance_is_silent():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        fs = ForecastSet.from_daily([100.0] * 10, "cycle", monthly_total=1000.5)
-    assert fs.monthly_total == 1000.5
-
-
-def test_forecast_set_calendar_label_checks_day_count():
-    with pytest.raises(ShapeError):
-        ForecastSet.from_daily([1.0] * 30, "2020-03")  # March has 31 days
-    fs = ForecastSet.from_daily([1.0] * 29, "2020-02")  # leap year
-    assert len(fs) == 29
 
 
 def test_forecast_month_falls_back_to_naive(monkeypatch):

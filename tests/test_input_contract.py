@@ -1,9 +1,10 @@
 """The exit-code contract on mutated inputs, driven through `cli.main`.
 
 Each property mutates one input of a working run: the OHLCV CSV, the
-external forecast file or the Q snapshot. Whatever the mutation, the run
-exits 0, 1 (config) or 2 (data) and never raises; an exit 2 names the
-file, and the line when a row is at fault.
+external forecast file, the Q snapshot or the config file. Whatever the
+mutation, the run exits 0, 1 (config) or 2 (data) and never raises; an
+exit 2 from a mutated data file names it, and the line when a row is at
+fault.
 """
 
 import re
@@ -52,7 +53,8 @@ def mutate(content: bytes, edits) -> bytes:
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A working data CSV, external forecast file and Q snapshot."""
+    """A working data CSV, external forecast file, Q snapshot and config
+    file; the config file holds the grid keys and a comment."""
     root = tmp_path_factory.mktemp("inputs")
     data = root / "daily.csv"
     write_daily_csv(data, date(2019, 1, 1), date(2020, 3, 31), nifty_like_value)
@@ -64,20 +66,30 @@ def inputs(tmp_path_factory):
             "--set", "test_month=2020-03", "--set", "seed=7"]
     assert main(["run", *argv, "--set", f"data_path={data}",
                  "--set", f"output_dir={root / 'trained'}"]) == 0
+    config = root / "run.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in (
+        ("data_path", data), ("train_start", "2019-01"), ("train_end", "2020-02"),
+        ("test_month", "2020-03"), ("seed", "7"), ("tolerance", "20%"),
+        ("grid_tolerances", "10%,20%"), ("grid_epsilons", "0.05,0.1"),
+    )) + "# a comment\n")
     return {"data": data, "forecast": forecast, "snapshot": root / "trained" / "qtable.txt",
-            "argv": argv}
+            "config": config, "argv": argv}
 
 
 def run_mutated(tmp_path, inputs, which, edits, capsys):
     """Run the verb that reads ``which`` with that input mutated; check the
     exit code and the message."""
-    paths = {key: inputs[key] for key in ("data", "forecast", "snapshot")}
+    paths = {key: inputs[key] for key in ("data", "forecast", "snapshot", "config")}
     mutated = tmp_path / f"mutated-{paths[which].name}"
     mutated.write_bytes(mutate(paths[which].read_bytes(), edits))
     paths[which] = mutated
     out = tmp_path / "out"
-    argv = [*inputs["argv"], "--set", f"data_path={paths['data']}",
-            "--set", f"output_dir={out}"]
+    if which == "config":
+        # Only output_dir is set outside the file, so a mutation cannot redirect writes.
+        argv = ["--config", str(mutated), "--set", f"output_dir={out}"]
+    else:
+        argv = [*inputs["argv"], "--set", f"data_path={paths['data']}",
+                "--set", f"output_dir={out}"]
     if which == "forecast":
         argv += ["--set", "forecaster=external",
                  "--set", f"external_forecast_path={paths['forecast']}"]
@@ -86,7 +98,7 @@ def run_mutated(tmp_path, inputs, which, edits, capsys):
     code = main([*verb, *argv])
     err = capsys.readouterr().err
     assert code in (0, 1, 2), err
-    if code == 2:
+    if code == 2 and which != "config":
         assert str(mutated) in err, err
         if any(fault in err for fault in ROW_FAULTS):
             assert re.search(rf"{re.escape(str(mutated))}(: line |:)\d+", err), err
@@ -112,6 +124,12 @@ def test_mutated_snapshot_exits_0_1_or_2(tmp_path, inputs, capsys, edits):
     run_mutated(tmp_path, inputs, "snapshot", edits, capsys)
 
 
+@EXAMPLES
+@given(edits=mutations())
+def test_mutated_config_exits_0_1_or_2(tmp_path, inputs, capsys, edits):
+    run_mutated(tmp_path, inputs, "config", edits, capsys)
+
+
 @pytest.mark.parametrize("which", ["data", "forecast", "snapshot"])
 def test_undecodable_byte_exits_2_naming_file_and_line(tmp_path, inputs, capsys, which):
     # The byte lands in the first data row's date (or day) field.
@@ -119,3 +137,21 @@ def test_undecodable_byte_exits_2_naming_file_and_line(tmp_path, inputs, capsys,
     at = content.index(b"\n") + 2
     edits = [("insert", (at + 0.5) / len(content), b"\xff")]
     assert run_mutated(tmp_path, inputs, which, edits, capsys) == 2
+
+
+@pytest.mark.parametrize("line, code, message", [
+    (b"# caf\xe9 in Latin-1", 0, ""),
+    (b"seed = 7\xe9", 1, "config error: bad value for seed: '7\ufffd'"),
+    (b"test_month = 2020-03\x00", 1, "config error: bad value for test_month: '2020-03\\x00'"),
+    (b"data_path = x.csv\x00", 1, "config error: bad value for data_path: 'x.csv\\x00'"),
+], ids=["comment", "value", "nul-month", "nul-path"])
+def test_config_byte_that_is_not_text(tmp_path, inputs, capsys, line, code, message):
+    # A byte that is not UTF-8 reads as U+FFFD, and a NUL is a bad value for
+    # its key; a bad value exits 1 before any file is written.
+    config = tmp_path / "run.cfg"
+    config.write_bytes(inputs["config"].read_bytes() + line + b"\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["run", "--config", str(config), "--set", f"output_dir={out}"]) == code
+    assert message in capsys.readouterr().err
+    assert out.exists() == (code == 0)
