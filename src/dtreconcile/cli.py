@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
+from math import isfinite
 from pathlib import Path
 
 from .agent import AgentConfig, CycleData, load_table, reconcile_online, save_table, train
@@ -175,16 +176,35 @@ def _resolve_unit(config: RunConfig, tolerance_abs: float, n_days: int) -> float
         raise ConfigError(f"bad adjustment_unit {unit!r}") from None
 
 
+def _unit_key(config: RunConfig) -> str:
+    """The config key that sets the adjustment unit."""
+    unit = config.adjustment_unit
+    return "tolerance" if unit is None or unit.strip() == "per-day" else "adjustment_unit"
+
+
+def _metrics_overflow(reach: float, smallest_total: float) -> bool:
+    """Whether MAPE_rec or %_f can overflow for an RMF within ``reach`` of
+    0. Each divides |total - RMF|, at most |total| + reach, by a nonzero
+    total; the factor 2 covers rounding."""
+    return not isfinite((smallest_total + reach) / smallest_total * 200.0)
+
+
+def _load(config: RunConfig) -> tuple[TimeSeries, TimeSeries]:
+    """The data as read and calendar-filled; a fill that overflows names
+    the data file."""
+    series = load_ohlcv_csv(config.data_path, config.date_column, config.value_column)
+    try:
+        return series, fill_calendar(series)
+    except DataError as exc:
+        raise DataError(f"{config.data_path}: {exc}") from None
+
+
 def _months(config: RunConfig, filled: TimeSeries, first: str, last: str) -> list[MonthlyActuals]:
     """The complete months first..last of the data; a gap names the data file."""
     try:
         return month_partition(filled, (first, last))
     except DataError as exc:
         raise DataError(f"{config.data_path}: {exc}") from None
-
-
-def _cycle(daily: tuple[float, ...], month: MonthlyActuals) -> CycleData:
-    return CycleData(daily, month.values, pairwise_sum(daily))
 
 
 @dataclass
@@ -200,19 +220,26 @@ class PreparedExperiment:
     grid_cells: list[AgentConfig]
 
     def training(self) -> list[CycleData]:
-        """Each training month forecast from the data before it."""
+        """Each training month forecast from the data before it; forecasts
+        that overflow when summed name the data file and the month."""
         config = self.config
-        return [_cycle(forecast_month(self.filled, month, config.forecaster,
-                                      config.seasonal_period), month)
-                for month in self.train_months]
+        cycles = []
+        for month in self.train_months:
+            daily = forecast_month(self.filled, month, config.forecaster,
+                                   config.seasonal_period)
+            total = pairwise_sum(daily)
+            if not isfinite(total):
+                raise DataError(f"{config.data_path}: the base forecasts of training month "
+                                f"{month.label} overflow when summed")
+            cycles.append(CycleData(daily, month.values, total))
+        return cycles
 
 
 def prepare(config: RunConfig) -> PreparedExperiment:
     """Load and partition the data, forecast the test month, check its two
     totals, and build and check every agent setting and grid cell, all
     before any file is written."""
-    series = load_ohlcv_csv(config.data_path, config.date_column, config.value_column)
-    filled = fill_calendar(series)
+    _, filled = _load(config)
     train_months = _months(config, filled, config.train_start, config.train_end)
     month = _months(config, filled, config.test_month, config.test_month)[0]
 
@@ -222,14 +249,26 @@ def prepare(config: RunConfig) -> PreparedExperiment:
     else:
         base_path = config.data_path
         daily = forecast_month(filled, month, config.forecaster, config.seasonal_period)
-    test = _cycle(daily, month)
     # MAPE_rec divides by the actual total and %_f by the base total.
-    base_total = test.monthly_total
-    for path, total, what in ((config.data_path, pairwise_sum(test.actuals), "actuals"),
+    actual_total, base_total = pairwise_sum(month.values), pairwise_sum(daily)
+    for path, total, what in ((config.data_path, actual_total, "actuals"),
                               (base_path, base_total, "base forecasts")):
         if total == 0:
             raise DataError(f"{path}: the {what} of test month {month.label} sum to 0; "
                             "MAPE_rec and %_f need nonzero totals")
+        if not isfinite(total):
+            raise DataError(f"{path}: the {what} of test month {month.label} overflow "
+                            "when summed")
+    # Every RMF sums the daily forecasts, each moved by at most one unit,
+    # so it lies within `abs_sum + n * unit` of 0; the base forecasts
+    # alone are the RMF with no move.
+    abs_sum = pairwise_sum(tuple(map(abs, daily)))
+    smallest_total = min(abs(actual_total), abs(base_total))
+    if _metrics_overflow(abs_sum, smallest_total):
+        raise DataError(f"{base_path}: the base forecasts of test month {month.label} "
+                        f"(total {base_total!r}) against actuals that sum to "
+                        f"{actual_total!r} overflow MAPE_rec or %_f")
+    test = CycleData(daily, month.values, base_total)
     # A percentage tolerance is a share of the base total; below 0 it would
     # be a negative tolerance, and the data, not the config, is at fault.
     if base_total < 0 and any(map(_is_percentage, (config.tolerance, *config.grid_tolerances))):
@@ -244,18 +283,27 @@ def prepare(config: RunConfig) -> PreparedExperiment:
               if hasattr(config, f.name)}
     shared.update(tolerance=tolerance,
                   adjustment_unit=_resolve_unit(config, tolerance, len(month)))
+
+    def check_reach(cfg: AgentConfig) -> AgentConfig:
+        if _metrics_overflow(abs_sum + len(daily) * cfg.unit, smallest_total):
+            raise ValueError(f"moving each of the {len(daily)} daily forecasts of test month "
+                             f"{month.label} by {cfg.unit!r} overflows MAPE_rec or %_f")
+        return cfg
+
     where = ""
     grid_cells = []
     try:
         agent_cfg = AgentConfig(**shared)
+        where = f"{_unit_key(config)}: "
+        check_reach(agent_cfg)
         for i, raw in enumerate(config.grid_tolerances):
             tol = resolve_tolerance(raw, daily)
             unit = _resolve_unit(config, tol, len(month))
             for j, eps in enumerate(config.grid_epsilons):
                 where = f"grid_tolerances={raw}, grid_epsilons={eps}: "
-                grid_cells.append(replace(agent_cfg, tolerance=tol, adjustment_unit=unit,
-                                          exploration=eps,
-                                          seed=derive_seed(agent_cfg.seed, f"grid:{i}:{j}")))
+                grid_cells.append(check_reach(replace(
+                    agent_cfg, tolerance=tol, adjustment_unit=unit, exploration=eps,
+                    seed=derive_seed(agent_cfg.seed, f"grid:{i}:{j}"))))
     except ValueError as exc:
         raise ConfigError(f"{where}{exc}") from None
     return PreparedExperiment(config, filled, train_months, month, test,
@@ -342,8 +390,7 @@ def grid_experiment(config: RunConfig) -> None:
 
 
 def validate_data(config: RunConfig) -> None:
-    series = load_ohlcv_csv(config.data_path, config.date_column, config.value_column)
-    filled = fill_calendar(series)
+    series, filled = _load(config)
     months = _months(config, filled, config.train_start, config.test_month)
     print(
         f"{config.data_path}: {len(series)} rows, {len(filled)} after calendar "

@@ -305,6 +305,21 @@ def test_exit_codes(tmp_path, daily_csv, capsys):
             assert (f"config error: {message} must be positive and finite"
                     in capsys.readouterr().err), (verb, bad)
             assert not out.exists(), (verb, bad)
+    # 1: a tolerance, unit or grid tolerance so large that moving every test
+    # day by one unit overflows, named with its key, before any file is written
+    for verb in (["run"], ["grid"], ["reconcile", "--qtable", str(trained / "qtable.txt")]):
+        for bad, message in (
+            ("tolerance=1e308", "tolerance: "), ("adjustment_unit=1e307", "adjustment_unit: "),
+            ("grid_tolerances=1e308", "grid_tolerances=1e308, grid_epsilons=0.1: "),
+        ):
+            assert main([*verb, "--config", str(cfg_path), "--set", f"output_dir={out}",
+                         "--set", "grid_tolerances=10%", "--set", "grid_epsilons=0.1",
+                         "--set", bad]) == 1, (verb, bad)
+            err = capsys.readouterr().err
+            assert (f"config error: {message}moving each of the 31 daily forecasts of "
+                    "test month 2020-03 by " in err
+                    and err.endswith(" overflows MAPE_rec or %_f\n")), (verb, bad)
+            assert not out.exists(), (verb, bad)
     zero_actuals = tmp_path / "zero_actuals.csv"
     write_daily_csv(zero_actuals, date(2018, 12, 1), date(2020, 3, 31),
                     lambda d: 0.0 if d >= date(2020, 3, 1) else nifty_like_value(d),
@@ -364,6 +379,85 @@ def test_exit_codes(tmp_path, daily_csv, capsys):
         assert main(["run", "--config", str(cfg_path), *keys, "--set", "tolerance=5000",
                      "--set", "grid_tolerances=500"]) == 0, at_fault
         shutil.rmtree(out)
+    # 2: test-month totals that overflow, or base forecasts so far from the
+    # actuals that MAPE_rec overflows, name the data file before any file
+    # is written
+    march = date(2020, 3, 1)
+    out = tmp_path / "huge_out"
+    for name, value_fn, message in (
+        ("huge_actuals", lambda d: 1e307 if d >= march else nifty_like_value(d),
+         "the actuals of test month 2020-03 overflow when summed"),
+        ("huge_base", lambda d: 1e307 if d == date(2020, 2, 29) else nifty_like_value(d),
+         "the base forecasts of test month 2020-03 overflow when summed"),
+        ("tiny_actuals", lambda d: (1e306 if d == date(2020, 2, 29) else 0.01 if d >= march
+                                    else nifty_like_value(d)),
+         "the base forecasts of test month 2020-03 (total 3.099999999999999e+307) against "
+         "actuals that sum to 0.31000000000000005 overflow MAPE_rec or %_f"),
+    ):
+        path = tmp_path / f"{name}.csv"
+        write_daily_csv(path, date(2018, 12, 1), date(2020, 3, 31), value_fn,
+                        skip_weekends=False)
+        for verb in (["run"], ["grid"], ["reconcile", "--qtable", str(trained / "qtable.txt")]):
+            assert main([*verb, "--config", str(cfg_path), "--set", f"data_path={path}",
+                         "--set", "tolerance=5000", "--set", "grid_tolerances=500",
+                         "--set", "grid_epsilons=0.1", "--set", f"output_dir={out}"]) == 2, (
+                name, verb)
+            assert f"data error: {path}: {message}" in capsys.readouterr().err, (name, verb)
+            assert not out.exists(), (name, verb)
+    # 2: so do a training month's base forecasts that overflow when summed,
+    # before training; `reconcile` trains nothing and runs
+    huge_training = tmp_path / "huge_training.csv"  # naive repeats January's last day
+    write_daily_csv(huge_training, date(2018, 12, 1), date(2020, 3, 31),
+                    lambda d: 1e307 if date(2020, 1, 1) <= d < date(2020, 2, 1)
+                    else nifty_like_value(d), skip_weekends=False)
+    argv = ["--config", str(cfg_path), "--set", f"data_path={huge_training}",
+            "--set", "tolerance=5000", "--set", "grid_tolerances=500",
+            "--set", "grid_epsilons=0.1", "--set", f"output_dir={out}"]
+    for verb in ("run", "grid"):
+        assert main([verb, *argv]) == 2, verb
+        assert (f"data error: {huge_training}: the base forecasts of training month 2020-02 "
+                "overflow when summed" in capsys.readouterr().err), verb
+        assert not out.exists(), verb
+    assert main(["reconcile", "--qtable", str(trained / "qtable.txt"), *argv]) == 0
+    shutil.rmtree(out)
+    # 1: on test-month totals near 0.31, a unit of 1e306 keeps every RMF
+    # finite but would carry %_f past the largest float
+    small = tmp_path / "small.csv"
+    write_daily_csv(small, date(2018, 12, 1), date(2020, 3, 31),
+                    lambda d: 0.01 if d >= date(2020, 2, 1) else nifty_like_value(d),
+                    skip_weekends=False)
+    for verb in (["run"], ["grid"], ["reconcile", "--qtable", str(trained / "qtable.txt")]):
+        for bad, message in (
+            ("tolerance=1e306", "tolerance: "),
+            ("grid_tolerances=1e306", "grid_tolerances=1e306, grid_epsilons=0.1: "),
+        ):
+            assert main([*verb, "--config", str(cfg_path), "--set", f"data_path={small}",
+                         "--set", "tolerance=0.05", "--set", "grid_tolerances=0.05",
+                         "--set", "grid_epsilons=0.1", "--set", f"output_dir={out}",
+                         "--set", bad]) == 1, (verb, bad)
+            assert (f"config error: {message}moving each of the 31 daily forecasts of test "
+                    "month 2020-03 by 1e+306 overflows MAPE_rec or %_f"
+                    in capsys.readouterr().err), (verb, bad)
+            assert not out.exists(), (verb, bad)
+    # 2: a calendar gap whose interpolation overflows names the data file
+    # and the gap's two days
+    overflow = tmp_path / "overflow.csv"
+    overflow.write_text("Date,Open\n2020-01-01,1.7e308\n2020-01-03,-1.7e308\n")
+    out = tmp_path / "overflow_out"
+    for verb in (["validate-data"], ["run"],
+                 ["reconcile", "--qtable", str(trained / "qtable.txt")]):
+        assert main([*verb, "--config", str(cfg_path), "--set", f"data_path={overflow}",
+                     "--set", f"output_dir={out}"]) == 2, verb
+        assert (f"data error: {overflow}: interpolating the gap between 2020-01-01 and "
+                "2020-01-03 overflows" in capsys.readouterr().err), verb
+        assert not out.exists(), verb
+    # 2: a field past the csv module's size limit names the file and line
+    wide = tmp_path / "wide.csv"
+    wide.write_text("Date,Open\n2020-01-01,1\n2020-01-02," + "1" * 200_000 + "\n")
+    assert main(["validate-data", "--config", str(cfg_path),
+                 "--set", f"data_path={wide}"]) == 2
+    assert (f"data error: {wide}: line 3: field larger than field limit"
+            in capsys.readouterr().err)
     # 2: a month missing from the data names the data file
     short = tmp_path / "short.csv"
     write_daily_csv(short, date(2018, 12, 1), date(2020, 3, 30), nifty_like_value)
@@ -472,6 +566,8 @@ def test_external_forecast_missing_days(tmp_path, daily_csv):
     ("monthly_total", "too few fields"),
     ("2020-03-05,nan", "value 'nan' is not finite"),
     ("2020-13-05,1", "unparseable date '2020-13-05'"),
+    pytest.param("2020-03-05," + "1" * 200_000, "field larger than field limit",
+                 id="field-over-csv-limit"),
     # Two rows; the error names the second.
     pytest.param("2020-03-05,1\n2020-03-05,2", "duplicate date 2020-03-05",
                  id="repeated-date"),

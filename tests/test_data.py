@@ -6,6 +6,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from dtreconcile import data
 from dtreconcile.data import (
     MonthlyActuals,
     TimeSeries,
@@ -73,6 +74,50 @@ def test_load_duplicate_date(tmp_path):
 def test_load_missing_file():
     with pytest.raises(DataError):
         load_ohlcv_csv("/nonexistent/file.csv")
+
+
+def test_sorted_iso_file_skips_the_row_reader(tmp_path, monkeypatch):
+    # The speed of ingest rests on the column-wise pass; a loader that
+    # sent every file to the row reader would pass every other test.
+    class RowReaderCalled(Exception):
+        pass
+
+    def row_reader(*args):
+        raise RowReaderCalled
+
+    monkeypatch.setattr(data, "_dated_values", row_reader)
+    iso = tmp_path / "iso.csv"
+    write_daily_csv(iso, date(2019, 12, 2), date(2020, 3, 31), lambda d: 100.0 + d.day)
+    series = load_ohlcv_csv(iso)
+    assert series.timestamps[0] == date(2019, 12, 2) and series.values[0] == 102.0
+    # Empty lines, which the row reader skips, keep a file on the pass.
+    iso.write_text(iso.read_text().replace("\n", "\n\n", 3) + "\n")
+    assert load_ohlcv_csv(iso) == series
+    dmy = tmp_path / "dmy.csv"
+    write_daily_csv(dmy, date(2019, 12, 2), date(2020, 3, 31), lambda d: 100.0 + d.day,
+                    date_format="%d/%m/%y")
+    with pytest.raises(RowReaderCalled):
+        load_ohlcv_csv(dmy)
+
+
+def test_descending_file_leaves_the_column_pass_before_a_series_is_built(
+        tmp_path, monkeypatch):
+    # A file out of order is given up in the block that shows it, so the
+    # only series built is the row reader's.
+    built = []
+
+    class CountingSeries(TimeSeries):
+        def __post_init__(self):
+            built.append(len(self.timestamps))
+            super().__post_init__()
+
+    monkeypatch.setattr(data, "TimeSeries", CountingSeries)
+    path = tmp_path / "descending.csv"
+    write_daily_csv(path, date(2017, 1, 2), date(2020, 3, 31), lambda d: 100.0 + d.day)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *reversed(rows)]) + "\n")
+    series = load_ohlcv_csv(path)
+    assert built == [len(rows)] and series.timestamps[0] == date(2017, 1, 2)
 
 
 def test_fill_calendar_weekend_interpolation():
