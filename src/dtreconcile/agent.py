@@ -36,15 +36,15 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from math import isfinite
 from operator import add
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DataError, DistributionError, InsufficientDataError, ShapeError
 from .errors import StreamOrderError
+from .records import Record
 from .seeding import derive_seed
 from .totals import pairwise_sum
 
@@ -58,15 +58,7 @@ ACTION_DECREASE = 2
 _ACTION_DELTAS = (1.0, 0.0, -1.0)
 
 
-@dataclass(frozen=True)
-class AgentConfig:
-    """Hyperparameters for training and online revision.
-
-    ``tolerance`` is the action bucketing width in forecast units;
-    ``adjustment_unit`` (default: the tolerance) is the actual step each
-    action moves a daily forecast by.
-    """
-
+class _AgentFields(NamedTuple):
     tolerance: float
     exploration: float = 0.05
     step_size: float = 0.1
@@ -77,7 +69,20 @@ class AgentConfig:
     adjustment_unit: float | None = None
     clamp_nonnegative: bool = False
 
-    def __post_init__(self) -> None:
+
+class AgentConfig(_AgentFields):
+    """Hyperparameters for training and online revision.
+
+    ``tolerance`` is the action bucketing width in forecast units;
+    ``adjustment_unit`` (default: the tolerance) is the actual step each
+    action moves a daily forecast by. Every config is checked when it is
+    built, one derived with `_replace` too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.tolerance > 0 and isfinite(self.tolerance)):
             raise ValueError("tolerance must be positive and finite")
         if not 0.0 <= self.exploration <= 1.0:
@@ -91,54 +96,68 @@ class AgentConfig:
         unit = self.adjustment_unit
         if unit is not None and not (unit > 0 and isfinite(unit)):
             raise ValueError("adjustment unit must be positive and finite")
+        return self
+
+    def _replace(self, **changes) -> AgentConfig:
+        # NamedTuple's own `_replace` builds through `tuple.__new__`,
+        # which would skip the checks above.
+        return AgentConfig(**{**self._asdict(), **changes})
 
     @property
     def unit(self) -> float:
         return self.tolerance if self.adjustment_unit is None else self.adjustment_unit
 
     def config_hash(self) -> str:
-        payload = json.dumps(self.__dict__, sort_keys=True)
+        payload = json.dumps(self._asdict(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class EpisodeState:
-    """Day index t (1-based) plus the remaining monthly total payload."""
-
+class _StateFields(NamedTuple):
     day_index: int
     remaining_total: float
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.day_index <= MAX_CYCLE_DAYS:
-            raise ValueError(f"day index {self.day_index} outside 1..{MAX_CYCLE_DAYS}")
-        if not isfinite(self.remaining_total):
+
+class EpisodeState(_StateFields):
+    """Day index t (1-based) plus the remaining monthly total payload."""
+
+    __slots__ = ()
+
+    def __new__(cls, day_index: int, remaining_total: float):
+        if not 1 <= day_index <= MAX_CYCLE_DAYS:
+            raise ValueError(f"day index {day_index} outside 1..{MAX_CYCLE_DAYS}")
+        if not isfinite(remaining_total):
             raise ValueError("remaining total must be finite")
+        return super().__new__(cls, day_index, remaining_total)
 
 
-@dataclass
-class ValueTable:
+class _TableFields(NamedTuple):
+    q: list[list[float]]
+    v: list[float]
+
+
+class ValueTable(_TableFields):
     """Q(s, a) over (day, action) plus the diagnostic V(s) per day.
 
     ``q`` is a list of MAX_CYCLE_DAYS rows, each a list of N_ACTIONS
     floats, indexed ``q[day - 1][action]``; ``v`` is a list of
     MAX_CYCLE_DAYS floats. Any nested sequence of numbers of that shape
-    is copied in as Python floats."""
+    is copied in as Python floats. The lists are updated in place."""
 
-    q: list[list[float]]
-    v: list[float]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, q, v):
         try:
-            self.q = [list(map(float, row)) for row in self.q]
-            self.v = list(map(float, self.v))
+            q = [list(map(float, row)) for row in q]
+            v = list(map(float, v))
         except TypeError:
             raise ShapeError("Q rows and V entries must be numbers") from None
-        if len(self.q) != MAX_CYCLE_DAYS or any(len(row) != N_ACTIONS for row in self.q):
+        if len(q) != MAX_CYCLE_DAYS or any(len(row) != N_ACTIONS for row in q):
             raise ShapeError(f"Q table must be {MAX_CYCLE_DAYS}x{N_ACTIONS}")
-        if len(self.v) != MAX_CYCLE_DAYS:
+        if len(v) != MAX_CYCLE_DAYS:
             raise ShapeError(f"V table must have {MAX_CYCLE_DAYS} entries")
-        if not (all(isfinite(x) for row in self.q for x in row) and all(map(isfinite, self.v))):
+        if not (all(isfinite(x) for row in q for x in row) and all(map(isfinite, v))):
             raise ValueError("value tables must be finite")
+        return super().__new__(cls, q, v)
 
     def q_row(self, day_index: int) -> list[float]:
         return self.q[day_index - 1]
@@ -147,31 +166,32 @@ class ValueTable:
         return ValueTable(self.q, self.v)
 
 
-@dataclass(frozen=True)
-class CycleData:
-    """One monthly episode: daily forecasts, daily actuals, monthly total."""
-
+class _CycleFields(NamedTuple):
     forecasts: tuple[float, ...]
     actuals: tuple[float, ...]
     monthly_total: float
 
-    def __post_init__(self) -> None:
-        forecasts = tuple(map(float, self.forecasts))
-        actuals = tuple(map(float, self.actuals))
-        object.__setattr__(self, "forecasts", forecasts)
-        object.__setattr__(self, "actuals", actuals)
+
+class CycleData(_CycleFields):
+    """One monthly episode: daily forecasts, daily actuals, monthly total."""
+
+    __slots__ = ()
+
+    def __new__(cls, forecasts, actuals, monthly_total: float):
+        forecasts = tuple(map(float, forecasts))
+        actuals = tuple(map(float, actuals))
         if len(forecasts) != len(actuals):
             raise ShapeError(
                 f"{len(forecasts)} forecasts but {len(actuals)} actuals"
             )
         if not 1 <= len(forecasts) <= MAX_CYCLE_DAYS:
             raise ShapeError(f"cycle length {len(forecasts)} outside 1..{MAX_CYCLE_DAYS}")
-        if not (all(map(isfinite, forecasts)) and isfinite(self.monthly_total)):
+        if not (all(map(isfinite, forecasts)) and isfinite(monthly_total)):
             raise ValueError("forecasts and monthly total must be finite")
+        return super().__new__(cls, forecasts, actuals, monthly_total)
 
 
-@dataclass(frozen=True)
-class DayRecord:
+class DayRecord(NamedTuple):
     day_index: int
     action: int
     adjusted_forecast: float
@@ -179,11 +199,14 @@ class DayRecord:
     rmf: float
 
 
-@dataclass(frozen=True)
-class ReconciliationTrace:
-    """Per-day revision record for one traversed cycle."""
+class ReconciliationTrace(Record):
+    """Per-day revision record for one traversed cycle; its length is
+    the number of days."""
 
-    records: tuple[DayRecord, ...]
+    __slots__ = ("records",)
+
+    def __init__(self, records: tuple[DayRecord, ...]) -> None:
+        object.__setattr__(self, "records", records)
 
     def __len__(self) -> int:
         return len(self.records)

@@ -16,9 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
 from math import isfinite
 from pathlib import Path
+from typing import NamedTuple
 
 from .agent import AgentConfig, CycleData, load_table, reconcile_online, save_table, train
 from .data import (
@@ -39,10 +39,7 @@ from .totals import pairwise_sum
 FORECASTERS = ("naive", "seasonal_naive", "drift", "external")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved experiment configuration."""
-
+class _RunFields(NamedTuple):
     data_path: str
     train_start: str
     train_end: str
@@ -65,7 +62,14 @@ class RunConfig:
     grid_epsilons: tuple[float, ...] = ()
     output_dir: str = "out"
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_RunFields):
+    """Resolved experiment configuration."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.forecaster not in FORECASTERS:
             raise ConfigError(
                 f"unknown forecaster {self.forecaster!r}; choose from {FORECASTERS}"
@@ -84,6 +88,7 @@ class RunConfig:
             raise ConfigError("train_start is after train_end")
         if months["test_month"] <= months["train_end"]:
             raise ConfigError("test month must follow the training range")
+        return self
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -114,7 +119,8 @@ def _parse_bool(raw: str) -> bool:
 
 
 # Parser per declared `RunConfig` field type, keyed by the annotation text
-# (this module postpones annotations); a ValueError is a bad value.
+# (this module postpones annotations, so NamedTuple holds each as a
+# ForwardRef of its text); a ValueError is a bad value.
 _PARSERS = {
     "str": str,
     "str | None": str,
@@ -128,7 +134,8 @@ _PARSERS = {
 
 def build_run_config(mapping: dict[str, str]) -> RunConfig:
     """Parse each value by its `RunConfig` field's declared type."""
-    declared = {f.name: f for f in fields(RunConfig)}
+    declared = {name: getattr(annotation, "__forward_arg__", annotation)
+                for name, annotation in _RunFields.__annotations__.items()}
     kwargs: dict = {}
     for key, raw in mapping.items():
         if key not in declared:
@@ -136,11 +143,11 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
         try:
             if "\0" in raw:  # no path, column name or number holds a NUL
                 raise ValueError(raw)
-            kwargs[key] = _PARSERS[declared[key].type](raw)
+            kwargs[key] = _PARSERS[declared[key]](raw)
         except ValueError:
             raise ConfigError(f"bad value for {key}: {raw!r}") from None
-    missing = [name for name, f in declared.items()
-               if f.default is MISSING and name not in kwargs]
+    missing = [name for name in RunConfig._fields
+               if name not in RunConfig._field_defaults and name not in kwargs]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
     return RunConfig(**kwargs)
@@ -207,8 +214,7 @@ def _months(config: RunConfig, filled: TimeSeries, first: str, last: str) -> lis
         raise DataError(f"{config.data_path}: {exc}") from None
 
 
-@dataclass
-class PreparedExperiment:
+class PreparedExperiment(NamedTuple):
     config: RunConfig
     filled: TimeSeries
     train_months: list[MonthlyActuals]
@@ -277,10 +283,9 @@ def prepare(config: RunConfig) -> PreparedExperiment:
                         "total")
 
     tolerance = resolve_tolerance(config.tolerance, daily)
-    # Settings the two dataclasses share by name are copied; the
+    # Every agent setting has a config key of the same name; the
     # tolerance and the unit are resolved against the test cycle.
-    shared = {f.name: getattr(config, f.name) for f in fields(AgentConfig)
-              if hasattr(config, f.name)}
+    shared = {name: getattr(config, name) for name in AgentConfig._fields}
     shared.update(tolerance=tolerance,
                   adjustment_unit=_resolve_unit(config, tolerance, len(month)))
 
@@ -301,8 +306,8 @@ def prepare(config: RunConfig) -> PreparedExperiment:
             unit = _resolve_unit(config, tol, len(month))
             for j, eps in enumerate(config.grid_epsilons):
                 where = f"grid_tolerances={raw}, grid_epsilons={eps}: "
-                grid_cells.append(check_reach(replace(
-                    agent_cfg, tolerance=tol, adjustment_unit=unit, exploration=eps,
+                grid_cells.append(check_reach(agent_cfg._replace(
+                    tolerance=tol, adjustment_unit=unit, exploration=eps,
                     seed=derive_seed(agent_cfg.seed, f"grid:{i}:{j}"))))
     except ValueError as exc:
         raise ConfigError(f"{where}{exc}") from None
@@ -327,7 +332,7 @@ def _summary_json(config: RunConfig, prep: PreparedExperiment, report) -> str:
         "resolved_tolerance": prep.agent_cfg.tolerance,
         "adjustment_unit": prep.agent_cfg.unit,
         "seed": config.seed,
-        "config": vars(config),
+        "config": config._asdict(),
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 

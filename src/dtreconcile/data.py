@@ -8,17 +8,16 @@ reader raises, so every load error comes from one place."""
 
 from __future__ import annotations
 
-import calendar
 import csv
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass
 from datetime import date, datetime
 from itertools import islice
 from math import isfinite
 from operator import itemgetter, lt
 
 from .errors import DataError, ShapeError
+from .records import Record
 from .totals import pairwise_sum
 
 _DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%y")
@@ -32,27 +31,24 @@ DEFAULT_DATE_COLUMN = "Date"
 DEFAULT_VALUE_COLUMN = "Open"
 
 
-@dataclass(frozen=True)
-class TimeSeries:
-    """Daily observations: ordered calendar dates with finite values."""
+class TimeSeries(Record):
+    """Daily observations: ordered calendar dates with finite values;
+    its length is the number of days."""
 
-    timestamps: tuple[date, ...]
-    values: tuple[float, ...]
+    __slots__ = ("timestamps", "values")
 
-    def __post_init__(self) -> None:
-        values = tuple(map(float, self.values))
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "timestamps", tuple(self.timestamps))
-        if len(self.timestamps) != len(values):
-            raise ShapeError(
-                f"{len(self.timestamps)} timestamps but {len(values)} values"
-            )
+    def __init__(self, timestamps, values) -> None:
+        values = tuple(map(float, values))
+        stamps = tuple(timestamps)
+        if len(stamps) != len(values):
+            raise ShapeError(f"{len(stamps)} timestamps but {len(values)} values")
         if not all(map(isfinite, values)):
             raise ValueError("time series values must be finite")
-        stamps = self.timestamps
         if not all(map(lt, stamps, stamps[1:])):
             cur = next(cur for prev, cur in zip(stamps, stamps[1:]) if cur <= prev)
             raise ValueError(f"timestamps not strictly increasing at {cur}")
+        object.__setattr__(self, "timestamps", stamps)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -242,24 +238,28 @@ def fill_calendar(series: TimeSeries) -> TimeSeries:
         add_day(day)
         add_value(f1)
         x0, f0 = x1, f1
-    try:
-        return TimeSeries(days, filled)
-    except ValueError:  # the observed values are finite, so a filled one is not
+    if not all(map(isfinite, filled)):  # the observed values are finite
         k = next(k for k, value in enumerate(filled) if not isfinite(value))
         after = bisect_left(stamps, days[k])
         raise DataError(
             f"interpolating the gap between {stamps[after - 1].isoformat()} and "
             f"{stamps[after].isoformat()} overflows"
-        ) from None
+        )
+    # The days were built in order and the values as floats, so the
+    # series needs no check beyond the one above.
+    return TimeSeries._make((tuple(days), tuple(filled)))
 
 
-@dataclass(frozen=True)
-class MonthlyActuals:
-    """One calendar month of daily observations."""
+class MonthlyActuals(Record):
+    """One calendar month of daily observations, labelled "YYYY-MM"; its
+    length is the number of days."""
 
-    label: str  # "YYYY-MM"
-    dates: tuple[date, ...]
-    values: tuple[float, ...]
+    __slots__ = ("label", "dates", "values")
+
+    def __init__(self, label: str, dates: tuple[date, ...], values: tuple[float, ...]) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "dates", dates)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -274,6 +274,13 @@ def parse_month(label: str) -> tuple[int, int]:
     except ValueError:
         raise DataError(f"bad month label {label!r}; expected YYYY-MM") from None
     return year, month
+
+
+def _days_in_month(year: int, month: int) -> int:
+    # December is always 31 days: 9999-12 has no next month to subtract.
+    if month == 12:
+        return 31
+    return (date(year, month + 1, 1) - date(year, month, 1)).days
 
 
 def _year_months(start: str, end: str):
@@ -306,7 +313,7 @@ def month_partition(
     episodes = []
     for year, month in _year_months(*month_range):
         label = f"{year:04d}-{month:02d}"
-        n_days = calendar.monthrange(year, month)[1]
+        n_days = _days_in_month(year, month)
         end = start + n_days
         # Timestamps strictly increase, so n of them ending on the last
         # day of the month are exactly the month's days.

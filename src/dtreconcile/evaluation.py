@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .agent import AgentConfig, CycleData, ReconciliationTrace, reconcile_online, train
 from .errors import ReconcileError, ShapeError
@@ -40,8 +39,7 @@ def pct_improvement(base_total: float, rmf: float) -> float:
     return abs(base_total - rmf) / abs(base_total) * 100.0
 
 
-@dataclass(frozen=True)
-class MetricRow:
+class MetricRow(NamedTuple):
     label: str  # date or day label
     actual: float
     forecast: float
@@ -50,8 +48,7 @@ class MetricRow:
     pct_f: float
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     """Per-day revision metrics for one test cycle."""
 
     rows: tuple[MetricRow, ...]
@@ -108,8 +105,7 @@ def build_metric_report(
     )
 
 
-@dataclass(frozen=True)
-class GridRow:
+class GridRow(NamedTuple):
     tolerance: float
     epsilon: float
     mape_rec_pct: float
@@ -117,8 +113,7 @@ class GridRow:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class GridReport:
+class GridReport(NamedTuple):
     """Final-day metrics for every (tolerance, epsilon) grid cell."""
 
     rows: tuple[GridRow, ...]

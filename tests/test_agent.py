@@ -455,6 +455,28 @@ def test_snapshot_round_trip(tmp_path):
     assert meta["config_hash"] == cfg.config_hash()
 
 
+def test_config_hash_is_pinned():
+    # The snapshot header's hash, computed when configs were dataclasses:
+    # it serialises the same field dict however the record is built.
+    assert AgentConfig(tolerance=1.0).config_hash() == "bc59e1502de7"
+    cfg = AgentConfig(tolerance=2.5, exploration=0.2, seed=7, adjustment_unit=0.5)
+    assert cfg.config_hash() == "f15087415c98"
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"exploration": 2.0}, "exploration probability"),
+    ({"step_size": 0}, "step size"),
+    ({"tolerance": float("inf")}, "tolerance must be positive and finite"),
+])
+def test_derived_config_is_checked(change, message):
+    # `_replace` is how grid cells and the tests derive a config, and
+    # NamedTuple's own would build it without the constructor's checks.
+    base = AgentConfig(tolerance=1.0)
+    with pytest.raises(ValueError, match=message):
+        base._replace(**change)
+    assert base._replace(exploration=0.5) == AgentConfig(tolerance=1.0, exploration=0.5)
+
+
 def test_load_table_rejects_headerless_file(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1,0,2.0\n")

@@ -8,7 +8,6 @@ import string
 import subprocess
 import sys
 import warnings
-from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
 
@@ -84,7 +83,7 @@ CONFIG_TEXT = st.lists(
 
 
 @settings(max_examples=40, deadline=None)
-@given(key=st.sampled_from([f.name for f in fields(RunConfig)]), raw=CONFIG_TEXT)
+@given(key=st.sampled_from(RunConfig._fields), raw=CONFIG_TEXT)
 def test_build_run_config_returns_config_or_config_error(key, raw):
     try:
         config = build_run_config({**BASE_CONFIG, key: raw})
@@ -226,8 +225,8 @@ def test_prepare_builds_grid_cells_row_major(tmp_path, daily_csv):
             for j, eps in enumerate((0.05, 0.1, 0.2))
         ], unit
         for cell in prep.grid_cells:  # every other setting is the base config's
-            assert replace(cell, tolerance=base.tolerance, adjustment_unit=base.adjustment_unit,
-                           exploration=base.exploration, seed=base.seed) == base
+            assert cell._replace(tolerance=base.tolerance, adjustment_unit=base.adjustment_unit,
+                                 exploration=base.exploration, seed=base.seed) == base
 
 
 def test_reconcile_verb_uses_snapshot(tmp_path, daily_csv):
@@ -623,10 +622,10 @@ DAILY_VERBS_SCRIPT = """
 import contextlib, io, json, sys
 from dtreconcile import cli
 
-def loaded():
+def loaded(names=("dtreconcile.hierarchy", "dtreconcile.baselines",
+                  "dataclasses", "inspect", "calendar")):
     return sorted(name for name in sys.modules
-                  if name.split(".")[0] == "numpy"
-                  or name in ("dtreconcile.hierarchy", "dtreconcile.baselines"))
+                  if name.split(".")[0] == "numpy" or name in names)
 
 cfg, snapshot, out = sys.argv[1:]
 report = {"import": loaded()}
@@ -636,6 +635,8 @@ with contextlib.redirect_stdout(io.StringIO()):
                                  "--set", "output_dir=" + out])]
     report["after_daily"] = loaded()
     report["run"] = cli.main(["run", "--config", cfg, "--set", "output_dir=" + out])
+# numpy, which training imports, loads inspect itself.
+report["after_run"] = [name for name in ("dataclasses", "calendar") if name in sys.modules]
 print(json.dumps(report))
 """
 
@@ -643,7 +644,9 @@ print(json.dumps(report))
 def test_cli_import_loads_no_hierarchy_code(tmp_path, daily_csv):
     # `validate-data` and `reconcile` load neither numpy nor the baselines:
     # a top-level `import numpy` anywhere on their path fails here. `run`
-    # imports numpy inside training and still succeeds.
+    # imports numpy inside training and still succeeds. No verb loads
+    # `dataclasses` or `calendar`, and the daily verbs not `inspect`:
+    # each costs start-up that every fresh process pays.
     cfg_path = write_config(tmp_path, daily_csv, tmp_path / "trained")
     assert main(["run", "--config", str(cfg_path)]) == 0
     src = str(Path(dtreconcile.__file__).parents[1])
@@ -652,12 +655,14 @@ def test_cli_import_loads_no_hierarchy_code(tmp_path, daily_csv):
          str(tmp_path / "trained" / "qtable.txt"), str(tmp_path / "daily_out")],
         capture_output=True, text=True, check=True, env={"PYTHONPATH": src})
     report = json.loads(result.stdout)
-    assert report == {"import": [], "daily": [0, 0], "after_daily": [], "run": 0}, result.stderr
+    assert report == {"import": [], "daily": [0, 0], "after_daily": [], "run": 0,
+                      "after_run": []}, result.stderr
     assert (tmp_path / "daily_out" / "metrics.csv").exists()
     # The module graph: the agent and the metrics never load the forecasters,
     # and the forecasters load nothing of the package but its errors.
     for modules, expected in (
-        ("agent, evaluation", {"agent", "errors", "evaluation", "seeding", "totals"}),
+        ("agent, evaluation",
+         {"agent", "errors", "evaluation", "records", "seeding", "totals"}),
         ("forecasting", {"errors", "forecasting"}),
     ):
         result = subprocess.run(

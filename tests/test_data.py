@@ -1,5 +1,6 @@
 """Tests for CSV ingestion, calendar fill, and month partitioning."""
 
+import calendar
 import warnings
 from datetime import date
 
@@ -107,9 +108,9 @@ def test_descending_file_leaves_the_column_pass_before_a_series_is_built(
     built = []
 
     class CountingSeries(TimeSeries):
-        def __post_init__(self):
-            built.append(len(self.timestamps))
-            super().__post_init__()
+        def __init__(self, timestamps, values):
+            built.append(len(timestamps))
+            super().__init__(timestamps, values)
 
     monkeypatch.setattr(data, "TimeSeries", CountingSeries)
     path = tmp_path / "descending.csv"
@@ -161,6 +162,23 @@ def test_month_partition_counts_and_lengths():
     assert len(march) == 1 and len(march[0]) == 31
     feb = month_partition(series, ("2020-02", "2020-02"))
     assert len(feb[0]) == 29  # leap year
+
+
+def test_days_in_month_equals_calendar():
+    months = [(year, month) for year in range(date.min.year, date.max.year + 1)
+              for month in range(1, 13)]
+    assert ([data._days_in_month(*ym) for ym in months]
+            == [calendar.monthrange(*ym)[1] for ym in months])
+
+
+def test_last_representable_month_partitions():
+    # December's length must not need the first day of year 10000.
+    days = [date.fromordinal(n) for n in range(date(9999, 11, 20).toordinal(),
+                                                date.max.toordinal() + 1)]
+    series = TimeSeries(days, [100.0] * len(days))
+    (december,) = month_partition(series, ("9999-12", "9999-12"))
+    assert december.label == "9999-12" and len(december) == 31
+    assert december.dates[-1] == date.max
 
 
 def test_month_partition_incomplete_month_names_it():

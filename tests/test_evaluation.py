@@ -1,7 +1,5 @@
 """Tests for metrics and the grid harness."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -114,8 +112,8 @@ def test_build_metric_report_columns():
 def _grid(training, test, tolerances, epsilons, base):
     """Sweep row-major cells seeded by their coordinates, as `cli.prepare`
     builds them."""
-    cells = [replace(base, tolerance=tol, exploration=eps,
-                     seed=derive_seed(base.seed, f"grid:{i}:{j}"))
+    cells = [base._replace(tolerance=tol, exploration=eps,
+                           seed=derive_seed(base.seed, f"grid:{i}:{j}"))
              for i, tol in enumerate(tolerances) for j, eps in enumerate(epsilons)]
     return run_grid(training, test, cells)
 
@@ -136,8 +134,8 @@ def test_run_grid_single_cell_matches_direct_run():
     grid = _grid(training, test, [7.0], [0.1], base)
     cell = grid.rows[0]
 
-    direct_cfg = replace(base, tolerance=7.0, exploration=0.1,
-                         seed=derive_seed(5, "grid:0:0"))
+    direct_cfg = base._replace(tolerance=7.0, exploration=0.1,
+                               seed=derive_seed(5, "grid:0:0"))
     trace = _small_run(direct_cfg, training, test)
     assert cell.mape_rec_pct == pytest.approx(
         mape_rec(float(np.sum(test.actuals)), trace.final_rmf)
