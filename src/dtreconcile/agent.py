@@ -12,8 +12,8 @@ table V is updated with the same rule purely as a diagnostic.
 
 Q is held as 31 rows of three Python floats and V as one list of 31,
 and the cycle containers hold tuples of Python floats, so the agent
-needs no numpy. Only `train` imports it, for its block draws from the
-``train`` stream (see `seeding`).
+needs no numpy. Only `train` imports it, for its one block of uniforms
+per pass from the ``train`` stream (see `seeding`).
 
 One private scalar kernel, `_walk`, runs the day loop for training
 episodes (`run_episode`, which `train` calls once per cycle and pass)
@@ -22,8 +22,9 @@ rows in place, so rows updated before an exception stay updated. The
 kernel repeats the float operations of the single-step helpers
 (`egreedy_probabilities`, `select_action`, `sarsa_step`,
 `adjusted_forecast`) in the same order, so its results are bit-identical
-to walking the cycle with them. `run_episode(..., record=False)`, as
-`train` calls it, builds no trace and computes no RMF. A recorded RMF
+to walking the cycle with them; past a walk's first action, `_choose`
+is inlined in the loop. `run_episode(..., record=False)`, as `train`
+calls it, builds no trace and computes no RMF. A recorded RMF
 reads a per-call cache of each day's greedy-adjusted forecast; online
 revision refreshes only the row it has just updated. RMF sums fold the
 day-ordered floats left to right with `reduce(add, ..., 0.0)`, not with
@@ -73,10 +74,10 @@ class _AgentFields(NamedTuple):
 class AgentConfig(_AgentFields):
     """Hyperparameters for training and online revision.
 
-    ``tolerance`` is the action bucketing width in forecast units;
-    ``adjustment_unit`` (default: the tolerance) is the actual step each
-    action moves a daily forecast by. Every config is checked when it is
-    built, one derived with `_replace` too.
+    ``adjustment_unit`` is the step each action moves a daily forecast
+    by; ``tolerance``, in forecast units, is its default and buckets
+    nothing. Every config is checked when it is built, one derived with
+    `_replace` too.
     """
 
     __slots__ = ()
@@ -374,6 +375,7 @@ def _walk(
     alpha, gamma = cfg.step_size, cfg.discount
     update = cfg.online_updates or not online
     edges = _policy_edges(cfg.exploration)
+    increase_edges, keep_edges, decrease_edges = edges
     if record:
         # Greedy-adjusted forecast per day; only the updated row can change.
         greedy = [adjusted_forecast(f, _greedy(*row), cfg) for f, row in zip(forecasts, q)]
@@ -384,8 +386,20 @@ def _walk(
         if action is None:
             action = _choose(q[t - 1], edges, draw)
         if t < n:
-            action_next = _choose(q[t], edges, draw)
-            q_next, v_next = q[t][action_next], v[t]
+            # `_choose` inlined: x * 0.0 is 0.0 exactly when x is finite.
+            next_row = q[t]
+            q0, q1, q2 = next_row
+            if q0 * 0.0 + q1 * 0.0 + q2 * 0.0 != 0.0:
+                raise DistributionError("need a finite Q row with one entry per action")
+            if q1 >= q0 and q1 >= q2:
+                first, second = keep_edges
+            elif q2 >= q0 and q2 >= q1:
+                first, second = decrease_edges
+            else:
+                first, second = increase_edges
+            u = draw()
+            action_next = 0 if u < first else 1 if u < second else 2
+            q_next, v_next = next_row[action_next], v[t]
         else:
             action_next, q_next, v_next = None, 0.0, 0.0
         if update:
@@ -411,20 +425,23 @@ def run_episode(
     cfg: AgentConfig,
     rng,
     record: bool = True,
+    *,
+    draw: Callable[[], float] | None = None,
 ) -> tuple[ValueTable, ReconciliationTrace]:
     """Traverse one training cycle, updating the table in place.
 
-    Consumes one block of n uniform variates, ``rng.random(n)``, from a
-    numpy generator or a `seeding.Generator`. The trace's RMF for day t
+    Consumes n uniform variates: one block, ``rng.random(n)``, from a
+    numpy generator or a `seeding.Generator`, or, when ``draw`` is
+    given, n calls of it and none of ``rng``. The trace's RMF for day t
     sums the committed adjusted forecasts of days 1..t plus greedy
     adjustments of the remaining days under the current Q; with
     ``record=False`` the trace is empty and no RMF is computed.
     """
-    n = len(cycle.forecasts)
-    draws = iter(rng.random(n).tolist())
+    if draw is None:
+        draw = iter(rng.random(len(cycle.forecasts)).tolist()).__next__
     records = _walk(
         table, cycle.forecasts, enumerate(cycle.actuals, start=1),
-        cfg, draws.__next__, online=False, record=record,
+        cfg, draw, online=False, record=record,
     )
     return table, ReconciliationTrace(tuple(records))
 
@@ -433,10 +450,11 @@ def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
     """Run ``cfg.episodes`` chronological passes over the training cycles.
 
     The table is initialized from the first cycle's monthly total and
-    base forecasts, then updated across all passes. Each cycle draws one
-    block of uniforms from numpy's generator on the ``train`` stream;
-    the block draw is why training, and nothing else on the command
-    line, imports numpy.
+    base forecasts, then updated across all passes. Each pass draws one
+    block of uniforms from numpy's generator on the ``train`` stream, and
+    each cycle takes its n in turn, as if from ``rng.random(n)``: PCG64
+    buffers nothing between doubles. The block draw is why training, and
+    nothing else on the command line, imports numpy.
     """
     import numpy as np
 
@@ -453,9 +471,12 @@ def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
             stacklevel=2,
         )
     rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
+    days = sum(len(cycle.forecasts) for cycle in history)
     for _ in range(cfg.episodes):
+        # A view yields the block's doubles as floats without a list of them.
+        draw = iter(memoryview(rng.random(days))).__next__
         for cycle in history:
-            run_episode(cycle, table, cfg, rng, record=False)
+            run_episode(cycle, table, cfg, rng, record=False, draw=draw)
     return table
 
 

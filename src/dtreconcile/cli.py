@@ -237,7 +237,8 @@ class PreparedExperiment(NamedTuple):
             if not isfinite(total):
                 raise DataError(f"{config.data_path}: the base forecasts of training month "
                                 f"{month.label} overflow when summed")
-            cycles.append(CycleData(daily, month.values, total))
+            # A finite sum has finite terms: `CycleData`'s checks would repeat.
+            cycles.append(CycleData._make((daily, month.values, total)))
         return cycles
 
 

@@ -167,11 +167,13 @@ def _sorted_iso_columns(path, date_column: str, value_column: str) -> TimeSeries
                 if not all(map(lt, days[start:], days[start + 1:])):
                     return None
                 values += map(float, value_texts)
-        # TimeSeries rejects a value that is not finite.
-        return TimeSeries(days, values) if days else None
-    # A short row (IndexError), a date or value that does not parse or a
-    # rejected series (ValueError), or a file the csv module or the
-    # system cannot read.
+        # The dates are checked and the values are floats; a value that
+        # is not finite is left for the row reader to name.
+        if not (days and all(map(isfinite, values))):
+            return None
+        return TimeSeries._make((tuple(days), tuple(values)))
+    # A short row (IndexError), a date or value that does not parse
+    # (ValueError), or a file the csv module or the system cannot read.
     except (IndexError, ValueError, csv.Error, OSError):
         return None
 

@@ -51,16 +51,17 @@ def forecast_month(series, month, method: str, period: int) -> tuple[float, ...]
     values before it in ``series``, a `data.TimeSeries` with one value per
     calendar day. Short of history, and for any other method (an `external`
     file covers only the test cycle), this is `naive`; with no history at
-    all, the month's own first observation repeated."""
-    history = series.values[: (month.dates[0] - series.timestamps[0]).days]
+    all, the month's own first observation repeated. Each method is handed
+    only the window of the history it reads."""
+    values, end = series.values, (month.dates[0] - series.timestamps[0]).days
     h = len(month)
-    if not history:
+    if not end:
         return (month.values[0],) * h
     try:
         if method == "seasonal_naive":
-            return seasonal_naive(history, period, h)
+            return seasonal_naive(values[max(end - period, 0):end], period, h)
         if method == "drift":
-            return drift(history, h)
+            return drift(values[:end], h)
     except InsufficientDataError:
         pass
-    return naive(history, h)
+    return naive(values[end - 1:end], h)

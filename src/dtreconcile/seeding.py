@@ -6,8 +6,9 @@ stay reproducible in isolation.
 
 Two streams draw from a derived seed, each with one implementation:
 
-- ``train``: `agent.train` draws one block of uniforms per training
-  cycle from numpy's ``default_rng``, imported inside `train`.
+- ``train``: `agent.train` draws one block of uniforms per pass over
+  the training cycles from numpy's ``default_rng``, imported inside
+  `train`; each cycle takes its days' worth in turn.
 - ``online``: `rng_for` returns a `Generator`, the pure-Python equal of
   ``np.random.default_rng(seed)``. Online revision draws one uniform per
   policy call from it, so `reconcile` and `validate-data` never import

@@ -1,5 +1,7 @@
 """Tests for the TD revision agent."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -287,6 +289,35 @@ def test_train_deterministic():
     t1 = train(cycles, cfg)
     t2 = train(cycles, cfg)
     assert np.array_equal(t1.q, t2.q) and np.array_equal(t1.v, t2.v)
+
+
+def test_the_action_never_reaches_the_learning():
+    # Characterises the learning rule, not a target: the reward is the
+    # day's actual whatever the action did, so for a fixed seed neither
+    # the tolerance, the unit nor the clamp moves Q or an online action.
+    # They move only the adjusted forecasts, and so the RMF.
+    rng = np.random.default_rng(8)
+    history = [CycleData(rng.uniform(5, 40, n), rng.uniform(0, 45, n), 600.0)
+               for n in (31, 28, 31, 30, 31)]
+    test = CycleData(rng.uniform(5, 40, 30), rng.uniform(0, 45, 30), 600.0)
+    settings = [dict(tolerance=0.5), dict(tolerance=20.0),
+                dict(tolerance=20.0, adjustment_unit=1e3),
+                dict(tolerance=3.0, clamp_nonnegative=True),
+                dict(tolerance=1e4, adjustment_unit=30.0, clamp_nonnegative=True)]
+    outcomes, rmfs = set(), set()
+    for setting in settings:
+        cfg = AgentConfig(exploration=0.3, step_size=0.2, episodes=3, seed=5, **setting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the step-size divergence warning
+            table = train(history, cfg)
+        trained = tuple(x.hex() for row in table.q for x in row)
+        trace = reconcile_online(table, test.forecasts, test.actuals, cfg,
+                                 rng_for(cfg.seed, "online"))
+        online = tuple(x.hex() for row in table.q for x in row)
+        outcomes.add((trained, online, tuple(rec.action for rec in trace.records)))
+        rmfs.add(trace.rmf)
+    assert len(outcomes) == 1
+    assert len(rmfs) == len(settings)
 
 
 def test_train_warns_on_large_step_reward_product():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dtreconcile import forecasting
-from dtreconcile.data import MonthlyActuals, TimeSeries
+from dtreconcile.data import MonthlyActuals, TimeSeries, month_partition
 from dtreconcile.errors import InsufficientDataError
 from dtreconcile.forecasting import drift, forecast_month, naive, seasonal_naive
 
@@ -101,3 +101,26 @@ def test_forecast_month_falls_back_to_naive(monkeypatch):
     forecast_month(series, month, "seasonal_naive", 4)
     forecast_month(series, month, "drift", 7)
     assert calls == ["seasonal_naive", "naive", "drift"]
+
+
+@pytest.mark.parametrize("method, period", [("naive", 7), ("seasonal_naive", 1),
+                                            ("seasonal_naive", 7), ("seasonal_naive", 40),
+                                            ("drift", 7)])
+def test_forecast_month_equals_the_method_on_the_whole_history(method, period):
+    # Each method is handed only the window it reads; on a multi-year
+    # series that must change no forecast, nor when a short history falls
+    # back to naive (period 40 in the first month).
+    start = date(2017, 1, 1)
+    days = tuple(start + timedelta(days=k) for k in range((date(2020, 4, 1) - start).days))
+    values = tuple(1000.0 + 0.37 * k + 25.0 * np.sin(k / 5.0) for k in range(len(days)))
+    series = TimeSeries(days, values)
+    methods = {"naive": lambda history, h: naive(history, h),
+               "seasonal_naive": lambda history, h: seasonal_naive(history, period, h),
+               "drift": drift}
+    for month in month_partition(series, ("2017-02", "2020-03")):
+        history = values[: days.index(month.dates[0])]
+        try:
+            expected = methods[method](history, len(month))
+        except InsufficientDataError:
+            expected = naive(history, len(month))
+        assert forecast_month(series, month, method, period) == expected, month.label

@@ -175,3 +175,51 @@ def test_nan_discount_raises_distribution_error_in_both():
     assert np.isnan(tables[0].q).any()
     assert np.array_equal(tables[0].q, tables[1].q, equal_nan=True)
     assert np.array_equal(tables[0].v, tables[1].v, equal_nan=True)
+
+
+
+# The oracle always records: after each update its look-ahead reads every
+# later row of the cycle, and a NaN there raises at once. So a NaN goes in
+# day 2's row, the first row both loops read after day 1's choice.
+@pytest.mark.parametrize("bad, day", [(math.inf, 2), (math.inf, 4), (-math.inf, 2),
+                                      (-math.inf, 4), (math.nan, 2)])
+@pytest.mark.parametrize("action", range(N_ACTIONS))
+def test_non_finite_next_row_raises_before_its_draw_in_both(bad, day, action):
+    """A non-finite entry in the row of day t+1 raises when the loop
+    chooses that day's action, before it draws: the tables and the next
+    draw match the oracle's afterwards. Here the training kernel draws
+    one uniform per call through `run_episode`'s ``draw``, as the oracle
+    does."""
+    cycle = CycleData([10.0, 20.0, 30.0, 40.0], [12.0, 18.0, 33.0, 41.0], 100.0)
+    cfg = AgentConfig(tolerance=1.0, exploration=0.5)
+
+    def episode(table, rng):
+        run_episode(cycle, table, cfg, None, record=False, draw=rng.random)
+
+    def oracle_episode(table, rng):
+        oracle.run_episode(cycle, table, cfg, rng)
+
+    def online(table, rng):
+        reconcile_online(table, cycle.forecasts, cycle.actuals, cfg, rng)
+
+    def oracle_online(table, rng):
+        oracle.reconcile_online(table, cycle.forecasts, cycle.actuals, cfg, rng)
+
+    pairs = [(episode, oracle_episode)]
+    # Online revision reads every row of the cycle for its greedy cache
+    # before its first draw, so a NaN raises there, ahead of the oracle.
+    if not math.isnan(bad):
+        pairs.append((online, oracle_online))
+    for pair in pairs:
+        finals = []
+        for walk in pair:
+            table = init_state_values(cycle.monthly_total, cycle.forecasts)
+            table.q[day - 1][action] = bad
+            rng = rng_for(0, "non-finite")
+            with pytest.raises(DistributionError):
+                walk(table, rng)
+            finals.append((table, rng.random()))
+        (kernel, kernel_next), (expected, expected_next) = finals
+        assert np.array_equal(kernel.q, expected.q, equal_nan=True)
+        assert np.array_equal(kernel.v, expected.v, equal_nan=True)
+        assert kernel_next == expected_next
