@@ -18,14 +18,16 @@ per pass from the ``train`` stream (see `seeding`).
 One private scalar kernel, `_walk`, runs the day loop for training
 episodes (`run_episode`, which `train` calls once per cycle and pass)
 and for online revision (`reconcile_online`). It updates the table's
-rows in place, so rows updated before an exception stay updated. The
-kernel repeats the float operations of the single-step helpers
-(`egreedy_probabilities`, `select_action`, `sarsa_step`,
-`adjusted_forecast`) in the same order, so its results are bit-identical
-to walking the cycle with them; past a walk's first action, `_choose`
-is inlined in the loop. `run_episode(..., record=False)`, as `train`
-calls it, builds no trace and computes no RMF. A recorded RMF
-reads a per-call cache of each day's greedy-adjusted forecast; online
+rows in place, so rows updated before an exception stay updated. Each
+day it checks the next day's Q row, draws that day's epsilon-greedy
+action against `_policy_edges`, then applies the TD update. The
+per-step reference (greedy action, probabilities, one draw, one
+update) lives in `tests/oracle.py`; the kernel repeats its float
+operations in the same order, so walking a cycle either way gives
+bit-identical tables, traces and draws. `run_episode(..., record=False)`,
+as `train` calls it, builds no trace and computes no RMF. A recorded
+RMF reads a per-call cache of each day's greedy-adjusted forecast,
+built after the first day's update from the rows the RMF reads; online
 revision refreshes only the row it has just updated. RMF sums fold the
 day-ordered floats left to right with `reduce(add, ..., 0.0)`, not with
 the builtin `sum`: from Python 3.12 `sum` compensates float rounding, so
@@ -47,7 +49,6 @@ from .errors import DataError, DistributionError, InsufficientDataError, ShapeEr
 from .errors import StreamOrderError
 from .records import Record
 from .seeding import derive_seed
-from .totals import pairwise_sum
 
 MAX_CYCLE_DAYS = 31
 N_ACTIONS = 3
@@ -113,24 +114,6 @@ class AgentConfig(_AgentFields):
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-class _StateFields(NamedTuple):
-    day_index: int
-    remaining_total: float
-
-
-class EpisodeState(_StateFields):
-    """Day index t (1-based) plus the remaining monthly total payload."""
-
-    __slots__ = ()
-
-    def __new__(cls, day_index: int, remaining_total: float):
-        if not 1 <= day_index <= MAX_CYCLE_DAYS:
-            raise ValueError(f"day index {day_index} outside 1..{MAX_CYCLE_DAYS}")
-        if not isfinite(remaining_total):
-            raise ValueError("remaining total must be finite")
-        return super().__new__(cls, day_index, remaining_total)
-
-
 class _TableFields(NamedTuple):
     q: list[list[float]]
     v: list[float]
@@ -159,9 +142,6 @@ class ValueTable(_TableFields):
         if not (all(isfinite(x) for row in q for x in row) and all(map(isfinite, v))):
             raise ValueError("value tables must be finite")
         return super().__new__(cls, q, v)
-
-    def q_row(self, day_index: int) -> list[float]:
-        return self.q[day_index - 1]
 
     def copy(self) -> "ValueTable":
         return ValueTable(self.q, self.v)
@@ -261,78 +241,12 @@ def _greedy(q0: float, q1: float, q2: float) -> int:
     raise DistributionError("need a finite Q row with one entry per action")
 
 
-def greedy_action(q_row) -> int:
-    """Argmax with ties resolved keep > decrease > increase."""
-    q0, q1, q2 = (float(x) for x in q_row)
-    return _greedy(q0, q1, q2)
-
-
-def egreedy_probabilities(q_row, epsilon: float) -> list[float]:
-    """Epsilon-greedy selection probabilities over the three actions."""
-    q_row = list(map(float, q_row))
-    if len(q_row) != N_ACTIONS or not all(map(isfinite, q_row)):
-        raise DistributionError("need a finite Q row with one entry per action")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must be in [0, 1]")
-    probs = [epsilon / N_ACTIONS] * N_ACTIONS
-    probs[greedy_action(q_row)] += 1.0 - epsilon
-    return probs
-
-
-def select_action(probs, rng) -> int:
-    """Draw one action index with ``rng.random()``; consumes exactly one
-    uniform variate."""
-    probs = list(map(float, probs))
-    if len(probs) != N_ACTIONS:
-        raise DistributionError(f"need {N_ACTIONS} probabilities")
-    if any(p < 0 for p in probs) or not all(map(isfinite, probs)):
-        raise DistributionError("probabilities must be finite and nonnegative")
-    total = pairwise_sum(probs)
-    if abs(total - 1.0) > 1e-9:
-        raise DistributionError(f"probabilities sum to {total}, not 1")
-    u = rng.random()
-    edge = 0.0
-    for action in range(N_ACTIONS - 1):
-        edge += probs[action]
-        if u < edge:
-            return action
-    return N_ACTIONS - 1
-
-
-def sarsa_step(
-    table: ValueTable,
-    s: EpisodeState,
-    a: int,
-    r: float,
-    s_next: EpisodeState | None,
-    a_next: int | None,
-    cfg: AgentConfig,
-) -> ValueTable:
-    """One on-policy TD(0) update; ``s_next=None`` is the terminal case.
-
-    Q(s,a) moves toward r + gamma * Q(s',a'); V(s) is updated with the
-    same rule against V(s') as a diagnostic.
-    """
-    alpha, gamma = cfg.step_size, cfg.discount
-    t = s.day_index - 1
-    if s_next is None:
-        q_next = 0.0
-        v_next = 0.0
-    else:
-        if a_next is None:
-            raise ValueError("non-terminal update needs the successor action")
-        q_next = table.q[s_next.day_index - 1][a_next]
-        v_next = table.v[s_next.day_index - 1]
-    row = table.q[t]
-    row[a] += alpha * (r + gamma * q_next - row[a])
-    table.v[t] += alpha * (r + gamma * v_next - table.v[t])
-    return table
-
-
 def _policy_edges(epsilon: float) -> tuple[tuple[float, float], ...]:
-    """Inverse-CDF edges of `select_action` for each greedy action,
-    built with the float operations of `egreedy_probabilities`; `AgentConfig`
-    has checked that ``epsilon`` is in [0, 1]."""
+    """Inverse-CDF edges of the epsilon-greedy policy for each greedy
+    action: a uniform u picks increase below the first edge, keep below
+    the second and decrease otherwise. Each edge adds the action
+    probabilities, epsilon / 3 plus 1 - epsilon for the greedy one, in
+    action order; `AgentConfig` has checked that ``epsilon`` is in [0, 1]."""
     low = epsilon / N_ACTIONS
     high = low + (1.0 - epsilon)
     return (
@@ -376,9 +290,7 @@ def _walk(
     update = cfg.online_updates or not online
     edges = _policy_edges(cfg.exploration)
     increase_edges, keep_edges, decrease_edges = edges
-    if record:
-        # Greedy-adjusted forecast per day; only the updated row can change.
-        greedy = [adjusted_forecast(f, _greedy(*row), cfg) for f, row in zip(forecasts, q)]
+    greedy = None
     records: list[DayRecord] = []
     committed_sum = 0.0
     action = None
@@ -407,6 +319,13 @@ def _walk(
             row[action] += alpha * (actual + gamma * q_next - row[action])
             v[t - 1] += alpha * (actual + gamma * v_next - v[t - 1])
         if record:
+            if greedy is None:
+                # Greedy-adjusted forecast per day, built after the first
+                # update from the rows the RMF reads: every row online, the
+                # days after t in training. Only the updated row can change.
+                skip = 0 if online else t
+                greedy = [0.0] * skip + [adjusted_forecast(f, _greedy(*row), cfg)
+                                         for f, row in zip(forecasts[skip:], q[skip:])]
             adjusted = adjusted_forecast(forecasts[t - 1], action, cfg)
             if online:
                 greedy[t - 1] = adjusted_forecast(forecasts[t - 1], _greedy(*q[t - 1]), cfg)
@@ -423,22 +342,18 @@ def run_episode(
     cycle: CycleData,
     table: ValueTable,
     cfg: AgentConfig,
-    rng,
+    draw: Callable[[], float],
     record: bool = True,
-    *,
-    draw: Callable[[], float] | None = None,
 ) -> tuple[ValueTable, ReconciliationTrace]:
     """Traverse one training cycle, updating the table in place.
 
-    Consumes n uniform variates: one block, ``rng.random(n)``, from a
-    numpy generator or a `seeding.Generator`, or, when ``draw`` is
-    given, n calls of it and none of ``rng``. The trace's RMF for day t
-    sums the committed adjusted forecasts of days 1..t plus greedy
-    adjustments of the remaining days under the current Q; with
-    ``record=False`` the trace is empty and no RMF is computed.
+    Calls ``draw()`` once per day for a uniform variate in [0, 1):
+    `train` passes its pass's block, a test a generator's ``random``.
+    The trace's RMF for day t sums the committed adjusted forecasts of
+    days 1..t plus greedy adjustments of the remaining days under the
+    current Q; with ``record=False`` the trace is empty and no RMF is
+    computed. `tests/oracle.py` walks the same cycle one step at a time.
     """
-    if draw is None:
-        draw = iter(rng.random(len(cycle.forecasts)).tolist()).__next__
     records = _walk(
         table, cycle.forecasts, enumerate(cycle.actuals, start=1),
         cfg, draw, online=False, record=record,
@@ -476,7 +391,7 @@ def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
         # A view yields the block's doubles as floats without a list of them.
         draw = iter(memoryview(rng.random(days))).__next__
         for cycle in history:
-            run_episode(cycle, table, cfg, rng, record=False, draw=draw)
+            run_episode(cycle, table, cfg, draw, record=False)
     return table
 
 

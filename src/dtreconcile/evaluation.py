@@ -11,20 +11,6 @@ from .seeding import rng_for
 from .totals import pairwise_sum
 
 
-def mape(actuals, forecasts) -> float:
-    """Mean absolute percentage error, in percent."""
-    actuals = list(map(float, actuals))
-    forecasts = list(map(float, forecasts))
-    if len(actuals) != len(forecasts):
-        raise ShapeError(
-            f"{len(actuals)} actuals but {len(forecasts)} forecasts"
-        )
-    if any(a == 0 for a in actuals):
-        raise ZeroDivisionError("MAPE undefined for zero actuals")
-    errors = [abs(a - f) / abs(a) for a, f in zip(actuals, forecasts)]
-    return pairwise_sum(errors) / len(errors) * 100.0
-
-
 def mape_rec(actual_total: float, rmf: float) -> float:
     """Percentage error of a revised monthly forecast vs the actual total."""
     if actual_total == 0:

@@ -98,8 +98,8 @@ class Generator:
         return ((word >> rot) | (word << (64 - rot))) & _MASK64
 
     def random(self, size: int | None = None):
-        """One uniform double in [0, 1), or an ``array('d')`` of ``size``
-        of them, which like numpy's block has ``tolist()``."""
+        """One uniform double in [0, 1), or an ``array('d')`` of the next
+        ``size`` of them, the doubles numpy's ``random(size)`` returns."""
         if size is None:
             return (self._next64() >> 11) * _TO_UNIT
         return array("d", [(self._next64() >> 11) * _TO_UNIT for _ in range(size)])

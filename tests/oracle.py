@@ -1,9 +1,13 @@
 """Reference oracles for the agent's day loop and the ingest layer.
 
-`run_episode` and `reconcile_online` as they stood before the scalar
-kernel: numpy scalars, one probability vector and one `EpisodeState` per
-policy call, and an O(n^2) greedy look-ahead per day. The kernel in
-`dtreconcile.agent` must match them bit for bit (tests/test_kernel.py).
+The per-step helpers the scalar kernel in `dtreconcile.agent` repeats:
+`greedy_action`, `egreedy_probabilities`, `select_action` (one uniform
+per call) and `sarsa_step` (one TD update on day indices). `run_episode`
+and `reconcile_online` as they stood before the kernel: numpy scalars,
+one probability vector per policy call, and an O(n^2) greedy look-ahead
+per day. The kernel must match them bit for bit (tests/test_kernel.py).
+`greedy_action` looks up `agent._greedy` at each call, so a test that
+patches the tie order reaches every choice the oracle makes.
 
 `_parse_date`, `load_ohlcv_csv`, `fill_calendar` and `month_partition`
 as they stood before the fast ingest path: `strptime` for every date, a
@@ -17,23 +21,21 @@ from __future__ import annotations
 import calendar
 import csv
 from datetime import date, datetime, timedelta
+from math import isfinite
 from typing import Iterable
 
 import numpy as np
 
+from dtreconcile import agent
 from dtreconcile.agent import (
     MAX_CYCLE_DAYS,
+    N_ACTIONS,
     AgentConfig,
     CycleData,
     DayRecord,
-    EpisodeState,
     ReconciliationTrace,
     ValueTable,
     adjusted_forecast,
-    egreedy_probabilities,
-    greedy_action,
-    sarsa_step,
-    select_action,
 )
 from dtreconcile.data import (
     DEFAULT_DATE_COLUMN,
@@ -43,17 +45,80 @@ from dtreconcile.data import (
     iter_months,
     parse_month,
 )
-from dtreconcile.errors import DataError, ShapeError, StreamOrderError
+from dtreconcile.errors import DataError, DistributionError, ShapeError, StreamOrderError
+from dtreconcile.totals import pairwise_sum
 
 
-def _state(day_index: int, monthly_total: float, forecasts: np.ndarray) -> EpisodeState:
-    remaining = monthly_total - float(np.sum(forecasts[:day_index]))
-    return EpisodeState(day_index=day_index, remaining_total=remaining)
+def greedy_action(q_row) -> int:
+    """Argmax with ties resolved keep > decrease > increase."""
+    q0, q1, q2 = (float(x) for x in q_row)
+    return agent._greedy(q0, q1, q2)
 
 
-def _policy_action(table: ValueTable, day_index: int, cfg: AgentConfig,
-                   rng: np.random.Generator) -> int:
-    probs = egreedy_probabilities(table.q_row(day_index), cfg.exploration)
+def egreedy_probabilities(q_row, epsilon: float) -> list[float]:
+    """Epsilon-greedy selection probabilities over the three actions."""
+    q_row = list(map(float, q_row))
+    if len(q_row) != N_ACTIONS or not all(map(isfinite, q_row)):
+        raise DistributionError("need a finite Q row with one entry per action")
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError("epsilon must be in [0, 1]")
+    probs = [epsilon / N_ACTIONS] * N_ACTIONS
+    probs[greedy_action(q_row)] += 1.0 - epsilon
+    return probs
+
+
+def select_action(probs, rng) -> int:
+    """Draw one action index with ``rng.random()``; consumes exactly one
+    uniform variate."""
+    probs = list(map(float, probs))
+    if len(probs) != N_ACTIONS:
+        raise DistributionError(f"need {N_ACTIONS} probabilities")
+    if any(p < 0 for p in probs) or not all(map(isfinite, probs)):
+        raise DistributionError("probabilities must be finite and nonnegative")
+    total = pairwise_sum(probs)
+    if abs(total - 1.0) > 1e-9:
+        raise DistributionError(f"probabilities sum to {total}, not 1")
+    u = rng.random()
+    edge = 0.0
+    for action in range(N_ACTIONS - 1):
+        edge += probs[action]
+        if u < edge:
+            return action
+    return N_ACTIONS - 1
+
+
+def sarsa_step(
+    table: ValueTable,
+    t: int,
+    a: int,
+    r: float,
+    t_next: int | None,
+    a_next: int | None,
+    cfg: AgentConfig,
+) -> ValueTable:
+    """One on-policy TD(0) update of day ``t``'s entries; ``t_next=None``
+    is the terminal case.
+
+    Q(t,a) moves toward r + gamma * Q(t',a'); V(t) is updated with the
+    same rule against V(t') as a diagnostic.
+    """
+    alpha, gamma = cfg.step_size, cfg.discount
+    if t_next is None:
+        q_next = 0.0
+        v_next = 0.0
+    else:
+        if a_next is None:
+            raise ValueError("non-terminal update needs the successor action")
+        q_next = table.q[t_next - 1][a_next]
+        v_next = table.v[t_next - 1]
+    row = table.q[t - 1]
+    row[a] += alpha * (r + gamma * q_next - row[a])
+    table.v[t - 1] += alpha * (r + gamma * v_next - table.v[t - 1])
+    return table
+
+
+def _policy_action(table: ValueTable, day_index: int, cfg: AgentConfig, rng) -> int:
+    probs = egreedy_probabilities(table.q[day_index - 1], cfg.exploration)
     return select_action(probs, rng)
 
 
@@ -62,7 +127,7 @@ def _greedy_sum(table: ValueTable, forecasts: np.ndarray, cfg: AgentConfig,
     # Left to right: from Python 3.12 the builtin `sum` compensates rounding.
     total = 0.0
     for t in days:
-        total += adjusted_forecast(forecasts[t - 1], greedy_action(table.q_row(t)), cfg)
+        total += adjusted_forecast(forecasts[t - 1], greedy_action(table.q[t - 1]), cfg)
     return total
 
 
@@ -79,20 +144,18 @@ def run_episode(
     current Q.
     """
     n = len(cycle.forecasts)
-    m = cycle.monthly_total
     records: list[DayRecord] = []
     committed_sum = 0.0
     action = _policy_action(table, 1, cfg, rng)
     for t in range(1, n + 1):
         reward = float(cycle.actuals[t - 1])
-        state = _state(t, m, cycle.forecasts)
         if t < n:
             action_next = _policy_action(table, t + 1, cfg, rng)
-            state_next = _state(t + 1, m, cycle.forecasts)
+            t_next = t + 1
         else:
             action_next = None
-            state_next = None
-        sarsa_step(table, state, action, reward, state_next, action_next, cfg)
+            t_next = None
+        sarsa_step(table, t, action, reward, t_next, action_next, cfg)
         committed_sum += adjusted_forecast(cycle.forecasts[t - 1], action, cfg)
         rmf = committed_sum + _greedy_sum(table, cycle.forecasts, cfg, range(t + 1, n + 1))
         records.append(
@@ -138,7 +201,6 @@ def reconcile_online(
     n = len(daily)
     if not 1 <= n <= MAX_CYCLE_DAYS:
         raise ShapeError(f"cycle length {n} outside 1..{MAX_CYCLE_DAYS}")
-    m = float(np.sum(daily))
     records: list[DayRecord] = []
     action: int | None = None
     for expected_day, (day, actual) in enumerate(_iter_stream(actual_stream), start=1):
@@ -153,13 +215,12 @@ def reconcile_online(
             action = _policy_action(table, t, cfg, rng)
         if t < n:
             action_next = _policy_action(table, t + 1, cfg, rng)
-            state_next = _state(t + 1, m, daily)
+            t_next = t + 1
         else:
             action_next = None
-            state_next = None
+            t_next = None
         if cfg.online_updates:
-            state = _state(t, m, daily)
-            sarsa_step(table, state, action, actual, state_next, action_next, cfg)
+            sarsa_step(table, t, action, actual, t_next, action_next, cfg)
         rmf = _greedy_sum(table, daily, cfg, range(1, n + 1))
         records.append(
             DayRecord(

@@ -13,21 +13,20 @@ import pytest
 from dtreconcile.agent import (
     ACTION_KEEP,
     AgentConfig,
-    EpisodeState,
     CycleData,
     MAX_CYCLE_DAYS,
+    N_ACTIONS,
     ValueTable,
-    egreedy_probabilities,
+    _choose,
+    _policy_edges,
     init_state_values,
     reconcile_online,
     run_episode,
-    sarsa_step,
-    select_action,
     train,
 )
 from dtreconcile.baselines import p_bottom_up, p_ols, p_top_down, p_wls, reconcile
 from dtreconcile.cli import main, resolve_tolerance
-from dtreconcile.evaluation import mape, mape_rec, pct_improvement
+from dtreconcile.evaluation import mape_rec, pct_improvement
 from dtreconcile.hierarchy import HierarchyVector, build_two_level, coherence_residual
 from dtreconcile.seeding import rng_for
 
@@ -40,7 +39,7 @@ BASE_TOTAL = 367706.0
 
 
 def test_criterion_1_metric_reproduction():
-    assert round(mape([ACTUAL_TOTAL], [BASE_TOTAL])) == 25
+    assert round(mape_rec(ACTUAL_TOTAL, BASE_TOTAL)) == 25
     assert round(mape_rec(ACTUAL_TOTAL, 298910.0)) == 2
     assert round(pct_improvement(BASE_TOTAL, 298910.0)) == 19
     assert round(mape_rec(ACTUAL_TOTAL, 294165.0)) == 0
@@ -87,32 +86,37 @@ def test_criterion_3_ols_oracle_and_idempotence():
 
 
 def test_criterion_4_policy_distribution():
-    q_row = np.array([2.0, 5.0, 1.0])
+    q_row = [2.0, 5.0, 1.0]
     draws = 300_000
     for epsilon in (0.0, 0.05, 0.1, 0.2, 1.0):
-        probs = np.array(egreedy_probabilities(q_row, epsilon))
+        # Greedy "keep" gets 1 - epsilon on top of epsilon / 3 each.
+        probs = np.full(N_ACTIONS, epsilon / N_ACTIONS)
+        probs[ACTION_KEEP] += 1.0 - epsilon
         assert abs(probs.sum() - 1.0) <= 1e-12
-        # select_action consumes one uniform per draw; vectorize the
-        # same inverse-CDF mapping after checking it agrees.
+        # The kernel's choice consumes one uniform per call; it must agree
+        # with the inverse-CDF mapping on every draw.
         rng = np.random.default_rng(int(epsilon * 100) + 1)
         u = rng.random(draws)
-        actions = np.searchsorted(np.cumsum(probs), u, side="right")
-        check_rng = np.random.default_rng(int(epsilon * 100) + 1)
-        for k in range(500):
-            assert select_action(probs, check_rng) == actions[k]
+        expected = np.searchsorted(np.cumsum(probs), u, side="right")
+        edges, draw = _policy_edges(epsilon), iter(u.tolist()).__next__
+        actions = np.array([_choose(q_row, edges, draw) for _ in range(draws)])
+        assert np.array_equal(actions, expected)
         freqs = np.bincount(actions, minlength=3) / draws
         assert np.max(np.abs(freqs - probs)) <= 0.005
     print("ACCEPTANCE PASS: criterion 4 (epsilon-greedy distribution)")
 
 
 def test_criterion_5_td_update_oracle():
-    cfg = AgentConfig(tolerance=1.0, step_size=0.1)
+    # Day 1 takes "keep" (greedy at exploration 0), earns 18 and
+    # bootstraps from Q(2, keep) = 95, which day 2 has not yet updated.
+    cfg = AgentConfig(tolerance=1.0, exploration=0.0, step_size=0.1)
     table = ValueTable(q=np.zeros((MAX_CYCLE_DAYS, 3)), v=np.zeros(MAX_CYCLE_DAYS))
     table.q[0][ACTION_KEEP] = 120.0
     table.q[1][ACTION_KEEP] = 95.0
     table.v[0], table.v[1] = 120.0, 95.0
-    sarsa_step(table, EpisodeState(1, 120.0), ACTION_KEEP, 18.0,
-               EpisodeState(2, 95.0), ACTION_KEEP, cfg)
+    _, trace = run_episode(CycleData([10.0, 12.0], [18.0, 9.0], 22.0), table, cfg,
+                           rng_for(0, "acc5").random)
+    assert [rec.action for rec in trace.records] == [ACTION_KEEP, ACTION_KEEP]
     assert abs(table.q[0][ACTION_KEEP] - 119.3) <= 1e-12
     assert abs(table.v[0] - 119.3) <= 1e-12
 
@@ -121,7 +125,7 @@ def test_criterion_5_td_update_oracle():
     cfg2 = AgentConfig(tolerance=1.0, exploration=0.0, step_size=0.4)
     table2 = init_state_values(22.0, forecasts)
     _, trace = run_episode(CycleData(forecasts, actuals, 22.0), table2, cfg2,
-                           rng_for(0, "acc5"))
+                           rng_for(0, "acc5").random)
     results, pair = enumerate_two_day_oracle(forecasts, actuals, 22.0, cfg2)
     assert tuple(rec.action for rec in trace.records) == pair
     for (t, a), value in results[pair].items():

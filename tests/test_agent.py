@@ -1,5 +1,6 @@
 """Tests for the TD revision agent."""
 
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dtreconcile import agent
 from dtreconcile.agent import (
     ACTION_DECREASE,
     ACTION_INCREASE,
@@ -14,18 +16,13 @@ from dtreconcile.agent import (
     MAX_CYCLE_DAYS,
     AgentConfig,
     CycleData,
-    EpisodeState,
     ValueTable,
     adjusted_forecast,
-    egreedy_probabilities,
-    greedy_action,
     init_state_values,
     load_table,
     reconcile_online,
     run_episode,
-    sarsa_step,
     save_table,
-    select_action,
     train,
 )
 from dtreconcile.errors import (
@@ -35,7 +32,12 @@ from dtreconcile.errors import (
     ShapeError,
     StreamOrderError,
 )
+from dtreconcile.evaluation import mape_rec
 from dtreconcile.seeding import rng_for
+
+import oracle
+from conftest import regime_shift_cycles
+from oracle import egreedy_probabilities, greedy_action, sarsa_step, select_action
 
 
 def make_cfg(**kwargs):
@@ -118,7 +120,7 @@ def test_adjusted_forecast_clamp():
     assert adjusted_forecast(2.0, ACTION_INCREASE, cfg) == 7.0
 
 
-# --- policy ---------------------------------------------------------------
+# --- policy: the per-step reference in oracle.py ------------------------
 
 
 def test_egreedy_probabilities_reference():
@@ -180,7 +182,7 @@ def test_select_action_rejects_malformed():
         select_action([1.2, -0.2, 0.0], rng)
 
 
-# --- TD update ------------------------------------------------------------
+# --- TD update: the per-step reference in oracle.py ---------------------
 
 
 def test_sarsa_step_reference_update():
@@ -191,9 +193,7 @@ def test_sarsa_step_reference_update():
     table.q[0][ACTION_KEEP] = 120.0
     table.q[1][ACTION_KEEP] = 95.0
     table.v[0], table.v[1] = 120.0, 95.0
-    s = EpisodeState(1, 120.0)
-    s_next = EpisodeState(2, 95.0)
-    sarsa_step(table, s, ACTION_KEEP, 18.0, s_next, ACTION_KEEP, cfg)
+    sarsa_step(table, 1, ACTION_KEEP, 18.0, 2, ACTION_KEEP, cfg)
     assert table.q[0][ACTION_KEEP] == pytest.approx(119.3, abs=1e-12)
     assert table.v[0] == pytest.approx(119.3, abs=1e-12)
 
@@ -203,15 +203,14 @@ def test_sarsa_step_zero_td_error_is_noop():
     table = init_state_values(30.0, [10.0, 10.0, 10.0])
     before = table.copy().q
     # r + Q(s', a') equals Q(s, a): 10 + 10 = 20
-    sarsa_step(table, EpisodeState(1, 20.0), ACTION_KEEP, 10.0,
-               EpisodeState(2, 10.0), ACTION_KEEP, cfg)
+    sarsa_step(table, 1, ACTION_KEEP, 10.0, 2, ACTION_KEEP, cfg)
     assert np.array_equal(table.q, before)
 
 
 def test_sarsa_step_terminal_bootstraps_zero():
     cfg = make_cfg(step_size=0.5)
     table = init_state_values(30.0, [10.0, 10.0, 10.0])
-    sarsa_step(table, EpisodeState(3, 0.0), ACTION_KEEP, 5.0, None, None, cfg)
+    sarsa_step(table, 3, ACTION_KEEP, 5.0, None, None, cfg)
     assert table.q[2][ACTION_KEEP] == pytest.approx(2.5)
 
 
@@ -224,7 +223,7 @@ def test_run_episode_tied_rows_keep_everywhere():
                       float(forecasts.sum()))
     table = init_state_values(cycle.monthly_total, forecasts)
     cfg = make_cfg(exploration=0.0)
-    _, trace = run_episode(cycle, table, cfg, rng_for(0, "t"))
+    _, trace = run_episode(cycle, table, cfg, rng_for(0, "t").random)
     assert [rec.action for rec in trace.records] == [ACTION_KEEP] * 4
     assert np.allclose(trace.rmf, cycle.monthly_total)
 
@@ -238,7 +237,7 @@ def test_run_episode_fully_random_matches_hand_simulation():
     cfg = make_cfg(exploration=1.0, step_size=0.5, tolerance=2.0)
     table = init_state_values(m, forecasts)
     _, trace = run_episode(CycleData(forecasts, actuals, m), table, cfg,
-                           np.random.default_rng(99))
+                           np.random.default_rng(99).random)
 
     draws = np.random.default_rng(99).random(3)
     expected_actions = [0 if u < 1 / 3 else (1 if u < 2 / 3 else 2) for u in draws]
@@ -318,6 +317,83 @@ def test_the_action_never_reaches_the_learning():
         rmfs.add(trace.rmf)
     assert len(outcomes) == 1
     assert len(rmfs) == len(settings)
+
+
+def test_online_rmf_is_the_base_total_plus_whole_units():
+    # Characterises the learning rule, not a target: with the clamp off
+    # each day's forecast moves by -1, 0 or +1 unit, so every online RMF
+    # is the base total plus k units, k a whole number in [-n, n] that
+    # only the greedy actions set.
+    rng = np.random.default_rng(9)
+    history = [CycleData(rng.uniform(5, 40, n), rng.uniform(0, 45, n), 600.0)
+               for n in (31, 28, 31, 30)]
+    tests = [CycleData(rng.uniform(5, 40, n), rng.uniform(0, 45, n), 600.0) for n in (31, 28)]
+    ks = set()
+    for seed in range(30):
+        cfg = AgentConfig(tolerance=2.5, exploration=0.3, step_size=0.2, episodes=2, seed=seed)
+        table = train(history, cfg)
+        for test in tests:
+            trace = reconcile_online(table.copy(), test.forecasts, test.actuals, cfg,
+                                     rng_for(seed, "online"))
+            base_total, n = math.fsum(test.forecasts), len(test.forecasts)
+            for rmf in trace.rmf:
+                k = (rmf - base_total) / cfg.unit
+                assert abs(k - round(k)) <= 1e-6 and -n <= round(k) <= n, (seed, n, k)
+                ks.add(round(k))
+    assert len(ks) > 1
+
+
+def _oracle_final_rmfs(training, test, cfgs):
+    """Criterion 7's runs, trained and revised one step at a time."""
+    finals = []
+    for cfg in cfgs:
+        table = init_state_values(training[0].monthly_total, training[0].forecasts)
+        rng = rng_for(cfg.seed, "train")
+        for cycle in training:
+            oracle.run_episode(cycle, table, cfg, rng)
+        trace = oracle.reconcile_online(table, test.forecasts, test.actuals, cfg,
+                                        rng_for(cfg.seed, "online"))
+        finals.append(trace.final_rmf)
+    return finals
+
+
+def test_regime_shift_adaptation_rests_on_the_tie_order(monkeypatch):
+    # Characterises the learning rule, not a target: the sampled action's
+    # Q falls with the collapsing actuals while the two actions exploration
+    # rarely tried stay tied at their initial value, and the tie goes to
+    # "decrease". Preferring "increase" in that tie (keep still first)
+    # undoes criterion 7 in every seed.
+    training, test = regime_shift_cycles(n_days=30, n_train=14, level=100.0,
+                                         drop_from_day=10, drop_fraction=0.2)
+    tolerance = 0.2 * float(np.mean(test.forecasts))
+    cfgs = [AgentConfig(tolerance=tolerance, exploration=0.05, step_size=0.1, seed=seed)
+            for seed in range(10)]
+    base_total, actual_total = float(np.sum(test.forecasts)), float(np.sum(test.actuals))
+
+    def adapted(finals):
+        return sum(final < base_total
+                   and mape_rec(actual_total, final) < mape_rec(actual_total, base_total)
+                   for final in finals)
+
+    finals = _oracle_final_rmfs(training, test, cfgs)
+    assert finals == [
+        reconcile_online(train(training, cfg), test.forecasts, test.actuals, cfg,
+                         rng_for(cfg.seed, "online")).final_rmf
+        for cfg in cfgs
+    ]
+    assert adapted(finals) == 10
+
+    def increase_before_decrease(q0, q1, q2):
+        if q1 >= q0 and q1 >= q2:
+            return ACTION_KEEP
+        if q0 >= q1 and q0 >= q2:
+            return ACTION_INCREASE
+        if q2 >= q0 and q2 >= q1:
+            return ACTION_DECREASE
+        raise DistributionError("need a finite Q row with one entry per action")
+
+    monkeypatch.setattr(agent, "_greedy", increase_before_decrease)
+    assert adapted(_oracle_final_rmfs(training, test, cfgs)) == 0
 
 
 def test_train_warns_on_large_step_reward_product():
@@ -435,9 +511,9 @@ def test_q_values_stay_bounded_over_many_episodes():
     cfg = make_cfg(exploration=0.2, step_size=0.9)
     table = init_state_values(m, forecasts)
     bound = max(np.max(np.abs(table.q)), n * np.max(np.abs(actuals))) + 1e-9
-    policy_rng = rng_for(0, "bound")
+    draw = rng_for(0, "bound").random
     for _ in range(10_000):
-        run_episode(cycle, table, cfg, policy_rng)
+        run_episode(cycle, table, cfg, draw)
         assert np.max(np.abs(table.q)) <= bound
 
 
@@ -463,7 +539,7 @@ def test_two_day_episode_matches_exhaustive_enumeration():
     cfg = make_cfg(exploration=0.0, step_size=0.4)
     table = init_state_values(m, forecasts)
     _, trace = run_episode(CycleData(forecasts, actuals, m), table, cfg,
-                           rng_for(0, "e"))
+                           rng_for(0, "e").random)
     results, pair = enumerate_two_day_oracle(forecasts, actuals, m, cfg)
     assert tuple(rec.action for rec in trace.records) == pair
     expected = results[pair]

@@ -611,7 +611,8 @@ def test_run_episode_keeps_the_traced_shape():
     # The tracer counts `len(args[0].forecasts)` and `len(result[1])`.
     cycle = CycleData([10.0, 20.0], [11.0, 19.0], 30.0)
     table = init_state_values(30.0, cycle.forecasts)
-    result = agent.run_episode(cycle, table, AgentConfig(tolerance=1.0), rng_for(0, "t"))
+    cfg = AgentConfig(tolerance=1.0)
+    result = agent.run_episode(cycle, table, cfg, rng_for(0, "t").random)
     assert len(result) == 2 and result[0] is table
     assert len(cycle.forecasts) == len(result[1]) == 2
 
@@ -670,6 +671,29 @@ def test_cli_import_loads_no_hierarchy_code(tmp_path, daily_csv):
              "print(' '.join(n for n in sys.modules if n.startswith('dtreconcile.')))"],
             capture_output=True, text=True, check=True, env={"PYTHONPATH": src})
         assert {name.split(".")[1] for name in result.stdout.split()} == expected, modules
+
+
+def test_module_entry_point_exits_with_the_documented_code(tmp_path, daily_csv):
+    # `python -m dtreconcile.cli` in a fresh process: `sys.exit(main())`
+    # hands the shell 0, 2 for bad data and 1 for bad config, never a traceback.
+    cfg_path = write_config(tmp_path, daily_csv, tmp_path / "out")
+    rows = [line.split(",") for line in daily_csv.read_text().splitlines()]
+    rows[4][1] = "abc"  # the Open value on line 5
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("".join(",".join(row) + "\n" for row in rows))
+    src = str(Path(dtreconcile.__file__).parents[1])
+    for extra, code, message in (
+        ([], 0, "complete months"),
+        (["--set", f"data_path={bad_csv}"], 2, f"{bad_csv}: line 5: unparseable value 'abc'"),
+        (["--set", "nonsense=1"], 1, "config error: unknown config key 'nonsense'"),
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "dtreconcile.cli", "validate-data",
+             "--config", str(cfg_path), *extra],
+            capture_output=True, text=True, env={"PYTHONPATH": src})
+        assert result.returncode == code, result.stderr
+        assert message in result.stdout + result.stderr
+        assert "Traceback" not in result.stderr
 
 
 def _neumaier_sum(builtin_sum):
