@@ -24,14 +24,14 @@ action against `_policy_edges`, then applies the TD update. The
 per-step reference (greedy action, probabilities, one draw, one
 update) lives in `tests/oracle.py`; the kernel repeats its float
 operations in the same order, so walking a cycle either way gives
-bit-identical tables, traces and draws. `run_episode(..., record=False)`,
-as `train` calls it, builds no trace and computes no RMF. A recorded
-RMF reads a per-call cache of each day's greedy-adjusted forecast,
-built after the first day's update from the rows the RMF reads; online
-revision refreshes only the row it has just updated. RMF sums fold the
-day-ordered floats left to right with `reduce(add, ..., 0.0)`, not with
-the builtin `sum`: from Python 3.12 `sum` compensates float rounding, so
-its last bits, and the output files, would depend on the Python version.
+bit-identical tables, records and draws. Training records nothing and
+computes no RMF: the update never reads one. Online revision returns a
+`DayRecord` per streamed day; its RMF reads a per-call cache of each
+day's greedy-adjusted forecast, built after the first day's update and
+refreshed only in the row just updated. RMF sums fold the day-ordered
+floats left to right with `reduce(add, ..., 0.0)`, not with the builtin
+`sum`: from Python 3.12 `sum` compensates float rounding, so its last
+bits, and the output files, would depend on the Python version.
 """
 
 from __future__ import annotations
@@ -43,11 +43,10 @@ from functools import reduce
 from itertools import accumulate
 from math import isfinite
 from operator import add
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DataError, DistributionError, InsufficientDataError, ShapeError
 from .errors import StreamOrderError
-from .records import Record
 from .seeding import derive_seed
 
 MAX_CYCLE_DAYS = 31
@@ -180,29 +179,6 @@ class DayRecord(NamedTuple):
     rmf: float
 
 
-class ReconciliationTrace(Record):
-    """Per-day revision record for one traversed cycle; its length is
-    the number of days."""
-
-    __slots__ = ("records",)
-
-    def __init__(self, records: tuple[DayRecord, ...]) -> None:
-        object.__setattr__(self, "records", records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def rmf(self) -> tuple[float, ...]:
-        return tuple(rec.rmf for rec in self.records)
-
-    @property
-    def final_rmf(self) -> float:
-        if not self.records:
-            raise ValueError("empty trace has no final revised forecast")
-        return self.records[-1].rmf
-
-
 def init_state_values(monthly_total: float, daily_forecasts) -> ValueTable:
     """Initialize V(S_t) = M minus cumulative forecasts through day t.
 
@@ -269,20 +245,19 @@ def _choose(row: list[float], edges, draw) -> int:
 def _walk(
     table: ValueTable,
     forecasts: Sequence[float],
-    days: Iterable[tuple[int, float]],
+    actuals: Iterable[float],
     cfg: AgentConfig,
     draw: Callable[[], float],
     *,
     online: bool,
-    record: bool,
 ) -> list[DayRecord]:
-    """The SARSA day loop over ``days`` as (day index, actual) pairs.
+    """The SARSA day loop over ``actuals``, numbered from day 1.
 
-    Training (``online=False``) always updates, and a day's RMF is the
-    running sum of committed adjusted forecasts plus the greedy
-    look-ahead over the days after it. Online revision updates only
-    under ``cfg.online_updates``, and a day's RMF is the greedy sum over
-    the whole cycle. Q and V are updated in place in ``table``.
+    Training (``online=False``) always updates and records nothing.
+    Online revision updates only under ``cfg.online_updates`` and records
+    each day; a day's RMF is the greedy sum over the whole cycle. Q and V
+    are updated in place in ``table``. A day past the cycle raises
+    `StreamOrderError` before it draws.
     """
     n = len(forecasts)
     q, v = table.q, table.v
@@ -292,10 +267,12 @@ def _walk(
     increase_edges, keep_edges, decrease_edges = edges
     greedy = None
     records: list[DayRecord] = []
-    committed_sum = 0.0
     action = None
-    for t, actual in days:
+    for t, actual in enumerate(actuals, start=1):
         if action is None:
+            # Only day 1 and a day past the last one have no action yet.
+            if t > n:
+                raise StreamOrderError(f"day {t} beyond the {n}-day cycle")
             action = _choose(q[t - 1], edges, draw)
         if t < n:
             # `_choose` inlined: x * 0.0 is 0.0 exactly when x is finite.
@@ -318,22 +295,16 @@ def _walk(
             row = q[t - 1]
             row[action] += alpha * (actual + gamma * q_next - row[action])
             v[t - 1] += alpha * (actual + gamma * v_next - v[t - 1])
-        if record:
+        if online:
+            # Greedy-adjusted forecast per day, built after the first
+            # update; only the row just updated can change after that.
             if greedy is None:
-                # Greedy-adjusted forecast per day, built after the first
-                # update from the rows the RMF reads: every row online, the
-                # days after t in training. Only the updated row can change.
-                skip = 0 if online else t
-                greedy = [0.0] * skip + [adjusted_forecast(f, _greedy(*row), cfg)
-                                         for f, row in zip(forecasts[skip:], q[skip:])]
-            adjusted = adjusted_forecast(forecasts[t - 1], action, cfg)
-            if online:
-                greedy[t - 1] = adjusted_forecast(forecasts[t - 1], _greedy(*q[t - 1]), cfg)
-                rmf = reduce(add, greedy, 0.0)
+                greedy = [adjusted_forecast(f, _greedy(*row), cfg)
+                          for f, row in zip(forecasts, q)]
             else:
-                committed_sum += adjusted
-                rmf = committed_sum + reduce(add, greedy[t:], 0.0)
-            records.append(DayRecord(t, action, adjusted, actual, rmf))
+                greedy[t - 1] = adjusted_forecast(forecasts[t - 1], _greedy(*q[t - 1]), cfg)
+            adjusted = adjusted_forecast(forecasts[t - 1], action, cfg)
+            records.append(DayRecord(t, action, adjusted, actual, reduce(add, greedy, 0.0)))
         action = action_next
     return records
 
@@ -343,22 +314,16 @@ def run_episode(
     table: ValueTable,
     cfg: AgentConfig,
     draw: Callable[[], float],
-    record: bool = True,
-) -> tuple[ValueTable, ReconciliationTrace]:
+) -> tuple[ValueTable, tuple[()]]:
     """Traverse one training cycle, updating the table in place.
 
     Calls ``draw()`` once per day for a uniform variate in [0, 1):
     `train` passes its pass's block, a test a generator's ``random``.
-    The trace's RMF for day t sums the committed adjusted forecasts of
-    days 1..t plus greedy adjustments of the remaining days under the
-    current Q; with ``record=False`` the trace is empty and no RMF is
-    computed. `tests/oracle.py` walks the same cycle one step at a time.
+    Training records no day, so the second item is always empty.
+    `tests/oracle.py` walks the same cycle one step at a time.
     """
-    records = _walk(
-        table, cycle.forecasts, enumerate(cycle.actuals, start=1),
-        cfg, draw, online=False, record=record,
-    )
-    return table, ReconciliationTrace(tuple(records))
+    _walk(table, cycle.forecasts, cycle.actuals, cfg, draw, online=False)
+    return table, ()
 
 
 def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
@@ -391,23 +356,8 @@ def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
         # A view yields the block's doubles as floats without a list of them.
         draw = iter(memoryview(rng.random(days))).__next__
         for cycle in history:
-            run_episode(cycle, table, cfg, draw, record=False)
+            run_episode(cycle, table, cfg, draw)
     return table
-
-
-def _stream_days(actual_stream, n: int) -> Iterator[tuple[int, float]]:
-    """Number the streamed actuals 1, 2, ...; items are bare values or
-    (day_index, value) pairs, which must arrive in day order."""
-    for expected_day, item in enumerate(actual_stream, start=1):
-        if isinstance(item, (tuple, list)) and len(item) == 2:
-            day, actual = int(item[0]), float(item[1])
-            if day != expected_day:
-                raise StreamOrderError(f"expected day {expected_day}, got day {day}")
-        else:
-            actual = float(item)
-        if expected_day > n:
-            raise StreamOrderError(f"day {expected_day} beyond the {n}-day cycle")
-        yield expected_day, actual
 
 
 def reconcile_online(
@@ -416,9 +366,9 @@ def reconcile_online(
     actual_stream,
     cfg: AgentConfig,
     rng,
-) -> ReconciliationTrace:
+) -> tuple[DayRecord, ...]:
     """Stream a test cycle's actuals against its daily base forecasts
-    and emit a revised total per day.
+    and emit one record, with its revised total, per streamed day.
 
     After each observed day the greedy action for every day of the cycle
     is read from the current Q, and RMF is the sum of all n adjusted
@@ -427,8 +377,9 @@ def reconcile_online(
     substitution. Each policy call consumes one uniform variate,
     ``rng.random()``.
 
-    The stream may cover only part of the cycle; items are either bare
-    values or (day_index, value) pairs, which must arrive in day order.
+    The stream holds the actuals as numbers in day order from day 1 and
+    may cover only part of the cycle; a day past it raises
+    `StreamOrderError`.
     """
     forecasts = tuple(map(float, forecasts))
     n = len(forecasts)
@@ -436,11 +387,8 @@ def reconcile_online(
         raise ShapeError(f"cycle length {n} outside 1..{MAX_CYCLE_DAYS}")
     if not all(map(isfinite, forecasts)):
         raise ValueError("forecasts must be finite")
-    records = _walk(
-        table, forecasts, _stream_days(actual_stream, n), cfg, rng.random,
-        online=True, record=True,
-    )
-    return ReconciliationTrace(tuple(records))
+    return tuple(_walk(table, forecasts, map(float, actual_stream), cfg, rng.random,
+                       online=True))
 
 
 def save_table(table: ValueTable, path, cfg: AgentConfig) -> None:

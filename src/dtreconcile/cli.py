@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import isfinite
 from pathlib import Path
@@ -338,18 +339,31 @@ def _summary_json(config: RunConfig, prep: PreparedExperiment, report) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _refuse_overwrite(config: RunConfig, outputs: tuple[str, ...],
+                      qtable_path: str | None = None) -> None:
+    """Refuse, before anything is read, a verb whose output files in
+    ``output_dir`` include one of its input files."""
+    inputs = [("data_path", config.data_path)]
+    if config.forecaster == "external":
+        inputs.append(("external_forecast_path", config.external_forecast_path))
+    if qtable_path is not None:
+        inputs.append(("--qtable", qtable_path))
+    # `realpath`, unlike `Path.resolve`, returns on a symlink loop.
+    written = {os.path.realpath(path): path
+               for path in (Path(config.output_dir) / name for name in outputs)}
+    for key, path in inputs:
+        if (output := written.get(os.path.realpath(path))) is not None:
+            raise ConfigError(f"{key} {path} would be overwritten by {output}; "
+                              "set output_dir to another directory")
+
+
 def run_experiment(config: RunConfig, qtable_path: str | None = None) -> None:
     """Full pipeline: train, stream the test month, write the reports.
 
     With ``qtable_path`` set, training is skipped and the snapshot is
     streamed directly (the `reconcile` verb).
     """
-    snapshot_out = Path(config.output_dir) / "qtable.txt"
-    if qtable_path is not None and Path(qtable_path).resolve() == snapshot_out.resolve():
-        raise ConfigError(
-            f"--qtable {qtable_path} would be overwritten by this run's snapshot "
-            f"{snapshot_out}; set output_dir to another directory"
-        )
+    _refuse_overwrite(config, ("metrics.csv", "qtable.txt", "summary.json"), qtable_path)
     prep = prepare(config)
     if qtable_path is None:
         table = train(prep.training(), prep.agent_cfg)
@@ -371,7 +385,7 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None) -> None:
     )
     out = Path(config.output_dir)
     _write(out / "metrics.csv", report.to_csv())
-    save_table(table, snapshot_out, prep.agent_cfg)
+    save_table(table, out / "qtable.txt", prep.agent_cfg)
     _write(out / "summary.json", _summary_json(config, prep, report))
 
     last = report.rows[-1]
@@ -384,6 +398,7 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None) -> None:
 def grid_experiment(config: RunConfig) -> None:
     if not (config.grid_tolerances and config.grid_epsilons):
         raise ConfigError("grid verb needs grid_tolerances and grid_epsilons")
+    _refuse_overwrite(config, ("grid.csv",))
     prep = prepare(config)
     grid = run_grid(prep.training(), prep.test, prep.grid_cells)
     path = Path(config.output_dir) / "grid.csv"
@@ -405,8 +420,15 @@ def validate_data(config: RunConfig) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # A usage error is a configuration error: exit 1, not argparse's 2,
+        # which is the data-error code. The verbs' parsers are this class too.
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dtreconcile",
         description="Revise a monthly forecast from streaming daily actuals",
     )
@@ -438,8 +460,8 @@ def _merge_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = _merge_config(args)
         if args.verb == "run":
             run_experiment(config)

@@ -299,12 +299,6 @@ def _year_months(start: str, end: str):
             year, month = year + 1, 1
 
 
-def iter_months(start: str, end: str):
-    """Yield YYYY-MM labels from start through end inclusive."""
-    for year, month in _year_months(start, end):
-        yield f"{year:04d}-{month:02d}"
-
-
 def month_partition(
     series: TimeSeries, month_range: tuple[str, str]
 ) -> list[MonthlyActuals]:

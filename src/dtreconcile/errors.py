@@ -22,7 +22,7 @@ class DistributionError(ReconcileError):
 
 
 class StreamOrderError(ReconcileError):
-    """Daily actuals arrived out of day order."""
+    """More daily actuals streamed than the cycle has days."""
 
 
 class ConfigError(ReconcileError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 from typing import NamedTuple, Sequence
 
-from .agent import AgentConfig, CycleData, ReconciliationTrace, reconcile_online, train
+from .agent import AgentConfig, CycleData, DayRecord, reconcile_online, train
 from .errors import ReconcileError, ShapeError
 from .seeding import rng_for
 from .totals import pairwise_sum
@@ -54,12 +54,12 @@ class MetricReport(NamedTuple):
 
 
 def build_metric_report(
-    trace: ReconciliationTrace,
+    trace: Sequence[DayRecord],
     actuals,
     forecasts,
     labels: Sequence[str] | None = None,
 ) -> MetricReport:
-    """Evaluate a trace against the full cycle's actuals.
+    """Evaluate an online revision's day records against the cycle's actuals.
 
     ``actuals``/``forecasts`` cover the whole cycle; the cycle-level
     totals anchor the per-day percentages.
@@ -69,7 +69,7 @@ def build_metric_report(
     if len(actuals) != len(forecasts):
         raise ShapeError("actuals and forecasts must cover the same cycle")
     if labels is None:
-        labels = [str(rec.day_index) for rec in trace.records]
+        labels = [str(rec.day_index) for rec in trace]
     actual_total = pairwise_sum(actuals)
     base_total = pairwise_sum(forecasts)
     rows = tuple(
@@ -81,7 +81,7 @@ def build_metric_report(
             mape_rec_pct=mape_rec(actual_total, rec.rmf),
             pct_f=pct_improvement(base_total, rec.rmf),
         )
-        for rec, label in zip(trace.records, labels)
+        for rec, label in zip(trace, labels)
     )
     return MetricReport(
         rows=rows,
@@ -140,7 +140,7 @@ def run_grid(
         try:
             table = train(training, cfg)
             rmf = reconcile_online(table, test.forecasts, test.actuals, cfg,
-                                   rng_for(cfg.seed, "online")).final_rmf
+                                   rng_for(cfg.seed, "online"))[-1].rmf
             scores, error = (mape_rec(actual_total, rmf), pct_improvement(base_total, rmf)), None
         except (ReconcileError, ValueError, ZeroDivisionError) as exc:
             scores, error = (float("nan"), float("nan")), str(exc)

@@ -1,9 +1,9 @@
 """The base of the records whose length is not their field count.
 
-The package's records are immutable `typing.NamedTuple`s, except
-`TimeSeries`, `MonthlyActuals` and `ReconciliationTrace`: their length
-counts days or records, which a tuple's ``_make`` and ``_replace`` would
-take for the field count. None uses `dataclasses`, whose import and
+The package's records are immutable `typing.NamedTuple`s, except the
+two `Record`s in `data`, `TimeSeries` and `MonthlyActuals`: their length
+counts days, which a tuple's ``_make`` and ``_replace`` would take for
+the field count. None uses `dataclasses`, whose import and
 per-class generated code slowed the start of every process.
 """
 

@@ -3,9 +3,10 @@
 The per-step helpers the scalar kernel in `dtreconcile.agent` repeats:
 `greedy_action`, `egreedy_probabilities`, `select_action` (one uniform
 per call) and `sarsa_step` (one TD update on day indices). `run_episode`
-and `reconcile_online` as they stood before the kernel: numpy scalars,
-one probability vector per policy call, and an O(n^2) greedy look-ahead
-per day. The kernel must match them bit for bit (tests/test_kernel.py).
+and `reconcile_online` as they stood before the kernel: numpy scalars
+and one probability vector per policy call. Training records nothing;
+online revision rebuilds the greedy sum over every day after each
+update. The kernel must match them bit for bit (tests/test_kernel.py).
 `greedy_action` looks up `agent._greedy` at each call, so a test that
 patches the tie order reaches every choice the oracle makes.
 
@@ -22,7 +23,6 @@ import calendar
 import csv
 from datetime import date, datetime, timedelta
 from math import isfinite
-from typing import Iterable
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from dtreconcile.agent import (
     AgentConfig,
     CycleData,
     DayRecord,
-    ReconciliationTrace,
     ValueTable,
     adjusted_forecast,
 )
@@ -42,7 +41,6 @@ from dtreconcile.data import (
     DEFAULT_VALUE_COLUMN,
     MonthlyActuals,
     TimeSeries,
-    iter_months,
     parse_month,
 )
 from dtreconcile.errors import DataError, DistributionError, ShapeError, StreamOrderError
@@ -122,12 +120,12 @@ def _policy_action(table: ValueTable, day_index: int, cfg: AgentConfig, rng) -> 
     return select_action(probs, rng)
 
 
-def _greedy_sum(table: ValueTable, forecasts: np.ndarray, cfg: AgentConfig,
-                days: Iterable[int]) -> float:
+def _greedy_sum(table: ValueTable, forecasts, cfg: AgentConfig) -> float:
+    """The RMF: every day's greedy-adjusted forecast under the current Q."""
     # Left to right: from Python 3.12 the builtin `sum` compensates rounding.
     total = 0.0
-    for t in days:
-        total += adjusted_forecast(forecasts[t - 1], greedy_action(table.q[t - 1]), cfg)
+    for forecast, row in zip(forecasts, table.q):
+        total += adjusted_forecast(forecast, greedy_action(row), cfg)
     return total
 
 
@@ -136,47 +134,20 @@ def run_episode(
     table: ValueTable,
     cfg: AgentConfig,
     rng: np.random.Generator,
-) -> tuple[ValueTable, ReconciliationTrace]:
-    """Traverse one training cycle, updating the table in place.
-
-    The trace's RMF for day t sums the committed adjusted forecasts of
-    days 1..t plus greedy adjustments of the remaining days under the
-    current Q.
-    """
+) -> ValueTable:
+    """Traverse one training cycle, updating the table in place."""
     n = len(cycle.forecasts)
-    records: list[DayRecord] = []
-    committed_sum = 0.0
     action = _policy_action(table, 1, cfg, rng)
     for t in range(1, n + 1):
-        reward = float(cycle.actuals[t - 1])
         if t < n:
             action_next = _policy_action(table, t + 1, cfg, rng)
             t_next = t + 1
         else:
             action_next = None
             t_next = None
-        sarsa_step(table, t, action, reward, t_next, action_next, cfg)
-        committed_sum += adjusted_forecast(cycle.forecasts[t - 1], action, cfg)
-        rmf = committed_sum + _greedy_sum(table, cycle.forecasts, cfg, range(t + 1, n + 1))
-        records.append(
-            DayRecord(
-                day_index=t,
-                action=action,
-                adjusted_forecast=adjusted_forecast(cycle.forecasts[t - 1], action, cfg),
-                actual=reward,
-                rmf=rmf,
-            )
-        )
+        sarsa_step(table, t, action, float(cycle.actuals[t - 1]), t_next, action_next, cfg)
         action = action_next
-    return table, ReconciliationTrace(tuple(records))
-
-
-def _iter_stream(actual_stream) -> Iterable[tuple[int | None, float]]:
-    for item in actual_stream:
-        if isinstance(item, (tuple, list)) and len(item) == 2:
-            yield int(item[0]), float(item[1])
-        else:
-            yield None, float(item)
+    return table
 
 
 def reconcile_online(
@@ -185,8 +156,9 @@ def reconcile_online(
     actual_stream,
     cfg: AgentConfig,
     rng: np.random.Generator,
-) -> ReconciliationTrace:
-    """Stream a test cycle's actuals and emit a revised total per day.
+) -> tuple[DayRecord, ...]:
+    """Stream a test cycle's actuals and emit a record, with its revised
+    total, per day.
 
     After each observed day the greedy action for every day of the cycle
     is recomputed from the current Q, and RMF is the sum of all n
@@ -194,8 +166,8 @@ def reconcile_online(
     through the TD updates (enabled by ``cfg.online_updates``), never by
     direct substitution.
 
-    The stream may cover only part of the cycle; items are either bare
-    values or (day_index, value) pairs, which must arrive in day order.
+    The stream holds bare values in day order and may cover only part of
+    the cycle.
     """
     daily = tuple(map(float, forecasts))
     n = len(daily)
@@ -203,12 +175,8 @@ def reconcile_online(
         raise ShapeError(f"cycle length {n} outside 1..{MAX_CYCLE_DAYS}")
     records: list[DayRecord] = []
     action: int | None = None
-    for expected_day, (day, actual) in enumerate(_iter_stream(actual_stream), start=1):
-        if day is not None and day != expected_day:
-            raise StreamOrderError(
-                f"expected day {expected_day}, got day {day}"
-            )
-        t = expected_day
+    for t, item in enumerate(actual_stream, start=1):
+        actual = float(item)
         if t > n:
             raise StreamOrderError(f"day {t} beyond the {n}-day cycle")
         if action is None:
@@ -221,7 +189,7 @@ def reconcile_online(
             t_next = None
         if cfg.online_updates:
             sarsa_step(table, t, action, actual, t_next, action_next, cfg)
-        rmf = _greedy_sum(table, daily, cfg, range(1, n + 1))
+        rmf = _greedy_sum(table, daily, cfg)
         records.append(
             DayRecord(
                 day_index=t,
@@ -232,7 +200,7 @@ def reconcile_online(
             )
         )
         action = action_next
-    return ReconciliationTrace(tuple(records))
+    return tuple(records)
 
 
 _DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%y")
@@ -317,8 +285,11 @@ def month_partition(
     """Split a calendar-complete series into full calendar months."""
     index = {d: v for d, v in zip(series.timestamps, series.values)}
     episodes = []
-    for label in iter_months(*month_range):
-        year, month = parse_month(label)
+    (first_year, first_month), (last_year, last_month) = map(parse_month, month_range)
+    for k in range(first_year * 12 + first_month - 1, last_year * 12 + last_month):
+        year, month = divmod(k, 12)
+        month += 1
+        label = f"{year:04d}-{month:02d}"
         n_days = calendar.monthrange(year, month)[1]
         days = tuple(date(year, month, k) for k in range(1, n_days + 1))
         missing = [d for d in days if d not in index]

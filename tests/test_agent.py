@@ -222,10 +222,13 @@ def test_run_episode_tied_rows_keep_everywhere():
     cycle = CycleData(forecasts, np.array([11.0, 18.0, 16.0, 4.0]),
                       float(forecasts.sum()))
     table = init_state_values(cycle.monthly_total, forecasts)
+    before = table.copy()
     cfg = make_cfg(exploration=0.0)
-    _, trace = run_episode(cycle, table, cfg, rng_for(0, "t").random)
-    assert [rec.action for rec in trace.records] == [ACTION_KEEP] * 4
-    assert np.allclose(trace.rmf, cycle.monthly_total)
+    run_episode(cycle, table, cfg, rng_for(0, "t").random)
+    # Every day took "keep": only that column moved, on each of the 4 days.
+    moved = np.array(table.q) != np.array(before.q)
+    assert moved[:, [ACTION_INCREASE, ACTION_DECREASE]].sum() == 0
+    assert moved[:, ACTION_KEEP].tolist() == [True] * 4 + [False] * (MAX_CYCLE_DAYS - 4)
 
 
 def test_run_episode_fully_random_matches_hand_simulation():
@@ -236,21 +239,17 @@ def test_run_episode_fully_random_matches_hand_simulation():
     m = 60.0
     cfg = make_cfg(exploration=1.0, step_size=0.5, tolerance=2.0)
     table = init_state_values(m, forecasts)
-    _, trace = run_episode(CycleData(forecasts, actuals, m), table, cfg,
-                           np.random.default_rng(99).random)
+    run_episode(CycleData(forecasts, actuals, m), table, cfg, np.random.default_rng(99).random)
 
     draws = np.random.default_rng(99).random(3)
-    expected_actions = [0 if u < 1 / 3 else (1 if u < 2 / 3 else 2) for u in draws]
     # SARSA pairing: a1 drawn first, then a2 (used at day 2), then a3.
-    assert [rec.action for rec in trace.records] == expected_actions
-
-    q = {(t, a): m - forecasts[: t + 1].sum() for t in range(3) for a in range(3)}
-    a1, a2, a3 = expected_actions
-    q[(0, a1)] += 0.5 * (actuals[0] + q[(1, a2)] - q[(0, a1)])
-    q[(1, a2)] += 0.5 * (actuals[1] + q[(2, a3)] - q[(1, a2)])
-    q[(2, a3)] += 0.5 * (actuals[2] + 0.0 - q[(2, a3)])
-    got = {(t, a): table.q[t][a] for t in range(3) for a in range(3)}
-    assert got == pytest.approx(q)
+    a1, a2, a3 = [0 if u < 1 / 3 else (1 if u < 2 / 3 else 2) for u in draws]
+    q = np.array(init_state_values(m, forecasts).q)
+    q[0, a1] += 0.5 * (actuals[0] + q[1, a2] - q[0, a1])
+    q[1, a2] += 0.5 * (actuals[1] + q[2, a3] - q[1, a2])
+    q[2, a3] += 0.5 * (actuals[2] + 0.0 - q[2, a3])
+    # The whole table: another action would have moved another entry.
+    assert np.allclose(table.q, q, rtol=0, atol=1e-12)
 
 
 def test_run_episode_length_mismatch():
@@ -313,8 +312,8 @@ def test_the_action_never_reaches_the_learning():
         trace = reconcile_online(table, test.forecasts, test.actuals, cfg,
                                  rng_for(cfg.seed, "online"))
         online = tuple(x.hex() for row in table.q for x in row)
-        outcomes.add((trained, online, tuple(rec.action for rec in trace.records)))
-        rmfs.add(trace.rmf)
+        outcomes.add((trained, online, tuple(rec.action for rec in trace)))
+        rmfs.add(tuple(rec.rmf for rec in trace))
     assert len(outcomes) == 1
     assert len(rmfs) == len(settings)
 
@@ -336,7 +335,7 @@ def test_online_rmf_is_the_base_total_plus_whole_units():
             trace = reconcile_online(table.copy(), test.forecasts, test.actuals, cfg,
                                      rng_for(seed, "online"))
             base_total, n = math.fsum(test.forecasts), len(test.forecasts)
-            for rmf in trace.rmf:
+            for rmf in (rec.rmf for rec in trace):
                 k = (rmf - base_total) / cfg.unit
                 assert abs(k - round(k)) <= 1e-6 and -n <= round(k) <= n, (seed, n, k)
                 ks.add(round(k))
@@ -353,7 +352,7 @@ def _oracle_final_rmfs(training, test, cfgs):
             oracle.run_episode(cycle, table, cfg, rng)
         trace = oracle.reconcile_online(table, test.forecasts, test.actuals, cfg,
                                         rng_for(cfg.seed, "online"))
-        finals.append(trace.final_rmf)
+        finals.append(trace[-1].rmf)
     return finals
 
 
@@ -378,7 +377,7 @@ def test_regime_shift_adaptation_rests_on_the_tie_order(monkeypatch):
     finals = _oracle_final_rmfs(training, test, cfgs)
     assert finals == [
         reconcile_online(train(training, cfg), test.forecasts, test.actuals, cfg,
-                         rng_for(cfg.seed, "online")).final_rmf
+                         rng_for(cfg.seed, "online"))[-1].rmf
         for cfg in cfgs
     ]
     assert adapted(finals) == 10
@@ -428,7 +427,7 @@ def test_reconcile_online_keep_forcing_table():
     cfg = make_cfg(online_updates=False)
     trace = reconcile_online(forcing_table(ACTION_KEEP), np.full(5, 10.0),
                              np.full(5, 9.0), cfg, rng_for(0, "o"))
-    assert np.allclose(trace.rmf, 50.0)
+    assert np.allclose([rec.rmf for rec in trace], 50.0)
 
 
 def test_reconcile_online_decrease_forcing_table():
@@ -436,7 +435,7 @@ def test_reconcile_online_decrease_forcing_table():
     cfg = make_cfg(tolerance=2.0, online_updates=False)
     trace = reconcile_online(forcing_table(ACTION_DECREASE), np.full(n, 10.0),
                              np.full(n, 9.0), cfg, rng_for(0, "o"))
-    assert np.allclose(trace.rmf, 310.0 - n * 2.0)
+    assert np.allclose([rec.rmf for rec in trace], 310.0 - n * 2.0)
 
 
 def test_reconcile_online_collapse_hand_simulation():
@@ -446,9 +445,9 @@ def test_reconcile_online_collapse_hand_simulation():
     table = init_state_values(30.0, forecasts)
     cfg = make_cfg(tolerance=1.0, step_size=0.5, exploration=0.0)
     trace = reconcile_online(table, forecasts, [10.0, 5.0, 5.0], cfg, rng_for(1, "o"))
-    assert [rec.action for rec in trace.records] == [ACTION_KEEP] * 3
-    assert list(trace.rmf) == [30.0, 29.0, 29.0]
-    assert trace.final_rmf < 30.0
+    assert [rec.action for rec in trace] == [ACTION_KEEP] * 3
+    assert [rec.rmf for rec in trace] == [30.0, 29.0, 29.0]
+    assert trace[-1].rmf < 30.0
     # hand-updated entries: day-2 keep 10 -> 7.5, day-3 keep 0 -> 2.5
     assert table.q[1][ACTION_KEEP] == pytest.approx(7.5)
     assert table.q[2][ACTION_KEEP] == pytest.approx(2.5)
@@ -462,12 +461,17 @@ def test_reconcile_online_partial_stream():
     assert len(trace) == 3
 
 
-def test_reconcile_online_out_of_order_stream():
-    forecasts = np.full(5, 10.0)
-    table = init_state_values(50.0, forecasts)
-    with pytest.raises(StreamOrderError):
-        reconcile_online(table, forecasts, [(1, 10.0), (3, 10.0)],
-                         make_cfg(), rng_for(0, "o"))
+def test_reconcile_online_rejects_a_day_past_the_cycle():
+    # Day 4 of a 3-day cycle raises before it draws: the table and the
+    # random stream stand as after the 3 days.
+    forecasts, stream, cfg = [10.0, 10.0, 10.0], [9.0, 11.0, 10.0, 12.0], make_cfg(exploration=0.5)
+    table, rng = init_state_values(30.0, forecasts), rng_for(0, "o")
+    reconcile_online(table, forecasts, stream[:3], cfg, rng)
+    expected = (table.q, table.v, rng.random())
+    table, rng = init_state_values(30.0, forecasts), rng_for(0, "o")
+    with pytest.raises(StreamOrderError, match="^day 4 beyond the 3-day cycle$"):
+        reconcile_online(table, forecasts, stream, cfg, rng)
+    assert (table.q, table.v, rng.random()) == expected
 
 
 def test_reconcile_online_without_updates_leaves_table_unchanged():
@@ -487,7 +491,7 @@ def test_rmf_band_invariant():
     table = init_state_values(m, forecasts)
     trace = reconcile_online(table, forecasts, rng.uniform(60, 140, 28),
                              cfg, rng_for(9, "o"))
-    assert np.all(np.abs(np.array(trace.rmf) - m) <= 28 * cfg.unit + 1e-9)
+    assert np.all(np.abs(np.array([rec.rmf for rec in trace]) - m) <= 28 * cfg.unit + 1e-9)
 
 
 def test_zero_adjustment_limit():
@@ -498,7 +502,7 @@ def test_zero_adjustment_limit():
     table = init_state_values(m, forecasts)
     trace = reconcile_online(table, forecasts, rng.uniform(60, 140, 30),
                              cfg, rng_for(3, "o"))
-    assert np.all(np.abs(np.array(trace.rmf) - m) <= 1e-6 * m)
+    assert np.all(np.abs(np.array([rec.rmf for rec in trace]) - m) <= 1e-6 * m)
 
 
 def test_q_values_stay_bounded_over_many_episodes():
@@ -538,13 +542,13 @@ def test_two_day_episode_matches_exhaustive_enumeration():
     m = 22.0
     cfg = make_cfg(exploration=0.0, step_size=0.4)
     table = init_state_values(m, forecasts)
-    _, trace = run_episode(CycleData(forecasts, actuals, m), table, cfg,
-                           rng_for(0, "e").random)
+    run_episode(CycleData(forecasts, actuals, m), table, cfg, rng_for(0, "e").random)
     results, pair = enumerate_two_day_oracle(forecasts, actuals, m, cfg)
-    assert tuple(rec.action for rec in trace.records) == pair
-    expected = results[pair]
-    for (t, a), value in expected.items():
-        assert table.q[t][a] == pytest.approx(value, abs=1e-12)
+    # Each pair moves its own entries, so the whole table pins the pair.
+    expected = init_state_values(m, forecasts)
+    for (t, a), value in results[pair].items():
+        expected.q[t][a] = value
+    assert np.allclose(table.q, expected.q, rtol=0, atol=1e-12)
 
 
 # --- persistence ----------------------------------------------------------

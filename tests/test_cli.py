@@ -7,7 +7,6 @@ import shutil
 import string
 import subprocess
 import sys
-import warnings
 from datetime import date
 from pathlib import Path
 
@@ -498,6 +497,44 @@ def test_reconcile_refuses_to_overwrite_its_snapshot(tmp_path, daily_csv, capsys
     assert snapshot.read_bytes() == before
 
 
+@pytest.mark.parametrize("verb, key, name, link", [
+    ("run", "data_path", "metrics.csv", False),
+    ("run", "data_path", "metrics.csv", True),
+    ("run", "external_forecast_path", "summary.json", False),
+    ("grid", "data_path", "grid.csv", False),
+    ("reconcile", "data_path", "qtable.txt", False),
+    ("reconcile", "external_forecast_path", "metrics.csv", False),
+])
+def test_verbs_refuse_to_overwrite_an_input(tmp_path, daily_csv, capsys, verb, key, name, link):
+    # An input at one of the verb's output paths, or a link to one, exits
+    # 1 naming the key and both paths, before any file is read or written.
+    forecast_path = tmp_path / "forecast.csv"
+    forecast_path.write_text("date,forecast\n" + "".join(
+        f"2020-03-{day:02d},{value}\n" for day, value in zip(range(1, 32), REFERENCE_FORECASTS)))
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, daily_csv, out, extra=[
+        "forecaster = external", f"external_forecast_path = {forecast_path}", *GRID_KEYS])
+    snapshot = tmp_path / "trained" / "qtable.txt"
+    assert main(["run", "--config", str(cfg_path), "--set",
+                 f"output_dir={snapshot.parent}"]) == 0
+    target = out / name
+    out.mkdir()
+    target.write_bytes({"data_path": daily_csv, "external_forecast_path": forecast_path}[
+        key].read_bytes())
+    before = target.read_bytes()
+    path = target
+    if link:
+        path = tmp_path / "link.csv"
+        path.symlink_to(target)
+    extra = ["--qtable", str(snapshot)] if verb == "reconcile" else []
+    capsys.readouterr()
+    assert main([verb, "--config", str(cfg_path), "--set", f"{key}={path}", *extra]) == 1
+    assert (f"config error: {key} {path} would be overwritten by {target}"
+            in capsys.readouterr().err)
+    assert target.read_bytes() == before
+    assert sorted(out.iterdir()) == [target]
+
+
 def test_external_forecast_file(tmp_path, daily_csv):
     forecast_path = tmp_path / "forecast.csv"
     rows = ["date,forecast"]
@@ -520,7 +557,7 @@ def test_external_forecast_file(tmp_path, daily_csv):
     )
 
 
-def test_external_monthly_total_row_reaches_no_output(tmp_path, daily_csv):
+def test_external_monthly_total_row_reaches_no_output(tmp_path, daily_csv, recwarn):
     # An incoherent `monthly_total` row warns, and that is all it does.
     outputs, warned = [], []
     for name, total_row in (("plain", ""), ("with_total", "monthly_total,400000\n")):
@@ -533,10 +570,9 @@ def test_external_monthly_total_row_reaches_no_output(tmp_path, daily_csv):
         cfg_path = write_config(tmp_path, daily_csv, out,
                                 extra=["forecaster = external",
                                        f"external_forecast_path = {forecast_path}"])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["run", "--config", str(cfg_path)]) == 0
-        warned.append([str(w.message) for w in caught
+        recwarn.clear()  # records every warning, repeats too
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        warned.append([str(w.message) for w in recwarn
                        if str(w.message).startswith("monthly total")])
         summary = json.loads((out / "summary.json").read_text())
         summary.pop("config")
@@ -608,13 +644,18 @@ def test_cli_exposes_traced_names(owner, name):
 
 
 def test_run_episode_keeps_the_traced_shape():
-    # The tracer counts `len(args[0].forecasts)` and `len(result[1])`.
+    # The tracer counts `len(args[0].forecasts)` and `len(result[1])` of a
+    # training episode, which records nothing, and `len(result)` of an
+    # online revision: one `DayRecord` per streamed day.
     cycle = CycleData([10.0, 20.0], [11.0, 19.0], 30.0)
     table = init_state_values(30.0, cycle.forecasts)
     cfg = AgentConfig(tolerance=1.0)
     result = agent.run_episode(cycle, table, cfg, rng_for(0, "t").random)
-    assert len(result) == 2 and result[0] is table
-    assert len(cycle.forecasts) == len(result[1]) == 2
+    assert result == (table, ()) and result[0] is table
+    for stream in ([], [11.0], cycle.actuals):
+        records = agent.reconcile_online(table, cycle.forecasts, stream, cfg, rng_for(0, "o"))
+        assert type(records) is tuple and len(records) == len(stream)
+        assert all(type(rec) is agent.DayRecord for rec in records)
 
 
 # Run in a fresh interpreter with the config, the snapshot and an output
@@ -663,7 +704,7 @@ def test_cli_import_loads_no_hierarchy_code(tmp_path, daily_csv):
     # and the forecasters load nothing of the package but its errors.
     for modules, expected in (
         ("agent, evaluation",
-         {"agent", "errors", "evaluation", "records", "seeding", "totals"}),
+         {"agent", "errors", "evaluation", "seeding", "totals"}),
         ("forecasting", {"errors", "forecasting"}),
     ):
         result = subprocess.run(
@@ -673,27 +714,39 @@ def test_cli_import_loads_no_hierarchy_code(tmp_path, daily_csv):
         assert {name.split(".")[1] for name in result.stdout.split()} == expected, modules
 
 
-def test_module_entry_point_exits_with_the_documented_code(tmp_path, daily_csv):
+def test_module_entry_point_exits_with_the_documented_code(tmp_path, daily_csv, capsys):
     # `python -m dtreconcile.cli` in a fresh process: `sys.exit(main())`
-    # hands the shell 0, 2 for bad data and 1 for bad config, never a traceback.
+    # hands the shell 0, 2 for bad data and 1 for bad config, never a
+    # traceback. A usage error is a config error, not argparse's exit 2.
     cfg_path = write_config(tmp_path, daily_csv, tmp_path / "out")
     rows = [line.split(",") for line in daily_csv.read_text().splitlines()]
     rows[4][1] = "abc"  # the Open value on line 5
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("".join(",".join(row) + "\n" for row in rows))
     src = str(Path(dtreconcile.__file__).parents[1])
-    for extra, code, message in (
-        ([], 0, "complete months"),
-        (["--set", f"data_path={bad_csv}"], 2, f"{bad_csv}: line 5: unparseable value 'abc'"),
-        (["--set", "nonsense=1"], 1, "config error: unknown config key 'nonsense'"),
+    validate = ["validate-data", "--config", str(cfg_path)]
+    for args, code, message in (
+        (validate, 0, "complete months"),
+        ([*validate, "--set", f"data_path={bad_csv}"], 2,
+         f"{bad_csv}: line 5: unparseable value 'abc'"),
+        ([*validate, "--set", "nonsense=1"], 1, "config error: unknown config key 'nonsense'"),
+        (["reconcile", "--set", "data_path=x"], 1, "config error: dtreconcile reconcile: "
+         "the following arguments are required: --qtable"),
+        (["bogus"], 1, "config error: dtreconcile: argument verb: invalid choice: 'bogus'"),
+        (["--help"], 0, "usage: dtreconcile"),
     ):
         result = subprocess.run(
-            [sys.executable, "-m", "dtreconcile.cli", "validate-data",
-             "--config", str(cfg_path), *extra],
+            [sys.executable, "-m", "dtreconcile.cli", *args],
             capture_output=True, text=True, env={"PYTHONPATH": src})
         assert result.returncode == code, result.stderr
         assert message in result.stdout + result.stderr
         assert "Traceback" not in result.stderr
+    # In process, `main` returns the code rather than raising SystemExit.
+    for args, message in ((["run", "--bogus"], "unrecognized arguments: --bogus"),
+                          ([], "the following arguments are required: verb"),
+                          (["reconcile", "--config", str(cfg_path)], "required: --qtable")):
+        assert main(args) == 1
+        assert message in capsys.readouterr().err
 
 
 def _neumaier_sum(builtin_sum):

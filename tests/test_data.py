@@ -1,6 +1,7 @@
 """Tests for CSV ingestion, calendar fill, and month partitioning."""
 
 import calendar
+import re
 import warnings
 from datetime import date
 
@@ -12,7 +13,6 @@ from dtreconcile.data import (
     MonthlyActuals,
     TimeSeries,
     fill_calendar,
-    iter_months,
     load_external_forecasts,
     load_ohlcv_csv,
     month_partition,
@@ -185,6 +185,13 @@ def test_month_partition_incomplete_month_names_it():
     series = _calendar_series(date(2020, 1, 5), date(2020, 2, 29))
     with pytest.raises(DataError, match="2020-01"):
         month_partition(series, ("2020-01", "2020-02"))
+    # A reversed range and a bad label name themselves too.
+    for month_range, message in (
+        (("2020-02", "2020-01"), "month range 2020-02..2020-01 is reversed"),
+        (("2020/01", "2020-02"), "bad month label '2020/01'"),
+    ):
+        with pytest.raises(DataError, match=re.escape(message)):
+            month_partition(series, month_range)
 
 
 def test_month_partition_round_trip():
@@ -194,16 +201,6 @@ def test_month_partition_round_trip():
     values = np.concatenate([m.values for m in months])
     assert tuple(dates) == series.timestamps
     assert np.array_equal(values, series.values)
-
-
-def test_iter_months():
-    assert list(iter_months("2019-11", "2020-02")) == [
-        "2019-11", "2019-12", "2020-01", "2020-02",
-    ]
-    with pytest.raises(DataError):
-        list(iter_months("2020-03", "2020-01"))
-    with pytest.raises(DataError):
-        list(iter_months("2020/01", "2020-02"))
 
 
 def test_load_fill_partition_pipeline(tmp_path):

@@ -60,10 +60,10 @@ def test_build_metric_report_columns():
     assert report.actual_total == pytest.approx(float(np.sum(test.actuals)))
     last = report.rows[-1]
     assert last.mape_rec_pct == pytest.approx(
-        mape_rec(report.actual_total, trace.final_rmf)
+        mape_rec(report.actual_total, trace[-1].rmf)
     )
     assert last.pct_f == pytest.approx(
-        pct_improvement(report.base_total, trace.final_rmf)
+        pct_improvement(report.base_total, trace[-1].rmf)
     )
     csv_text = report.to_csv()
     assert csv_text.splitlines()[0] == "date,actual,forecast,rmf,mape_rec_pct,pct_f"
@@ -99,7 +99,7 @@ def test_run_grid_single_cell_matches_direct_run():
                                seed=derive_seed(5, "grid:0:0"))
     trace = _small_run(direct_cfg, training, test)
     assert cell.mape_rec_pct == pytest.approx(
-        mape_rec(float(np.sum(test.actuals)), trace.final_rmf)
+        mape_rec(float(np.sum(test.actuals)), trace[-1].rmf)
     )
 
 

@@ -81,18 +81,10 @@ def assert_same_tables(a: ValueTable, b: ValueTable):
 def test_run_episode_matches_oracle(cycle, table, cfg, seed):
     kernel_table, oracle_table = table.copy(), table.copy()
     kernel_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    _, trace = run_episode(cycle, kernel_table, cfg, kernel_rng.random)
-    _, expected = oracle.run_episode(cycle, oracle_table, cfg, oracle_rng)
-    assert bits(trace.records) == bits(expected.records)
+    run_episode(cycle, kernel_table, cfg, kernel_rng.random)
+    oracle.run_episode(cycle, oracle_table, cfg, oracle_rng)
     assert_same_tables(kernel_table, oracle_table)
-    next_draw = oracle_rng.random()
-    assert kernel_rng.random() == next_draw
-
-    untraced_table, untraced_rng = table.copy(), np.random.default_rng(seed)
-    _, empty = run_episode(cycle, untraced_table, cfg, untraced_rng.random, record=False)
-    assert len(empty) == 0
-    assert_same_tables(untraced_table, oracle_table)
-    assert untraced_rng.random() == next_draw
+    assert kernel_rng.random() == oracle_rng.random()
 
 
 @EXAMPLES
@@ -112,25 +104,14 @@ def test_train_equals_oracle_passes(history, cfg, episodes):
 
 @st.composite
 def streams(draw, n):
-    """Actuals as bare values or (day, value) pairs: the whole cycle, a
-    prefix, one day too many, or pairs that skip a day."""
+    """Actuals as bare values: the whole cycle, a prefix, or one day too many."""
     actuals = draw(st.lists(values, min_size=n + 1, max_size=n + 1))
-    kind = draw(st.sampled_from(["whole", "prefix", "too_long", "skips_a_day"]))
+    kind = draw(st.sampled_from(["whole", "prefix", "too_long"]))
     if kind == "whole":
-        stream = actuals[:n]
-    elif kind == "prefix":
-        stream = actuals[: draw(st.integers(0, n - 1))]
-    elif kind == "too_long":
-        stream = actuals
-    else:
-        stream = actuals[:n]
-        days = list(range(1, n + 1))
-        skip = draw(st.integers(0, n - 1))
-        days[skip:] = [day + 1 for day in days[skip:]]
-        return list(zip(days, stream))
-    if draw(st.booleans()):
-        return list(enumerate(stream, start=1))
-    return stream
+        return actuals[:n]
+    if kind == "prefix":
+        return actuals[: draw(st.integers(0, n - 1))]
+    return actuals
 
 
 @EXAMPLES
@@ -145,7 +126,7 @@ def test_reconcile_online_matches_oracle(data, table, cfg, seed):
         run_table, rng = table.copy(), np.random.default_rng(seed)
         try:
             trace = reconcile(run_table, forecasts, iter(stream), cfg, rng)
-            outcomes.append(bits(trace.records))
+            outcomes.append(bits(trace))
         except StreamOrderError as exc:
             outcomes.append(str(exc))
         finals.append((run_table, rng.random()))
@@ -184,10 +165,10 @@ def test_nan_discount_raises_distribution_error_in_both():
 @pytest.mark.parametrize("action", range(N_ACTIONS))
 def test_non_finite_next_row_raises_before_its_draw_in_both(bad, day, action):
     """A non-finite entry in the row of day t+1 raises when the loop
-    chooses that day's action, before it draws, and a NaN raises too where
-    an RMF first reads its row: the tables and the next draw match the
-    oracle's afterwards. The training kernel draws one uniform per call
-    through `run_episode`'s ``draw``, as the oracle does."""
+    chooses that day's action, before it draws, and online a NaN raises
+    too where an RMF first reads its row: the tables and the next draw
+    match the oracle's afterwards. The training kernel draws one uniform
+    per call through `run_episode`'s ``draw``, as the oracle does."""
     cycle = CycleData([10.0, 20.0, 30.0, 40.0], [12.0, 18.0, 33.0, 41.0], 100.0)
     cfg = AgentConfig(tolerance=1.0, exploration=0.5)
 
@@ -203,16 +184,7 @@ def test_non_finite_next_row_raises_before_its_draw_in_both(bad, day, action):
     def oracle_online(table, rng):
         oracle.reconcile_online(table, cycle.forecasts, cycle.actuals, cfg, rng)
 
-    def untraced_episode(table, rng):
-        run_episode(cycle, table, cfg, rng.random, record=False)
-
-    pairs = [(episode, oracle_episode), (online, oracle_online)]
-    # The oracle always records, and its look-ahead reads every later row
-    # right after day 1's update; an untraced walk reads a NaN only when it
-    # chooses that row's day, so it matches only for day 2's row.
-    if not (math.isnan(bad) and day > 2):
-        pairs.append((untraced_episode, oracle_episode))
-    for pair in pairs:
+    for pair in ((episode, oracle_episode), (online, oracle_online)):
         finals = []
         for walk in pair:
             table = init_state_values(cycle.monthly_total, cycle.forecasts)
