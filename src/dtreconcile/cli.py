@@ -340,30 +340,41 @@ def _summary_json(config: RunConfig, prep: PreparedExperiment, report) -> str:
 
 
 def _refuse_overwrite(config: RunConfig, outputs: tuple[str, ...],
-                      qtable_path: str | None = None) -> None:
-    """Refuse, before anything is read, a verb whose output files in
-    ``output_dir`` include one of its input files."""
+                      qtable_path: str | None = None,
+                      config_path: str | None = None) -> None:
+    """Refuse, before anything is read, a verb whose ``output_dir`` is not
+    a directory or lies under a file, or whose output files in it include
+    one of its input files."""
+    out = Path(config.output_dir)
+    # `mkdir` would fail on it only at the first write, after all the work.
+    existing = next((path for path in (out, *out.parents) if os.path.lexists(path)), None)
+    if existing is not None and not os.path.isdir(existing):
+        raise ConfigError(f"output_dir {config.output_dir}: {existing} is not a directory")
     inputs = [("data_path", config.data_path)]
     if config.forecaster == "external":
         inputs.append(("external_forecast_path", config.external_forecast_path))
     if qtable_path is not None:
         inputs.append(("--qtable", qtable_path))
+    if config_path is not None:
+        inputs.append(("--config", config_path))
     # `realpath`, unlike `Path.resolve`, returns on a symlink loop.
-    written = {os.path.realpath(path): path
-               for path in (Path(config.output_dir) / name for name in outputs)}
+    written = {os.path.realpath(path): path for path in (out / name for name in outputs)}
     for key, path in inputs:
         if (output := written.get(os.path.realpath(path))) is not None:
             raise ConfigError(f"{key} {path} would be overwritten by {output}; "
                               "set output_dir to another directory")
 
 
-def run_experiment(config: RunConfig, qtable_path: str | None = None) -> None:
+def run_experiment(config: RunConfig, qtable_path: str | None = None,
+                   config_path: str | None = None) -> None:
     """Full pipeline: train, stream the test month, write the reports.
 
     With ``qtable_path`` set, training is skipped and the snapshot is
-    streamed directly (the `reconcile` verb).
+    streamed directly (the `reconcile` verb). ``config_path``, the file
+    the configuration was read from, is refused as an output too.
     """
-    _refuse_overwrite(config, ("metrics.csv", "qtable.txt", "summary.json"), qtable_path)
+    _refuse_overwrite(config, ("metrics.csv", "qtable.txt", "summary.json"), qtable_path,
+                      config_path)
     prep = prepare(config)
     if qtable_path is None:
         table = train(prep.training(), prep.agent_cfg)
@@ -395,10 +406,10 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None) -> None:
     )
 
 
-def grid_experiment(config: RunConfig) -> None:
+def grid_experiment(config: RunConfig, config_path: str | None = None) -> None:
     if not (config.grid_tolerances and config.grid_epsilons):
         raise ConfigError("grid verb needs grid_tolerances and grid_epsilons")
-    _refuse_overwrite(config, ("grid.csv",))
+    _refuse_overwrite(config, ("grid.csv",), config_path=config_path)
     prep = prepare(config)
     grid = run_grid(prep.training(), prep.test, prep.grid_cells)
     path = Path(config.output_dir) / "grid.csv"
@@ -427,22 +438,27 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _parse_args(argv) -> argparse.Namespace:
+    """The verb and its options. Only the named verb's parser is built:
+    building all four took longer than a parse."""
     parser = _Parser(
         prog="dtreconcile",
         description="Revise a monthly forecast from streaming daily actuals",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("run", "grid", "reconcile", "validate-data"):
-        p = sub.add_parser(verb)
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument(
-            "--set", action="append", default=[], metavar="KEY=VALUE",
-            help="override a config key (repeatable; wins over the file)",
-        )
-        if verb == "reconcile":
-            p.add_argument("--qtable", required=True, help="Q-table snapshot to load")
-    return parser
+    parser.add_argument("verb", choices=("run", "grid", "reconcile", "validate-data"))
+    options = parser.add_argument("options", nargs=argparse.REMAINDER,
+                                  help="the verb's options")
+    options.required = False  # so that a missing verb is named alone
+    head = parser.parse_args(argv)
+    p = _Parser(prog=f"dtreconcile {head.verb}")
+    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument(
+        "--set", action="append", default=[], metavar="KEY=VALUE",
+        help="override a config key (repeatable; wins over the file)",
+    )
+    if head.verb == "reconcile":
+        p.add_argument("--qtable", required=True, help="Q-table snapshot to load")
+    return p.parse_args(head.options, argparse.Namespace(verb=head.verb))
 
 
 def _merge_config(args) -> RunConfig:
@@ -461,14 +477,14 @@ def _merge_config(args) -> RunConfig:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
         config = _merge_config(args)
         if args.verb == "run":
-            run_experiment(config)
+            run_experiment(config, config_path=args.config)
         elif args.verb == "grid":
-            grid_experiment(config)
+            grid_experiment(config, config_path=args.config)
         elif args.verb == "reconcile":
-            run_experiment(config, qtable_path=args.qtable)
+            run_experiment(config, qtable_path=args.qtable, config_path=args.config)
         else:
             validate_data(config)
     except ConfigError as exc:

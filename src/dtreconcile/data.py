@@ -3,8 +3,12 @@ forecast file), calendar completion, and monthly partitioning.
 
 The OHLCV loader reads a sorted file of zero-padded ISO dates in one
 column-wise pass (`_sorted_iso_columns`) and every other file row by row
-(`_rows` and `_dated_values`). Both give the same series; only the row
-reader raises, so every load error comes from one place."""
+(`_rows` and `_dated_values`). The pass splits the text on "," instead
+of parsing csv rows, so it gives up on any text that `csv.reader` could
+split otherwise: a quote, a NUL, a carriage return outside CRLF, a row
+whose field count differs from the header's, or a line longer than the
+csv field size limit. Both give the same series; only the row reader
+raises, so every load error comes from one place."""
 
 from __future__ import annotations
 
@@ -12,9 +16,8 @@ import csv
 import warnings
 from bisect import bisect_left
 from datetime import date, datetime
-from itertools import islice
 from math import isfinite
-from operator import itemgetter, lt
+from operator import lt
 
 from .errors import DataError, ShapeError
 from .records import Record
@@ -22,10 +25,13 @@ from .totals import pairwise_sum
 
 _DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%y")
 
-# Rows the column-wise pass parses at a time, which bounds the texts it
-# holds at once: parsing a 2,670-row file whole left peak RSS about
-# 0.4 MB higher after 300 loads.
-_BLOCK_ROWS = 512
+# Characters the column-wise pass reads at a time, about 170 rows of the
+# benchmark's file, which bounds the text and fields it holds at once:
+# reading a 2,670-row file whole left peak RSS about 0.7 MB higher.
+_CHUNK_CHARS = 1 << 13
+# Every byte but "," and "\n", which `bytes.translate` deletes to leave a
+# block's shape.
+_NOT_COMMA_OR_LF = bytes(byte for byte in range(256) if byte not in b",\n")
 
 DEFAULT_DATE_COLUMN = "Date"
 DEFAULT_VALUE_COLUMN = "Open"
@@ -123,7 +129,7 @@ def _dated_values(rows, path, date_idx: int, value_idx: int) -> dict[date, float
     return observations
 
 
-def _iso_shaped(texts: tuple[str, ...]) -> bool:
+def _iso_shaped(texts: list[str]) -> bool:
     """Whether the joined texts have 10 ASCII characters a text with "-"
     at offsets 4 and 7, `_parse_date`'s guard for `date.fromisoformat`.
     Texts whose lengths make up for each other pass too, but one of them
@@ -134,30 +140,72 @@ def _iso_shaped(texts: tuple[str, ...]) -> bool:
             and joined[4::10] == dashes and joined[7::10] == dashes)
 
 
+def _line_chunks(fh, limit: int):
+    """The text of a file a chunk of whole lines at a time, each chunk
+    ending in a line feed. Raises ValueError once the unfinished line
+    carried into the next chunk is longer than ``limit`` characters and
+    a carriage return, so no line over the limit is read whole."""
+    tail = ""
+    while chunk := fh.read(_CHUNK_CHARS):
+        text = tail + chunk
+        cut = text.rfind("\n") + 1
+        tail = text[cut:]
+        if len(tail) > limit + 1:
+            raise ValueError("line over the field size limit")
+        yield text[:cut]
+    if tail:
+        yield tail + "\n"
+
+
 def _sorted_iso_columns(path, date_column: str, value_column: str) -> TimeSeries | None:
-    """The series of a file whose first non-empty row names both columns
-    and whose other non-empty rows each hold a zero-padded ISO date and a
+    """The series of a file whose first non-empty line names both columns
+    and whose other non-empty lines each hold a zero-padded ISO date and a
     finite value, the dates strictly increasing; None for any other file.
 
-    One `csv.reader` pass keeps only the two fields of each row, and the
-    columns are parsed a block of rows at a time, so at most one block's
-    texts are held at once, and a file that is not ISO or not sorted is
-    given up in the first block that shows it. Each date is parsed as
-    `_parse_date` parses it, so both readers give the same series. Never
-    raises: the row reader reads the file again and names the fault."""
+    The file is read a chunk at a time, and the whole lines of a chunk
+    are one block, split on "," once with the two columns taken by
+    stride. So at most one block's text and fields are held at once, and
+    a file that is not ISO or not sorted is given up in the first block
+    that shows it. Split on ",", a line reads as it does through
+    `csv.reader` when it holds no quote, no NUL and no lone carriage
+    return (CRLF reads as LF), is no longer than the csv field size limit
+    and has the header's field count; the pass gives up on any other
+    text. Each date is parsed as `_parse_date` parses it, so both readers
+    give the same series. Never raises: the row reader reads the file
+    again and names the fault."""
+    limit = csv.field_size_limit()
     days: list[date] = []
     values: list[float] = []
+    header = None
     try:
         with _open(path) as fh:
-            # Empty lines, which the row reader skips too, read as [].
-            rows = filter(None, csv.reader(fh))
-            header = [name.strip() for name in next(rows, ())]
-            if date_column not in header or value_column not in header:
-                return None
-            pairs = map(itemgetter(header.index(date_column), header.index(value_column)),
-                        rows)
-            while block := tuple(islice(pairs, _BLOCK_ROWS)):
-                date_texts, value_texts = zip(*block)
+            for text in _line_chunks(fh, limit):
+                if "\r" in text:
+                    text = text.replace("\r\n", "\n")
+                if '"' in text or "\0" in text or "\r" in text or (
+                        len(text) > limit and max(map(len, text.split("\n"))) > limit):
+                    return None
+                # The block's commas and line feeds: a row of the header's
+                # field count per line.
+                shape = text.encode().translate(None, _NOT_COMMA_OR_LF)
+                if b"\n\n" in b"\n" + shape:
+                    # Empty lines, which the row reader skips too, are dropped.
+                    text = "".join(line + "\n" for line in text.split("\n") if line)
+                    shape = text.encode().translate(None, _NOT_COMMA_OR_LF)
+                if not text:
+                    continue
+                if header is None:
+                    line, _, text = text.partition("\n")
+                    shape = shape[shape.index(b"\n") + 1:]
+                    header = [name.strip() for name in line.split(",")]
+                    if date_column not in header or value_column not in header:
+                        return None
+                    row_shape = b"," * (len(header) - 1) + b"\n"
+                    date_idx, value_idx = header.index(date_column), header.index(value_column)
+                if shape != row_shape * (len(shape) // len(row_shape)):
+                    return None
+                fields = text.replace("\n", ",").split(",")
+                date_texts = fields[date_idx:-1:len(header)]
                 if not _iso_shaped(date_texts):
                     return None
                 # The block's dates, and the last one before them, must
@@ -166,15 +214,15 @@ def _sorted_iso_columns(path, date_column: str, value_column: str) -> TimeSeries
                 days += map(date.fromisoformat, date_texts)
                 if not all(map(lt, days[start:], days[start + 1:])):
                     return None
-                values += map(float, value_texts)
+                values += map(float, fields[value_idx:-1:len(header)])
         # The dates are checked and the values are floats; a value that
         # is not finite is left for the row reader to name.
         if not (days and all(map(isfinite, values))):
             return None
         return TimeSeries._make((tuple(days), tuple(values)))
-    # A short row (IndexError), a date or value that does not parse
-    # (ValueError), or a file the csv module or the system cannot read.
-    except (IndexError, ValueError, csv.Error, OSError):
+    # A date or value that does not parse or a line over the field size
+    # limit (ValueError), or a file the system cannot read.
+    except (ValueError, OSError):
         return None
 
 

@@ -504,6 +504,9 @@ def test_reconcile_refuses_to_overwrite_its_snapshot(tmp_path, daily_csv, capsys
     ("grid", "data_path", "grid.csv", False),
     ("reconcile", "data_path", "qtable.txt", False),
     ("reconcile", "external_forecast_path", "metrics.csv", False),
+    ("run", "--config", "summary.json", False),
+    ("grid", "--config", "grid.csv", False),
+    ("reconcile", "--config", "metrics.csv", True),
 ])
 def test_verbs_refuse_to_overwrite_an_input(tmp_path, daily_csv, capsys, verb, key, name, link):
     # An input at one of the verb's output paths, or a link to one, exits
@@ -519,20 +522,48 @@ def test_verbs_refuse_to_overwrite_an_input(tmp_path, daily_csv, capsys, verb, k
                  f"output_dir={snapshot.parent}"]) == 0
     target = out / name
     out.mkdir()
-    target.write_bytes({"data_path": daily_csv, "external_forecast_path": forecast_path}[
-        key].read_bytes())
+    target.write_bytes({"data_path": daily_csv, "external_forecast_path": forecast_path,
+                        "--config": cfg_path}[key].read_bytes())
     before = target.read_bytes()
     path = target
     if link:
         path = tmp_path / "link.csv"
         path.symlink_to(target)
+    # The config file's copy keeps its `output_dir`, the directory it is in.
+    config = (["--config", str(path)] if key == "--config"
+              else ["--config", str(cfg_path), "--set", f"{key}={path}"])
     extra = ["--qtable", str(snapshot)] if verb == "reconcile" else []
     capsys.readouterr()
-    assert main([verb, "--config", str(cfg_path), "--set", f"{key}={path}", *extra]) == 1
+    assert main([verb, *config, *extra]) == 1
     assert (f"config error: {key} {path} would be overwritten by {target}"
             in capsys.readouterr().err)
     assert target.read_bytes() == before
     assert sorted(out.iterdir()) == [target]
+
+
+def test_output_dir_that_is_not_a_directory_is_a_config_error(tmp_path, daily_csv, capsys,
+                                                             monkeypatch):
+    # An output_dir that is a file, lies under one or is a broken link
+    # would fail only at the first write; it exits 1 before any file is read.
+    def prepare(config):
+        raise AssertionError("the data was read")
+
+    monkeypatch.setattr(cli, "prepare", prepare)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "nowhere")
+    cfg_path = write_config(tmp_path, daily_csv, tmp_path / "out", extra=GRID_KEYS)
+    snapshot = tmp_path / "qtable.txt"
+    for output_dir, existing in ((taken, taken), (taken / "sub" / "dir", taken),
+                                 (dangling, dangling)):
+        for verb, extra in (("run", []), ("grid", []), ("reconcile", ["--qtable", str(snapshot)])):
+            assert main([verb, "--config", str(cfg_path), "--set", f"output_dir={output_dir}",
+                         *extra]) == 1, (verb, output_dir)
+            assert (f"config error: output_dir {output_dir}: {existing} is not a directory"
+                    in capsys.readouterr().err)
+    assert taken.read_text() == "kept\n"
+    assert sorted(tmp_path.iterdir()) == sorted([daily_csv, dangling, cfg_path, taken])
 
 
 def test_external_forecast_file(tmp_path, daily_csv):

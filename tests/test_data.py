@@ -1,6 +1,7 @@
 """Tests for CSV ingestion, calendar fill, and month partitioning."""
 
 import calendar
+import csv
 import re
 import warnings
 from datetime import date
@@ -89,16 +90,40 @@ def test_sorted_iso_file_skips_the_row_reader(tmp_path, monkeypatch):
     monkeypatch.setattr(data, "_dated_values", row_reader)
     iso = tmp_path / "iso.csv"
     write_daily_csv(iso, date(2019, 12, 2), date(2020, 3, 31), lambda d: 100.0 + d.day)
+    # The benchmark's six columns, with the CRLF line ends of `csv.writer`.
+    assert iso.read_bytes().startswith(b"Date,Open,High,Low,Close,Volume\r\n")
     series = load_ohlcv_csv(iso)
     assert series.timestamps[0] == date(2019, 12, 2) and series.values[0] == 102.0
-    # Empty lines, which the row reader skips, keep a file on the pass.
+    # LF line ends, and empty lines, which the row reader skips, keep a
+    # file on the pass.
     iso.write_text(iso.read_text().replace("\n", "\n\n", 3) + "\n")
+    assert b"\r" not in iso.read_bytes()
     assert load_ohlcv_csv(iso) == series
     dmy = tmp_path / "dmy.csv"
     write_daily_csv(dmy, date(2019, 12, 2), date(2020, 3, 31), lambda d: 100.0 + d.day,
                     date_format="%d/%m/%y")
     with pytest.raises(RowReaderCalled):
         load_ohlcv_csv(dmy)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 16, 1 << 13])
+def test_column_pass_reads_a_file_in_any_chunks(tmp_path, monkeypatch, chunk):
+    # A line, a CRLF pair or a run of empty lines split across chunks
+    # reads as in one chunk; so does a line at the csv field size limit,
+    # and one past it is given up, whether or not it spans chunks.
+    monkeypatch.setattr(data, "_CHUNK_CHARS", chunk)
+    path = tmp_path / "chunks.csv"
+    rows = ["2020-01-01,1.5,9", "2020-01-02,2.5,9", "2020-01-03,3,999"]
+    path.write_bytes(("\r\n\r\nDate,Open,Close\r\n" + "\r\n\n".join(rows)).encode())
+    expected = TimeSeries((date(2020, 1, 1), date(2020, 1, 2), date(2020, 1, 3)),
+                          (1.5, 2.5, 3.0))
+    limit = csv.field_size_limit(len(rows[-1]))
+    try:
+        assert data._sorted_iso_columns(path, "Date", "Open") == expected
+        path.write_bytes(path.read_bytes() + b"9")
+        assert data._sorted_iso_columns(path, "Date", "Open") is None
+    finally:
+        csv.field_size_limit(limit)
 
 
 def test_descending_file_leaves_the_column_pass_before_a_series_is_built(

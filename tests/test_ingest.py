@@ -1,11 +1,13 @@
 """The ingest layer against the reference oracle, bit for bit."""
 
+import csv
+import re
 import tempfile
 from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -81,11 +83,18 @@ def days_in_range(draw):
 
 @st.composite
 def canonical_csv_texts(draw):
-    """Sorted, zero-padded ISO dates and finite values, at most a trailing
-    empty line: the files the loader reads in its column-wise pass."""
-    return ("Date,Open\n" + "".join(f"{day.isoformat()},{draw(finite_values)}\n"
-                                    for day in sorted(draw(days_in_range())))
-            + draw(st.sampled_from(("", "\n"))))
+    """Sorted, zero-padded ISO dates and finite values, in any column
+    order beside up to two unused columns, with LF or CRLF line ends and
+    at most a trailing empty line: the files the loader reads in its
+    column-wise pass."""
+    names = draw(st.permutations(["Date", "Open", "High", "Low"][:draw(st.integers(2, 4))]))
+    lines = [",".join(names)]
+    for day in sorted(draw(days_in_range())):
+        row = {name: draw(finite_values) for name in names}
+        row["Date"] = day.isoformat()
+        lines.append(",".join(map(row.__getitem__, names)))
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return end.join(lines) + end + draw(st.sampled_from(("", end)))
 
 
 @st.composite
@@ -127,6 +136,9 @@ MONTH_RANGES = st.lists(st.sampled_from(MONTHS), min_size=2, max_size=2)
 
 @EXAMPLES
 @given(csv_texts(), MONTH_RANGES)
+# A gap whose interpolation overflows.
+@example("Date,Open\n2019-11-25,0\n2019-11-26,1.7976931348623155e+308\n"
+         "2019-12-01,-2.9937604643020797e+292\n", ["2019-12", "2019-12"])
 def test_load_fill_partition_matches_oracle(text, months):
     check_pipeline(text, months)
 
@@ -135,6 +147,13 @@ def test_load_fill_partition_matches_oracle(text, months):
 @given(canonical_csv_texts(), MONTH_RANGES)
 def test_canonical_load_fill_partition_matches_oracle(text, months):
     check_pipeline(text, months)
+    # Such a file with a data row, a line after the header, is read in
+    # the column-wise pass.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "daily.csv"
+        path.write_text(text)
+        columns = data._sorted_iso_columns(path, "Date", "Open")
+    assert (columns is not None) == (len(text.split()) > 1)
 
 
 def check_pipeline(text, months):
@@ -142,8 +161,17 @@ def check_pipeline(text, months):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "daily.csv"
         path.write_text(text)
-        new, old = outcome(pipeline, data, path, month_range), outcome(
-            pipeline, oracle, path, month_range)
+        new = outcome(pipeline, data, path, month_range)
+        try:
+            old = outcome(pipeline, oracle, path, month_range)
+        except ValueError as exc:
+            # The oracle's fill does not check for overflow; its series
+            # rejects the values that are not finite.
+            old = "error", str(exc)
+    if old == ("error", "time series values must be finite"):
+        assert new[0] == "error" and re.fullmatch(
+            r"interpolating the gap between \S+ and \S+ overflows", new[1]), new
+        return
     if old[0] == "error":
         # The loader now prefixes its messages with the file name.
         assert new[0] == "error" and new[1] in (old[1], f"{path}: {old[1]}")
@@ -161,8 +189,8 @@ def check_pipeline(text, months):
 
 
 # Weekdays from 2019-12-23, a canonical file's rows. Each change below
-# edits it at row K; all but the quoted date and the blank row send the
-# loader to the row reader.
+# edits it at row K; all but the blank row send the loader to the row
+# reader.
 CANONICAL_DAYS = [day for day in (date(2019, 12, 23) + timedelta(k) for k in range(45))
                   if day.weekday() < 5]
 K = 7
@@ -194,6 +222,37 @@ def make_up_lengths(rows, days):
     rows[K + 1] = f"1{days[K + 1].isoformat()},2"
 
 
+def unused_column(make):
+    """A Close column on every row; row K's date and value, as text, go
+    through ``make``."""
+    def change(rows, days):
+        head = rows[K]
+        rows[:] = [f"{row},{100 + k}" for k, row in enumerate(rows)]
+        rows[K] = make(head)
+        return "Date,Open,Close"
+    return change
+
+
+def move_field_up(rows, days):
+    # Row K + 1's date ends row K, so the file's field count is unchanged.
+    date_text, rows[K + 1] = rows[K + 1].split(",")
+    rows[K] += f",{date_text}"
+
+
+def quoted_unused_field(rows, days):
+    # The quotes open in row K's Close field and close in row K + 1's, so
+    # `csv.reader` reads the two lines as row K alone.
+    header = unused_column(lambda head: f'{head},"1')(rows, days)
+    rows[K + 1] += '"'
+    return header
+
+
+def long_unused_field(rows, days):
+    # The test restores the limit.
+    csv.field_size_limit(40)
+    return unused_column(lambda head: f"{head},{'9' * 41}")(rows, days)
+
+
 ONE_ROW_CHANGES = {
     "swapped-rows": swap_rows,
     "duplicate-date": repeat_date,
@@ -207,29 +266,46 @@ ONE_ROW_CHANGES = {
     # ISO forms that `date.fromisoformat` parses and `_parse_date` rejects.
     "basic-iso": replace_row(lambda day, value: f"{day:%Y%m%d},{value}"),
     "week-date": replace_row(lambda day, value: f"{day:%G-W%V-%u},{value}"),
+    # Text that `csv.reader` may split otherwise than on ",", each in a
+    # column the loader does not read, and rows whose field count differs
+    # from the header's.
+    "quoted-unused-field": quoted_unused_field,
+    "nul-in-unused-field": unused_column(lambda head: f"{head},1\0"),
+    "lone-cr-in-row": unused_column(lambda head: f"{head},1\r5"),
+    "extra-trailing-field": replace_row(lambda day, value: f"{day.isoformat()},{value},7"),
+    "missing-unused-field": unused_column(lambda head: head),
+    "field-moved-up-a-row": move_field_up,
+    "field-over-size-limit": long_unused_field,
 }
 
 
 def reference_outcome(path):
     """The oracle's outcome. It predates the loader's own finite check, so
-    it rejects a `nan` only in `TimeSeries`, whose message names no line."""
+    it rejects a `nan` only in `TimeSeries`, whose message names no line,
+    and it lets the csv module's error out, which names none either."""
     try:
         return "ok", oracle.load_ohlcv_csv(path)
-    except (DataError, ValueError) as exc:
+    except (DataError, ValueError, csv.Error) as exc:
         return "error", str(exc)
 
 
 @pytest.mark.parametrize("change", ONE_ROW_CHANGES.values(), ids=ONE_ROW_CHANGES.keys())
 def test_one_changed_row_matches_oracle(tmp_path, change):
     rows = [f"{day.isoformat()},{100 + 0.25 * k!r}" for k, day in enumerate(CANONICAL_DAYS)]
-    change(rows, CANONICAL_DAYS)
     path = tmp_path / "daily.csv"
-    path.write_text("Date,Open\n" + "\n".join(rows) + "\n")
-    new, old = outcome(data.load_ohlcv_csv, path), reference_outcome(path)
+    limit = csv.field_size_limit()
+    try:
+        header = change(rows, CANONICAL_DAYS) or "Date,Open"
+        path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        new, old = outcome(data.load_ohlcv_csv, path), reference_outcome(path)
+    finally:
+        csv.field_size_limit(limit)
     assert new[0] == old[0], (new, old)
     if old[0] == "ok":
         assert same_series(new[1], old[1])
     elif old[1] == "time series values must be finite":
         assert new[1] == f"{path}: line {K + 2}: value 'nan' is not finite"
+    elif old[1].startswith("field larger than field limit"):
+        assert new[1] == f"{path}: line {K + 2}: {old[1]}"
     else:
         assert new[1] == f"{path}: {old[1]}"
