@@ -23,8 +23,10 @@ from typing import NamedTuple
 
 from .agent import AgentConfig, CycleData, load_table, reconcile_online, save_table, train
 from .data import (
+    Calendar,
     MonthlyActuals,
     TimeSeries,
+    check_months,
     fill_calendar,
     load_external_forecasts,
     load_ohlcv_csv,
@@ -197,7 +199,7 @@ def _metrics_overflow(reach: float, smallest_total: float) -> bool:
     return not isfinite((smallest_total + reach) / smallest_total * 200.0)
 
 
-def _load(config: RunConfig) -> tuple[TimeSeries, TimeSeries]:
+def _load(config: RunConfig) -> tuple[TimeSeries, Calendar]:
     """The data as read and calendar-filled; a fill that overflows names
     the data file."""
     series = load_ohlcv_csv(config.data_path, config.date_column, config.value_column)
@@ -207,18 +209,18 @@ def _load(config: RunConfig) -> tuple[TimeSeries, TimeSeries]:
         raise DataError(f"{config.data_path}: {exc}") from None
 
 
-def _months(config: RunConfig, filled: TimeSeries, first: str, last: str) -> list[MonthlyActuals]:
-    """The complete months first..last of the data; a gap names the data file."""
+def _months(config: RunConfig, split, filled: Calendar, first: str, last: str):
+    """``split`` of the months first..last of the data, `check_months` or
+    `month_partition`; a month not covered names the data file."""
     try:
-        return month_partition(filled, (first, last))
+        return split(filled, (first, last))
     except DataError as exc:
         raise DataError(f"{config.data_path}: {exc}") from None
 
 
 class PreparedExperiment(NamedTuple):
     config: RunConfig
-    filled: TimeSeries
-    train_months: list[MonthlyActuals]
+    filled: Calendar
     test_month: MonthlyActuals  # its dates label the rows of metrics.csv
     test: CycleData
     agent_cfg: AgentConfig
@@ -227,11 +229,13 @@ class PreparedExperiment(NamedTuple):
     grid_cells: list[AgentConfig]
 
     def training(self) -> list[CycleData]:
-        """Each training month forecast from the data before it; forecasts
-        that overflow when summed name the data file and the month."""
+        """Each training month, partitioned here, forecast from the data
+        before it; forecasts that overflow when summed name the data file
+        and the month."""
         config = self.config
         cycles = []
-        for month in self.train_months:
+        for month in _months(config, month_partition, self.filled, config.train_start,
+                             config.train_end):
             daily = forecast_month(self.filled, month, config.forecaster,
                                    config.seasonal_period)
             total = pairwise_sum(daily)
@@ -244,12 +248,12 @@ class PreparedExperiment(NamedTuple):
 
 
 def prepare(config: RunConfig) -> PreparedExperiment:
-    """Load and partition the data, forecast the test month, check its two
-    totals, and build and check every agent setting and grid cell, all
-    before any file is written."""
+    """Load the data, check that it covers the training months, partition
+    and forecast the test month, check its two totals, and build and check
+    every agent setting and grid cell, all before any file is written."""
     _, filled = _load(config)
-    train_months = _months(config, filled, config.train_start, config.train_end)
-    month = _months(config, filled, config.test_month, config.test_month)[0]
+    _months(config, check_months, filled, config.train_start, config.train_end)
+    month = _months(config, month_partition, filled, config.test_month, config.test_month)[0]
 
     if config.forecaster == "external":
         base_path = config.external_forecast_path
@@ -313,8 +317,7 @@ def prepare(config: RunConfig) -> PreparedExperiment:
                     seed=derive_seed(agent_cfg.seed, f"grid:{i}:{j}"))))
     except ValueError as exc:
         raise ConfigError(f"{where}{exc}") from None
-    return PreparedExperiment(config, filled, train_months, month, test,
-                              agent_cfg, grid_cells)
+    return PreparedExperiment(config, filled, month, test, agent_cfg, grid_cells)
 
 
 def _write(path: Path, content: str) -> None:
@@ -423,11 +426,12 @@ def grid_experiment(config: RunConfig, config_path: str | None = None) -> None:
 
 def validate_data(config: RunConfig) -> None:
     series, filled = _load(config)
-    months = _months(config, filled, config.train_start, config.test_month)
+    n_months = _months(config, check_months, filled, config.train_start, config.test_month)
+    first, last = ("%04d-%02d" % parse_month(label)
+                   for label in (config.train_start, config.test_month))
     print(
         f"{config.data_path}: {len(series)} rows, {len(filled)} after calendar "
-        f"fill, {len(months)} complete months "
-        f"{months[0].label}..{months[-1].label}"
+        f"fill, {n_months} complete months {first}..{last}"
     )
 
 

@@ -1,4 +1,4 @@
-"""The daily series type, CSV ingestion (the OHLCV data and the external
+"""The daily series types, CSV ingestion (the OHLCV data and the external
 forecast file), calendar completion, and monthly partitioning.
 
 The OHLCV loader reads a sorted file of zero-padded ISO dates in one
@@ -8,7 +8,11 @@ of parsing csv rows, so it gives up on any text that `csv.reader` could
 split otherwise: a quote, a NUL, a carriage return outside CRLF, a row
 whose field count differs from the header's, or a line longer than the
 csv field size limit. Both give the same series; only the row reader
-raises, so every load error comes from one place."""
+raises, so every load error comes from one place.
+
+A filled `Calendar` and a `MonthlyActuals` are a first day and values:
+`check_months` finds from the calendar's two ends whether it covers a
+month range, and a month is a slice of the calendar's values."""
 
 from __future__ import annotations
 
@@ -258,9 +262,20 @@ def load_ohlcv_csv(
     return TimeSeries(tuple(days), tuple(map(observations.__getitem__, days)))
 
 
-def fill_calendar(series: TimeSeries) -> TimeSeries:
-    """Fill missing calendar days by linear interpolation between
-    the nearest observed neighbors.
+class Calendar(Record):
+    """A calendar-complete daily series: its first day and one value per
+    day from it on; its length is the number of days."""
+
+    __slots__ = ("start", "values")
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def fill_calendar(series: TimeSeries) -> Calendar:
+    """The calendar from the series' first day through its last, each
+    missing day filled by linear interpolation between the nearest
+    observed neighbors; a series with no gap lends it its values tuple.
 
     A missing day x between observed days x0 and x1 gets
     ``slope * (x - x0) + f0`` with ``slope = (f1 - f0) / (x1 - x0)``, the
@@ -270,49 +285,44 @@ def fill_calendar(series: TimeSeries) -> TimeSeries:
     if len(series) == 0:
         raise DataError("cannot calendar-fill an empty series")
     stamps, values = series.timestamps, series.values
-    x0, f0 = stamps[0].toordinal(), values[0]
-    if stamps[-1].toordinal() - x0 + 1 == len(series):
-        return series
-    # Observed days keep their date objects; only missing days are made.
-    days: list[date] = []
+    first = stamps[0].toordinal()
+    if stamps[-1].toordinal() - first + 1 == len(series):
+        return Calendar(stamps[0], values)
     filled: list[float] = []
-    add_day, add_value = days.append, filled.append
-    for day, f1 in zip(stamps, values):
-        x1 = day.toordinal()
+    add = filled.append
+    x0, f0 = first, values[0]
+    for x1, f1 in zip(map(date.toordinal, stamps), values):
         span = x1 - x0
         if span > 1:
             slope = (f1 - f0) / span
             for step in range(1, span):
-                add_day(date.fromordinal(x0 + step))
-                add_value(slope * step + f0)
-        add_day(day)
-        add_value(f1)
+                add(slope * step + f0)
+        add(f1)
         x0, f0 = x1, f1
     if not all(map(isfinite, filled)):  # the observed values are finite
         k = next(k for k, value in enumerate(filled) if not isfinite(value))
-        after = bisect_left(stamps, days[k])
+        after = bisect_left(stamps, date.fromordinal(first + k))
         raise DataError(
             f"interpolating the gap between {stamps[after - 1].isoformat()} and "
             f"{stamps[after].isoformat()} overflows"
         )
-    # The days were built in order and the values as floats, so the
-    # series needs no check beyond the one above.
-    return TimeSeries._make((tuple(days), tuple(filled)))
+    return Calendar(stamps[0], tuple(filled))
 
 
 class MonthlyActuals(Record):
-    """One calendar month of daily observations, labelled "YYYY-MM"; its
-    length is the number of days."""
+    """One calendar month of daily observations, labelled "YYYY-MM", from
+    its first day ``start``; its length is the number of days."""
 
-    __slots__ = ("label", "dates", "values")
-
-    def __init__(self, label: str, dates: tuple[date, ...], values: tuple[float, ...]) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "values", values)
+    __slots__ = ("label", "start", "values")
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return len(self.values)
+
+    @property
+    def dates(self) -> tuple[date, ...]:
+        """The month's days, built at each call."""
+        first = self.start.toordinal()
+        return tuple(map(date.fromordinal, range(first, first + len(self.values))))
 
 
 def parse_month(label: str) -> tuple[int, int]:
@@ -333,49 +343,52 @@ def _days_in_month(year: int, month: int) -> int:
     return (date(year, month + 1, 1) - date(year, month, 1)).days
 
 
-def _year_months(start: str, end: str):
-    """Yield (year, month) from start through end inclusive."""
-    y0, m0 = parse_month(start)
-    y1, m1 = parse_month(end)
-    if (y0, m0) > (y1, m1):
-        raise DataError(f"month range {start}..{end} is reversed")
-    year, month = y0, m0
-    while (year, month) <= (y1, m1):
-        yield year, month
-        month += 1
-        if month > 12:
-            year, month = year + 1, 1
+def check_months(calendar: Calendar, month_range: tuple[str, str]) -> int:
+    """The number of months in ``month_range``, its first and last
+    "YYYY-MM" labels, when the calendar covers each whole. Otherwise the
+    first month in range order that it does not cover raises, with its
+    count of missing days and the first of them."""
+    (year, month), (y1, m1) = map(parse_month, month_range)
+    if (year, month) > (y1, m1):
+        raise DataError(f"month range {month_range[0]}..{month_range[1]} is reversed")
+    n_months = (y1 - year) * 12 + m1 - month + 1
+    start = calendar.start.toordinal()
+    end = start + len(calendar) - 1
+    if date(year, month, 1).toordinal() >= start:
+        # No month of the range starts before the calendar, so the first
+        # one not covered is the range's first or the calendar's next day's.
+        if end == date.max.toordinal():
+            return n_months
+        after = date.fromordinal(end + 1)
+        year, month = max((year, month), (after.year, after.month))
+        if (year, month) > (y1, m1):
+            return n_months
+    n_days = _days_in_month(year, month)
+    first = date(year, month, 1).toordinal()
+    covered = max(0, min(first + n_days - 1, end) - max(first, start) + 1)
+    missing = first if first < start else max(first, end + 1)
+    raise DataError(
+        f"month {year:04d}-{month:02d} incomplete: {n_days - covered} missing days "
+        f"(first {date.fromordinal(missing).isoformat()})"
+    )
 
 
 def month_partition(
-    series: TimeSeries, month_range: tuple[str, str]
+    calendar: Calendar, month_range: tuple[str, str]
 ) -> list[MonthlyActuals]:
-    """Split a calendar-complete series into full calendar months."""
-    stamps = series.timestamps
+    """The full months of ``month_range`` in a calendar, in order, each a
+    slice of its values; `check_months` names a month not covered."""
+    n_months = check_months(calendar, month_range)
     year, month = parse_month(month_range[0])
-    start = bisect_left(stamps, date(year, month, 1))
-    episodes = []
-    for year, month in _year_months(*month_range):
-        label = f"{year:04d}-{month:02d}"
-        n_days = _days_in_month(year, month)
-        end = start + n_days
-        # Timestamps strictly increase, so n of them ending on the last
-        # day of the month are exactly the month's days.
-        if end > len(stamps) or stamps[end - 1] != date(year, month, n_days):
-            present = set(stamps[start:end])
-            missing = [d for k in range(1, n_days + 1)
-                       if (d := date(year, month, k)) not in present]
-            raise DataError(
-                f"month {label} incomplete: {len(missing)} missing days "
-                f"(first {missing[0].isoformat()})"
-            )
-        episodes.append(
-            MonthlyActuals(label, stamps[start:end], series.values[start:end])
-        )
-        # The month ended on its last day, so the next starts at `end`,
-        # the index a search for its first day would give.
+    start, values = (date(year, month, 1) - calendar.start).days, calendar.values
+    months = []
+    for _ in range(n_months):
+        end = start + _days_in_month(year, month)
+        months.append(MonthlyActuals(f"{year:04d}-{month:02d}", date(year, month, 1),
+                                     values[start:end]))
         start = end
-    return episodes
+        year, month = (year + 1, 1) if month == 12 else (year, month + 1)
+    return months
 
 
 def load_external_forecasts(path, month: MonthlyActuals) -> tuple[float, ...]:
@@ -399,13 +412,14 @@ def load_external_forecasts(path, month: MonthlyActuals) -> tuple[float, ...]:
                 yield line_no, row
 
     by_date = _dated_values(forecast_rows(), path, 0, 1)
-    missing = [d for d in month.dates if d not in by_date]
+    days = month.dates
+    missing = [d for d in days if d not in by_date]
     if missing:
         raise DataError(
             f"{path}: no forecast for {len(missing)} days of "
             f"{month.label} (first {missing[0].isoformat()})"
         )
-    daily = tuple(map(by_date.__getitem__, month.dates))
+    daily = tuple(map(by_date.__getitem__, days))
     implied = pairwise_sum(daily)
     if totals and implied != 0 and abs(totals[0] - implied) > 1e-3 * abs(implied):
         warnings.warn(

@@ -1,9 +1,9 @@
 """The base of the records whose length is not their field count.
 
 The package's records are immutable `typing.NamedTuple`s, except the
-two `Record`s in `data`, `TimeSeries` and `MonthlyActuals`: their length
-counts days, which a tuple's ``_make`` and ``_replace`` would take for
-the field count. None uses `dataclasses`, whose import and
+three `Record`s in `data`, `TimeSeries`, `Calendar` and `MonthlyActuals`:
+their length counts days, which a tuple's ``_make`` and ``_replace``
+would take for the field count. None uses `dataclasses`, whose import and
 per-class generated code slowed the start of every process.
 """
 
@@ -11,10 +11,15 @@ per-class generated code slowed the start of every process.
 class Record:
     """Fields named by ``__slots__``, set once: assigning to one raises.
     Records are equal, and hash alike, when their types and fields are.
-    A subclass's ``__init__`` checks its fields and sets them with
-    ``object.__setattr__``; `_make` sets them without checks."""
+    ``__init__`` takes the fields in order; a subclass that checks its
+    fields overrides it and sets them with ``object.__setattr__``, and
+    `_make` sets them without checks."""
 
     __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _make(cls, values):

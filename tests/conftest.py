@@ -7,8 +7,17 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dtreconcile.agent import CycleData
+
+# Every run draws the same examples: a random draw could turn the suite
+# red on one run and not the next. The modules' `settings(...)` objects,
+# built after this file loads, inherit the profile; derandomize also
+# turns off the example database. Edges that random draws once found are
+# pinned as explicit cases instead.
+settings.register_profile("fixed-draws", derandomize=True)
+settings.load_profile("fixed-draws")
 
 
 def write_daily_csv(

@@ -12,8 +12,9 @@ patches the tie order reaches every choice the oracle makes.
 
 `_parse_date`, `load_ohlcv_csv`, `fill_calendar` and `month_partition`
 as they stood before the fast ingest path: `strptime` for every date, a
-per-day `timedelta` calendar and a dict over every calendar day. The
-functions in `dtreconcile.data` must match them bit for bit
+per-day `timedelta` calendar and a dict over every calendar day, and
+`Month`, a month that keeps its own per-day dates. The functions in
+`dtreconcile.data` must match them bit for bit, day by day
 (tests/test_ingest.py).
 """
 
@@ -23,6 +24,7 @@ import calendar
 import csv
 from datetime import date, datetime, timedelta
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +41,6 @@ from dtreconcile.agent import (
 from dtreconcile.data import (
     DEFAULT_DATE_COLUMN,
     DEFAULT_VALUE_COLUMN,
-    MonthlyActuals,
     TimeSeries,
     parse_month,
 )
@@ -279,9 +280,13 @@ def fill_calendar(series: TimeSeries) -> TimeSeries:
     return TimeSeries(days, values)
 
 
-def month_partition(
-    series: TimeSeries, month_range: tuple[str, str]
-) -> list[MonthlyActuals]:
+class Month(NamedTuple):
+    label: str
+    dates: tuple[date, ...]
+    values: tuple[float, ...]
+
+
+def month_partition(series: TimeSeries, month_range: tuple[str, str]) -> list[Month]:
     """Split a calendar-complete series into full calendar months."""
     index = {d: v for d, v in zip(series.timestamps, series.values)}
     episodes = []
@@ -299,5 +304,5 @@ def month_partition(
                 f"(first {missing[0].isoformat()})"
             )
         values = np.array([index[d] for d in days])
-        episodes.append(MonthlyActuals(label, days, tuple(values.tolist())))
+        episodes.append(Month(label, days, tuple(values.tolist())))
     return episodes

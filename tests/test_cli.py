@@ -247,6 +247,60 @@ def test_validate_data_verb(tmp_path, daily_csv, capsys):
     assert "complete months" in capsys.readouterr().out
 
 
+def test_validate_data_prints_the_range_and_names_an_incomplete_month(tmp_path, daily_csv,
+                                                                      capsys):
+    # The weekday rows run from Monday 2018-12-03 through 2020-03-31.
+    validate = ["validate-data", "--config", str(write_config(tmp_path, daily_csv,
+                                                             tmp_path / "out"))]
+    assert main([*validate, "--set", "train_start=2019-1"]) == 0
+    rows = len(daily_csv.read_text().splitlines()) - 1
+    days = (date(2020, 3, 31) - date(2018, 12, 3)).days + 1
+    assert capsys.readouterr().out == (f"{daily_csv}: {rows} rows, {days} after calendar "
+                                       "fill, 15 complete months 2019-01..2020-03\n")
+    for overrides, message in (
+        (["train_start=2018-11"], "month 2018-11 incomplete: 30 missing days (first 2018-11-01)"),
+        (["train_start=2018-12"], "month 2018-12 incomplete: 2 missing days (first 2018-12-01)"),
+        (["train_end=2020-04", "test_month=2020-05"],
+         "month 2020-04 incomplete: 30 missing days (first 2020-04-01)"),
+    ):
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        assert main([*validate, *sets]) == 2, overrides
+        assert capsys.readouterr().err == f"data error: {daily_csv}: {message}\n"
+
+
+def test_each_verb_partitions_only_the_months_it_reads(tmp_path, daily_csv, capsys,
+                                                       monkeypatch):
+    # `validate-data` only counts the months, and `reconcile` never
+    # trains; the counter changes no byte a verb writes or prints.
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, daily_csv, out)
+    snapshot = tmp_path / "snapshot" / "qtable.txt"
+    assert main(["run", "--config", str(cfg_path), "--set",
+                 f"output_dir={snapshot.parent}"]) == 0
+    capsys.readouterr()
+    original = cli.month_partition
+
+    def outputs(verb):
+        shutil.rmtree(out, ignore_errors=True)
+        assert main([*verb, "--config", str(cfg_path)]) == 0
+        files = {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else {}
+        return capsys.readouterr().out, files
+
+    for verb, expected in (
+        (["validate-data"], []),
+        (["reconcile", "--qtable", str(snapshot)], [("2020-03", "2020-03")]),
+        (["run"], [("2020-03", "2020-03"), ("2019-01", "2020-02")]),
+    ):
+        plain = outputs(verb)
+        partitioned = []
+        monkeypatch.setattr(cli, "month_partition", lambda calendar, month_range:
+                            partitioned.append(month_range) or original(calendar, month_range))
+        assert outputs(verb) == plain, verb
+        monkeypatch.setattr(cli, "month_partition", original)
+        assert partitioned == expected, verb
+        assert plain[1] or verb == ["validate-data"]
+
+
 def test_exit_codes(tmp_path, daily_csv, capsys):
     # 1: config error
     assert main(["run", "--set", "data_path=x.csv"]) == 1

@@ -11,6 +11,7 @@ import pytest
 
 from dtreconcile import data
 from dtreconcile.data import (
+    Calendar,
     MonthlyActuals,
     TimeSeries,
     fill_calendar,
@@ -152,7 +153,7 @@ def test_fill_calendar_weekend_interpolation():
         (date(2020, 3, 6), date(2020, 3, 9)), np.array([100.0, 106.0])
     )
     filled = fill_calendar(series)
-    assert len(filled) == 4
+    assert len(filled) == 4 and filled.start == date(2020, 3, 6)
     assert list(filled.values) == [100.0, 102.0, 104.0, 106.0]
 
 
@@ -160,7 +161,8 @@ def test_fill_calendar_identity_when_complete():
     series = TimeSeries(
         (date(2020, 1, 1), date(2020, 1, 2)), np.array([1.0, 2.0])
     )
-    assert fill_calendar(series) is series
+    filled = fill_calendar(series)
+    assert filled.start == date(2020, 1, 1) and filled.values is series.values
 
 
 def test_fill_calendar_single_gap_midpoint():
@@ -170,13 +172,26 @@ def test_fill_calendar_single_gap_midpoint():
     assert list(fill_calendar(series).values) == [10.0, 15.0, 20.0]
 
 
+def test_calendar_and_month_are_first_day_and_values():
+    calendar = Calendar(date(2020, 2, 27), (1.0, 2.0, 3.0))
+    assert len(calendar) == 3 and calendar == Calendar(date(2020, 2, 27), (1.0, 2.0, 3.0))
+    with pytest.raises(AttributeError):
+        calendar.start = date(2020, 1, 1)
+    month = MonthlyActuals("2020-02", date(2020, 2, 28), (1.0, 2.0))
+    assert len(month) == 2 and month.dates == (date(2020, 2, 28), date(2020, 2, 29))
+    # The fields are given in order, all of them.
+    for fields in ((date(2020, 2, 1),), (date(2020, 2, 1), (1.0,), "extra")):
+        with pytest.raises(ValueError):
+            Calendar(*fields)
+
+
 def _calendar_series(start, end, value=100.0):
-    days = []
-    day = start
-    while day <= end:
-        days.append(day)
-        day = date.fromordinal(day.toordinal() + 1)
-    return TimeSeries(tuple(days), np.full(len(days), value))
+    return Calendar(start, (value,) * (end.toordinal() - start.toordinal() + 1))
+
+
+def _calendar_days(calendar):
+    first = calendar.start.toordinal()
+    return tuple(map(date.fromordinal, range(first, first + len(calendar))))
 
 
 def test_month_partition_counts_and_lengths():
@@ -200,7 +215,7 @@ def test_last_representable_month_partitions():
     # December's length must not need the first day of year 10000.
     days = [date.fromordinal(n) for n in range(date(9999, 11, 20).toordinal(),
                                                 date.max.toordinal() + 1)]
-    series = TimeSeries(days, [100.0] * len(days))
+    series = Calendar(days[0], (100.0,) * len(days))
     (december,) = month_partition(series, ("9999-12", "9999-12"))
     assert december.label == "9999-12" and len(december) == 31
     assert december.dates[-1] == date.max
@@ -224,7 +239,8 @@ def test_month_partition_round_trip():
     months = month_partition(series, ("2019-11", "2020-01"))
     dates = [d for m in months for d in m.dates]
     values = np.concatenate([m.values for m in months])
-    assert tuple(dates) == series.timestamps
+    assert tuple(dates) == _calendar_days(series)
+    assert [m.start for m in months] == [date(2019, 11, 1), date(2019, 12, 1), date(2020, 1, 1)]
     assert np.array_equal(values, series.values)
 
 
@@ -242,8 +258,8 @@ def test_load_fill_partition_pipeline(tmp_path):
 def _external_forecasts(tmp_path, total_row):
     """Load a February-2021 forecast file of 28 rows of 100 (sum 2800)
     followed by ``total_row``."""
-    month = MonthlyActuals("2021-02", tuple(date(2021, 2, k) for k in range(1, 29)),
-                           (1.0,) * 28)
+    month = MonthlyActuals("2021-02", date(2021, 2, 1), (1.0,) * 28)
+    assert month.dates == tuple(date(2021, 2, k) for k in range(1, 29))
     path = tmp_path / "forecast.csv"
     path.write_text("date,forecast\n" + "".join(f"{day.isoformat()},100\n" for day in month.dates)
                     + total_row)

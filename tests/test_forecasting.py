@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dtreconcile import forecasting
-from dtreconcile.data import MonthlyActuals, TimeSeries, month_partition
+from dtreconcile.data import Calendar, MonthlyActuals, month_partition
 from dtreconcile.errors import InsufficientDataError
 from dtreconcile.forecasting import drift, forecast_month, naive, seasonal_naive
 
@@ -77,19 +77,19 @@ def test_forecast_month_falls_back_to_naive(monkeypatch):
     history = np.array([1.0, 2.0, 3.0])
     start = date(2020, 1, 29)  # three days of history before February
     days = tuple(start + timedelta(days=k) for k in range(32))
-    series = TimeSeries(days, np.concatenate([history, np.full(29, 7.0)]))
-    month = MonthlyActuals("2020-02", days[3:], series.values[3:])
+    series = Calendar(start, tuple(np.concatenate([history, np.full(29, 7.0)]).tolist()))
+    month = MonthlyActuals("2020-02", days[3], series.values[3:])
     assert np.array_equal(forecast_month(series, month, "seasonal_naive", 2),
                           seasonal_naive(history, 2, 29))
     assert np.array_equal(forecast_month(series, month, "drift", 7), drift(history, 29))
     # Short of history, or with no method of its own: naive.
-    short = TimeSeries(days[2:], series.values[2:])
+    short = Calendar(days[2], series.values[2:])
     for method, period, data in (("seasonal_naive", 4, series), ("drift", 7, short),
                                  ("naive", 7, series), ("external", 7, series)):
         assert np.array_equal(forecast_month(data, month, method, period),
                               naive(data.values[:-29], 29)), method
     # No history at all: the month's own first observation.
-    first = TimeSeries(month.dates, month.values)
+    first = Calendar(month.start, month.values)
     assert np.array_equal(forecast_month(first, month, "drift", 7), np.full(29, 7.0))
     # The forecasters are looked up as module globals, so a wrapper sees each call.
     calls = []
@@ -113,7 +113,7 @@ def test_forecast_month_equals_the_method_on_the_whole_history(method, period):
     start = date(2017, 1, 1)
     days = tuple(start + timedelta(days=k) for k in range((date(2020, 4, 1) - start).days))
     values = tuple(1000.0 + 0.37 * k + 25.0 * np.sin(k / 5.0) for k in range(len(days)))
-    series = TimeSeries(days, values)
+    series = Calendar(start, values)
     methods = {"naive": lambda history, h: naive(history, h),
                "seasonal_naive": lambda history, h: seasonal_naive(history, period, h),
                "drift": drift}

@@ -120,7 +120,8 @@ def csv_texts(draw):
 def pipeline(module, path, month_range):
     series = module.load_ohlcv_csv(path)
     filled = module.fill_calendar(series)
-    return series, filled, filled is series, module.month_partition(filled, month_range)
+    return (series, filled, filled.values is series.values,
+            module.month_partition(filled, month_range))
 
 
 def hex_values(values):
@@ -131,6 +132,25 @@ def same_series(a, b):
     return a.timestamps == b.timestamps and hex_values(a.values) == hex_values(b.values)
 
 
+def calendar_days(calendar):
+    first = calendar.start.toordinal()
+    return tuple(map(date.fromordinal, range(first, first + len(calendar))))
+
+
+def same_calendar(calendar, series):
+    """Whether a `data.Calendar` holds the oracle series' days and values."""
+    return (calendar_days(calendar) == series.timestamps
+            and hex_values(calendar.values) == hex_values(series.values))
+
+
+def same_months(parts, o_parts):
+    """Whether `data.month_partition`'s months are the oracle's, label by
+    label, day by day and value by value."""
+    return ([(part.label, part.start, part.dates, hex_values(part.values)) for part in parts]
+            == [(o_part.label, o_part.dates[0], o_part.dates, hex_values(o_part.values))
+                for o_part in o_parts])
+
+
 MONTH_RANGES = st.lists(st.sampled_from(MONTHS), min_size=2, max_size=2)
 
 
@@ -139,6 +159,10 @@ MONTH_RANGES = st.lists(st.sampled_from(MONTHS), min_size=2, max_size=2)
 # A gap whose interpolation overflows.
 @example("Date,Open\n2019-11-25,0\n2019-11-26,1.7976931348623155e+308\n"
          "2019-12-01,-2.9937604643020797e+292\n", ["2019-12", "2019-12"])
+# Data that starts mid-month, that ends mid-month, and that ends before the range.
+@example("Date,Open\n2019-12-10,1\n2019-12-31,2\n2020-01-31,3\n", ["2019-12", "2020-01"])
+@example("Date,Open\n2019-12-01,1\n2020-01-15,2\n", ["2019-12", "2020-01"])
+@example("Date,Open\n2019-11-25,1\n2019-12-31,2\n", ["2020-02", "2020-03"])
 def test_load_fill_partition_matches_oracle(text, months):
     check_pipeline(text, months)
 
@@ -178,14 +202,60 @@ def check_pipeline(text, months):
         return
     assert new[0] == "ok", new[1]
     (series, filled, same, parts), (o_series, o_filled, o_same, o_parts) = new[1], old[1]
-    assert same_series(series, o_series) and same_series(filled, o_filled)
+    assert same_series(series, o_series) and same_calendar(filled, o_filled)
     assert same == o_same
-    assert len(parts) == len(o_parts)
+    assert len(parts) == len(o_parts) == data.check_months(filled, month_range)
+    assert same_months(parts, o_parts)
     for part, o_part in zip(parts, o_parts):
-        assert part.label == o_part.label and part.dates == o_part.dates
         assert type(part.values) is type(o_part.values) is tuple
         assert all(type(value) is float for value in part.values)
-        assert hex_values(part.values) == hex_values(o_part.values)
+
+
+def test_fixed_draws_profile_reaches_module_settings():
+    # conftest loads it before this module builds `EXAMPLES`.
+    assert settings().derandomize and EXAMPLES.derandomize and EXAMPLES.max_examples == 40
+
+
+# (first day, last day, month range, outcome) of a gapless calendar.
+CALENDAR_CASES = {
+    "starts-mid-month": (date(2020, 1, 15), date(2020, 3, 31), ("2020-01", "2020-03"), "error"),
+    "starts-mid-month-range-after-it": (date(2020, 1, 15), date(2020, 3, 31),
+                                        ("2020-02", "2020-03"), "ok"),
+    "ends-mid-month": (date(2020, 1, 1), date(2020, 2, 10), ("2020-01", "2020-03"), "error"),
+    "ends-before-the-range": (date(2019, 10, 1), date(2019, 11, 20),
+                              ("2020-01", "2020-02"), "error"),
+    "ends-the-day-before-the-range": (date(2019, 10, 1), date(2019, 12, 31),
+                                      ("2020-01", "2020-02"), "error"),
+    "starts-after-the-range": (date(2020, 5, 10), date(2020, 6, 30),
+                               ("2020-01", "2020-02"), "error"),
+    "one-day": (date(2020, 2, 29), date(2020, 2, 29), ("2020-02", "2020-03"), "error"),
+    "one-day-after-the-range": (date(2020, 2, 29), date(2020, 2, 29),
+                                ("2019-12", "2020-01"), "error"),
+    "ends-at-date-max": (date(9999, 11, 20), date.max, ("9999-12", "9999-12"), "ok"),
+    "ends-the-day-before-date-max": (date(9999, 11, 20), date(9999, 12, 30),
+                                     ("9999-12", "9999-12"), "error"),
+    "starts-at-date-min": (date.min, date(1, 2, 14), ("0001-01", "0001-01"), "ok"),
+    "starts-at-date-min-ends-mid-month": (date.min, date(1, 2, 14),
+                                          ("0001-01", "0001-02"), "error"),
+    "covers-the-range": (date(2019, 11, 30), date(2020, 4, 1), ("2019-12", "2020-03"), "ok"),
+}
+
+
+@pytest.mark.parametrize("first, last, month_range, kind", CALENDAR_CASES.values(),
+                         ids=CALENDAR_CASES.keys())
+def test_check_months_matches_oracle_partition(first, last, month_range, kind):
+    days = [date.fromordinal(n) for n in range(first.toordinal(), last.toordinal() + 1)]
+    series = data.TimeSeries(days, [0.1 * k - 3.0 for k in range(len(days))])
+    calendar = data.fill_calendar(series)
+    old = outcome(oracle.month_partition, series, month_range)
+    checked = outcome(data.check_months, calendar, month_range)
+    parts = outcome(data.month_partition, calendar, month_range)
+    assert old[0] == kind, old
+    if kind == "error":
+        assert checked == parts == old
+    else:
+        assert checked == ("ok", len(old[1])) and parts[0] == "ok"
+        assert same_months(parts[1], old[1])
 
 
 # Weekdays from 2019-12-23, a canonical file's rows. Each change below
