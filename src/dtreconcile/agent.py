@@ -405,7 +405,7 @@ def save_table(table: ValueTable, path, cfg: AgentConfig) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_table(path) -> tuple[ValueTable, dict]:
+def load_table(path) -> ValueTable:
     """Load a Q snapshot; V is rebuilt as the per-day Q maximum.
 
     Every (day, action) entry must appear exactly once with a finite
@@ -420,11 +420,6 @@ def load_table(path) -> tuple[ValueTable, dict]:
         raise DataError(f"{path}: cannot open: {exc}") from exc
     if not lines or not lines[0][1].startswith("#"):
         raise DataError(f"{path}: missing snapshot header line")
-    meta = {}
-    for token in lines[0][1].lstrip("# ").split():
-        if "=" in token:
-            key, value = token.split("=", 1)
-            meta[key] = value
     q = [[0.0] * N_ACTIONS for _ in range(MAX_CYCLE_DAYS)]
     seen: set[tuple[int, int]] = set()
     for line_no, line in lines[1:]:
@@ -454,4 +449,4 @@ def load_table(path) -> tuple[ValueTable, dict]:
             f"{path}:{lines[-1][0]}: table ends with {len(seen)} of "
             f"{MAX_CYCLE_DAYS * N_ACTIONS} entries; day {day}, action {action} is missing"
         )
-    return ValueTable(q=q, v=[max(row) for row in q]), meta
+    return ValueTable(q=q, v=[max(row) for row in q])

@@ -8,6 +8,10 @@ Verbs:
   reconcile      load a Q-table snapshot and stream a cycle (no training)
   validate-data  ingestion and calendar checks only
 
+Each verb calls `load` once for the work done once per data file: read,
+fill the calendar, check the months it needs. `prepare` then builds the
+test month from the filled calendar, and `training` the training cycles.
+
 Configuration is a flat key=value file; command-line --set overrides win.
 """
 
@@ -199,28 +203,19 @@ def _metrics_overflow(reach: float, smallest_total: float) -> bool:
     return not isfinite((smallest_total + reach) / smallest_total * 200.0)
 
 
-def _load(config: RunConfig) -> tuple[TimeSeries, Calendar]:
-    """The data as read and calendar-filled; a fill that overflows names
-    the data file."""
+def load(config: RunConfig, last: str) -> tuple[TimeSeries, Calendar, int]:
+    """The data as read, its filled calendar and the number of months
+    train_start..``last`` it covers, the work done once per data file; a
+    fill that overflows or a month not covered names the data file."""
     series = load_ohlcv_csv(config.data_path, config.date_column, config.value_column)
     try:
-        return series, fill_calendar(series)
-    except DataError as exc:
-        raise DataError(f"{config.data_path}: {exc}") from None
-
-
-def _months(config: RunConfig, split, filled: Calendar, first: str, last: str):
-    """``split`` of the months first..last of the data, `check_months` or
-    `month_partition`; a month not covered names the data file."""
-    try:
-        return split(filled, (first, last))
+        filled = fill_calendar(series)
+        return series, filled, check_months(filled, (config.train_start, last))
     except DataError as exc:
         raise DataError(f"{config.data_path}: {exc}") from None
 
 
 class PreparedExperiment(NamedTuple):
-    config: RunConfig
-    filled: Calendar
     test_month: MonthlyActuals  # its dates label the rows of metrics.csv
     test: CycleData
     agent_cfg: AgentConfig
@@ -228,32 +223,31 @@ class PreparedExperiment(NamedTuple):
     # the cell's coordinates, so a row does not depend on the sweep order.
     grid_cells: list[AgentConfig]
 
-    def training(self) -> list[CycleData]:
-        """Each training month, partitioned here, forecast from the data
-        before it; forecasts that overflow when summed name the data file
-        and the month."""
-        config = self.config
-        cycles = []
-        for month in _months(config, month_partition, self.filled, config.train_start,
-                             config.train_end):
-            daily = forecast_month(self.filled, month, config.forecaster,
-                                   config.seasonal_period)
-            total = pairwise_sum(daily)
-            if not isfinite(total):
-                raise DataError(f"{config.data_path}: the base forecasts of training month "
-                                f"{month.label} overflow when summed")
-            # A finite sum has finite terms: `CycleData`'s checks would repeat.
-            cycles.append(CycleData._make((daily, month.values, total)))
-        return cycles
+
+def training(config: RunConfig, filled: Calendar) -> list[CycleData]:
+    """Each training month of a calendar that `load` checked, partitioned
+    here, forecast from the data before it; forecasts that overflow when
+    summed name the data file and the month."""
+    cycles = []
+    for month in month_partition(filled, (config.train_start, config.train_end)):
+        daily = forecast_month(filled, month, config.forecaster, config.seasonal_period)
+        total = pairwise_sum(daily)
+        if not isfinite(total):
+            raise DataError(f"{config.data_path}: the base forecasts of training month "
+                            f"{month.label} overflow when summed")
+        # A finite sum has finite terms: `CycleData`'s checks would repeat.
+        cycles.append(CycleData._make((daily, month.values, total)))
+    return cycles
 
 
-def prepare(config: RunConfig) -> PreparedExperiment:
-    """Load the data, check that it covers the training months, partition
-    and forecast the test month, check its two totals, and build and check
-    every agent setting and grid cell, all before any file is written."""
-    _, filled = _load(config)
-    _months(config, check_months, filled, config.train_start, config.train_end)
-    month = _months(config, month_partition, filled, config.test_month, config.test_month)[0]
+def prepare(config: RunConfig, filled: Calendar) -> PreparedExperiment:
+    """Partition and forecast the test month of a loaded calendar, check its
+    two totals, and build and check every agent setting and grid cell, all
+    before any file is written."""
+    try:
+        month = month_partition(filled, (config.test_month, config.test_month))[0]
+    except DataError as exc:
+        raise DataError(f"{config.data_path}: {exc}") from None
 
     if config.forecaster == "external":
         base_path = config.external_forecast_path
@@ -317,7 +311,7 @@ def prepare(config: RunConfig) -> PreparedExperiment:
                     seed=derive_seed(agent_cfg.seed, f"grid:{i}:{j}"))))
     except ValueError as exc:
         raise ConfigError(f"{where}{exc}") from None
-    return PreparedExperiment(config, filled, month, test, agent_cfg, grid_cells)
+    return PreparedExperiment(month, test, agent_cfg, grid_cells)
 
 
 def _write(path: Path, content: str) -> None:
@@ -378,11 +372,12 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None,
     """
     _refuse_overwrite(config, ("metrics.csv", "qtable.txt", "summary.json"), qtable_path,
                       config_path)
-    prep = prepare(config)
+    _, filled, _ = load(config, config.train_end)
+    prep = prepare(config, filled)
     if qtable_path is None:
-        table = train(prep.training(), prep.agent_cfg)
+        table = train(training(config, filled), prep.agent_cfg)
     else:
-        table, _meta = load_table(qtable_path)
+        table = load_table(qtable_path)
     test = prep.test
     trace = reconcile_online(
         table,
@@ -393,9 +388,8 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None,
     )
     report = build_metric_report(
         trace,
-        test.actuals,
-        test.forecasts,
-        labels=[d.isoformat() for d in prep.test_month.dates[: len(trace)]],
+        test,
+        [d.isoformat() for d in prep.test_month.dates[: len(trace)]],
     )
     out = Path(config.output_dir)
     _write(out / "metrics.csv", report.to_csv())
@@ -413,8 +407,9 @@ def grid_experiment(config: RunConfig, config_path: str | None = None) -> None:
     if not (config.grid_tolerances and config.grid_epsilons):
         raise ConfigError("grid verb needs grid_tolerances and grid_epsilons")
     _refuse_overwrite(config, ("grid.csv",), config_path=config_path)
-    prep = prepare(config)
-    grid = run_grid(prep.training(), prep.test, prep.grid_cells)
+    _, filled, _ = load(config, config.train_end)
+    prep = prepare(config, filled)
+    grid = run_grid(training(config, filled), prep.test, prep.grid_cells)
     path = Path(config.output_dir) / "grid.csv"
     _write(path, grid.to_csv())
     for row in grid.rows:
@@ -425,8 +420,7 @@ def grid_experiment(config: RunConfig, config_path: str | None = None) -> None:
 
 
 def validate_data(config: RunConfig) -> None:
-    series, filled = _load(config)
-    n_months = _months(config, check_months, filled, config.train_start, config.test_month)
+    series, filled, n_months = load(config, config.test_month)
     first, last = ("%04d-%02d" % parse_month(label)
                    for label in (config.train_start, config.test_month))
     print(

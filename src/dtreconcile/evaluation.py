@@ -6,7 +6,7 @@ import io
 from typing import NamedTuple, Sequence
 
 from .agent import AgentConfig, CycleData, DayRecord, reconcile_online, train
-from .errors import ReconcileError, ShapeError
+from .errors import ReconcileError
 from .seeding import rng_for
 from .totals import pairwise_sum
 
@@ -55,26 +55,20 @@ class MetricReport(NamedTuple):
 
 def build_metric_report(
     trace: Sequence[DayRecord],
-    actuals,
-    forecasts,
-    labels: Sequence[str] | None = None,
+    test: CycleData,
+    labels: Sequence[str],
 ) -> MetricReport:
-    """Evaluate an online revision's day records against the cycle's actuals.
+    """Evaluate an online revision's day records against the test cycle;
+    ``labels`` name the rows, one per record.
 
-    ``actuals``/``forecasts`` cover the whole cycle; the cycle-level
-    totals anchor the per-day percentages.
+    The cycle-level totals anchor the per-day percentages.
     """
-    actuals = tuple(map(float, actuals))
-    forecasts = tuple(map(float, forecasts))
-    if len(actuals) != len(forecasts):
-        raise ShapeError("actuals and forecasts must cover the same cycle")
-    if labels is None:
-        labels = [str(rec.day_index) for rec in trace]
+    actuals, forecasts = test.actuals, test.forecasts
     actual_total = pairwise_sum(actuals)
     base_total = pairwise_sum(forecasts)
     rows = tuple(
         MetricRow(
-            label=str(label),
+            label=label,
             actual=actuals[rec.day_index - 1],
             forecast=forecasts[rec.day_index - 1],
             rmf=rec.rmf,

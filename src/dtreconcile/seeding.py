@@ -21,7 +21,6 @@ draws both streams from it.
 from __future__ import annotations
 
 import hashlib
-from array import array
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -97,12 +96,9 @@ class Generator:
         word = ((state >> 64) ^ state) & _MASK64
         return ((word >> rot) | (word << (64 - rot))) & _MASK64
 
-    def random(self, size: int | None = None):
-        """One uniform double in [0, 1), or an ``array('d')`` of the next
-        ``size`` of them, the doubles numpy's ``random(size)`` returns."""
-        if size is None:
-            return (self._next64() >> 11) * _TO_UNIT
-        return array("d", [(self._next64() >> 11) * _TO_UNIT for _ in range(size)])
+    def random(self) -> float:
+        """One uniform double in [0, 1), the one numpy's ``random()`` returns."""
+        return (self._next64() >> 11) * _TO_UNIT
 
 
 def rng_for(base_seed: int, purpose: str) -> Generator:

@@ -560,10 +560,9 @@ def test_snapshot_round_trip(tmp_path):
     table.q[0][2] = -1.25
     path = tmp_path / "qtable.txt"
     save_table(table, path, cfg)
-    loaded, meta = load_table(path)
+    loaded = load_table(path)
     assert np.array_equal(loaded.q, table.q)
-    assert meta["seed"] == "17"
-    assert meta["config_hash"] == cfg.config_hash()
+    assert path.read_text().splitlines()[0] == f"# config_hash={cfg.config_hash()} seed=17"
 
 
 def test_config_hash_is_pinned():

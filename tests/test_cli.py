@@ -7,6 +7,7 @@ import shutil
 import string
 import subprocess
 import sys
+from collections import Counter, defaultdict
 from datetime import date
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from dtreconcile.cli import (
     parse_config_file,
     resolve_tolerance,
 )
+from dtreconcile.data import Calendar
 from dtreconcile.errors import ConfigError
 from dtreconcile.seeding import derive_seed, rng_for
 
@@ -211,7 +213,8 @@ def test_prepare_builds_grid_cells_row_major(tmp_path, daily_csv):
         mapping = parse_config_file(cfg_path)
         if unit is not None:
             mapping["adjustment_unit"] = unit
-        prep = cli.prepare(build_run_config(mapping))
+        config = build_run_config(mapping)
+        prep = cli.prepare(config, cli.load(config, config.train_end)[1])
         base = prep.agent_cfg
         tolerances = [resolve_tolerance(raw, prep.test.forecasts) for raw in ("10%", "20%")]
         # A per-day unit follows the cell's own tolerance; an absolute one stays.
@@ -226,6 +229,32 @@ def test_prepare_builds_grid_cells_row_major(tmp_path, daily_csv):
         for cell in prep.grid_cells:  # every other setting is the base config's
             assert cell._replace(tolerance=base.tolerance, adjustment_unit=base.adjustment_unit,
                                  exploration=base.exploration, seed=base.seed) == base
+
+
+@pytest.mark.parametrize("forecaster", ["naive", "seasonal_naive", "drift"])
+def test_shorter_training_is_a_prefix_of_a_longer_one(tmp_path, daily_csv, forecaster):
+    # `forecast_month` reads only the calendar before the month, so one
+    # loaded calendar serves every origin of a rolling backtest, and the
+    # calendar past the training range is never read.
+    mapping = {**parse_config_file(write_config(tmp_path, daily_csv, tmp_path / "out")),
+               "forecaster": forecaster}
+    config = build_run_config(mapping)
+    _, filled, _ = cli.load(config, config.train_end)
+
+    def bits(cycles):
+        return [(tuple(map(float.hex, c.forecasts)), tuple(map(float.hex, c.actuals)),
+                 c.monthly_total.hex()) for c in cycles]
+
+    longer = bits(cli.training(config, filled))
+    months = [f"2019-{m:02d}" for m in range(1, 13)] + ["2020-01", "2020-02"]
+    assert len(longer) == len(months)
+    for k in range(1, len(months)):
+        shorter = build_run_config({**mapping, "train_end": months[k - 1],
+                                    "test_month": months[k]})
+        assert bits(cli.training(shorter, filled)) == longer[:k], (forecaster, k)
+        end = (date(*map(int, months[k].split("-")), 1) - filled.start).days
+        cut = Calendar(filled.start, filled.values[:end])
+        assert bits(cli.training(shorter, cut)) == longer[:k], (forecaster, k)
 
 
 def test_reconcile_verb_uses_snapshot(tmp_path, daily_csv):
@@ -599,10 +628,10 @@ def test_output_dir_that_is_not_a_directory_is_a_config_error(tmp_path, daily_cs
                                                              monkeypatch):
     # An output_dir that is a file, lies under one or is a broken link
     # would fail only at the first write; it exits 1 before any file is read.
-    def prepare(config):
+    def load_ohlcv_csv(*args):
         raise AssertionError("the data was read")
 
-    monkeypatch.setattr(cli, "prepare", prepare)
+    monkeypatch.setattr(cli, "load_ohlcv_csv", load_ohlcv_csv)
     taken = tmp_path / "taken"
     taken.write_text("kept\n")
     dangling = tmp_path / "dangling"
@@ -719,13 +748,54 @@ TRACED_NAMES = [(cli, name) for name in (
 )] + [(agent, "run_episode"), (evaluation, "train"), (evaluation, "reconcile_online"),
       (forecasting, "naive"), (forecasting, "seasonal_naive"), (forecasting, "drift"),
       (evaluation.MetricReport, "to_csv"), (evaluation.GridReport, "to_csv")]
+TRACED_IDS = [name if owner is cli else f"{owner.__name__.rsplit('.', 1)[-1]}.{name}"
+              for owner, name in TRACED_NAMES]
 
 
-@pytest.mark.parametrize("owner, name", TRACED_NAMES, ids=[
-    name if owner is cli else f"{owner.__name__.rsplit('.', 1)[-1]}.{name}"
-    for owner, name in TRACED_NAMES])
+@pytest.mark.parametrize("owner, name", TRACED_NAMES, ids=TRACED_IDS)
 def test_cli_exposes_traced_names(owner, name):
     assert callable(getattr(owner, name))
+
+
+def test_verbs_reach_every_traced_name_through_its_owner(tmp_path, daily_csv, capsys,
+                                                         monkeypatch):
+    # A call that bypasses the attribute the tracer wraps would leave that
+    # layer's spans short in a traced benchmark run. The profiler counts
+    # every call of each function; the wrappers count those made through
+    # the attribute (`cli.train` and `evaluation.train` share one function).
+    reached, through, entered = set(), Counter(), Counter()
+    names = defaultdict(list)  # code -> the ids of the attributes bound to it
+
+    def counting(name_id, original):
+        def wrapper(*args, **kwargs):
+            reached.add(name_id)
+            through[original.__code__] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            entered[frame.f_code] += 1
+
+    for (owner, name), name_id in zip(TRACED_NAMES, TRACED_IDS):
+        original = getattr(owner, name)
+        names[original.__code__].append(name_id)
+        monkeypatch.setattr(owner, name, counting(name_id, original))
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, daily_csv, out, extra=GRID_KEYS)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for verb in (["run"], ["grid", "--set", "forecaster=seasonal_naive"],
+                     ["reconcile", "--qtable", str(out / "qtable.txt"),
+                      "--set", "forecaster=drift", "--set", f"output_dir={tmp_path / 'out2'}"]):
+            assert main([verb[0], "--config", str(cfg_path), *verb[1:]]) == 0, verb
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert [name_id for name_id in TRACED_IDS if name_id not in reached] == []
+    assert ({"/".join(names[code]): n for code, n in entered.items()}
+            == {"/".join(names[code]): n for code, n in through.items()})
 
 
 def test_run_episode_keeps_the_traced_shape():

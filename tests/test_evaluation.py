@@ -54,8 +54,10 @@ def test_build_metric_report_columns():
     training, test = regime_shift_cycles(n_days=28, n_train=2)
     cfg = AgentConfig(tolerance=10.0, exploration=0.05, seed=3)
     trace = _small_run(cfg, training, test)
-    report = build_metric_report(trace, test.actuals, test.forecasts)
+    labels = [f"day {rec.day_index}" for rec in trace]
+    report = build_metric_report(trace, test, labels)
     assert len(report.rows) == 28
+    assert [row.label for row in report.rows] == labels
     assert report.base_total == pytest.approx(2800.0)
     assert report.actual_total == pytest.approx(float(np.sum(test.actuals)))
     last = report.rows[-1]
