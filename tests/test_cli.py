@@ -547,6 +547,40 @@ def test_exit_codes(tmp_path, daily_csv, capsys):
         assert f"data error: {short}: month 2020-03 incomplete" in capsys.readouterr().err
 
 
+def test_a_bad_agent_setting_is_refused_with_one_message(tmp_path, daily_csv, capsys):
+    # The tolerance is read before the unit, the base setting before the
+    # grid cells; only a cell's message is prefixed with its coordinates.
+    cfg_path = write_config(tmp_path, daily_csv, tmp_path / "out")
+    trained = tmp_path / "trained"
+    assert main(["run", "--config", str(cfg_path), "--set", f"output_dir={trained}"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "bad_out"
+    for verb in (["run"], ["grid"], ["reconcile", "--qtable", str(trained / "qtable.txt")]):
+        for bad, message in (
+            (["adjustment_unit=abc"], "bad adjustment_unit 'abc'"),
+            (["tolerance=abc"], "bad tolerance 'abc'"),
+            (["grid_tolerances=10%,abc"], "bad tolerance 'abc'"),
+            (["tolerance=-5"], "tolerance '-5' must be positive"),
+            (["exploration=3"], "exploration probability must be in [0, 1]"),
+            (["grid_epsilons=0.1,3"],
+             "grid_tolerances=10%, grid_epsilons=3.0: exploration probability must be in [0, 1]"),
+            (["tolerance=abc", "adjustment_unit=abc"], "bad tolerance 'abc'"),
+        ):
+            argv = [*verb, "--config", str(cfg_path), "--set", f"output_dir={out}",
+                    "--set", "grid_tolerances=10%,500", "--set", "grid_epsilons=0.1"]
+            for key in bad:
+                argv += ["--set", key]
+            assert main(argv) == 1, (verb, bad)
+            assert capsys.readouterr().err == f"config error: {message}\n", (verb, bad)
+            assert not out.exists(), (verb, bad)
+    # `run` and `reconcile` check the grid tolerances even with no epsilons.
+    for verb in (["run"], ["reconcile", "--qtable", str(trained / "qtable.txt")]):
+        assert main([*verb, "--config", str(cfg_path), "--set", f"output_dir={out}",
+                     "--set", "grid_tolerances=10%,abc"]) == 1, verb
+        assert capsys.readouterr().err == "config error: bad tolerance 'abc'\n", verb
+        assert not out.exists(), verb
+
+
 def test_reconcile_rejects_malformed_snapshot(tmp_path, daily_csv, capsys):
     out = tmp_path / "out"
     cfg_path = write_config(tmp_path, daily_csv, out)
