@@ -160,40 +160,18 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _is_percentage(raw: str | float) -> bool:
-    return str(raw).strip().endswith("%")
-
-
-def resolve_tolerance(raw: str | float, test_forecasts) -> float:
-    """Absolute tolerance from a number or a percentage of the
-    test-cycle forecast total."""
+def resolve_tolerance(raw: str | float, base_total: float) -> float:
+    """Absolute tolerance from a number, or from a percentage (one
+    trailing `%`) of the test cycle's base total."""
     text = str(raw).strip()
-    percent = _is_percentage(text)
+    number = text.removesuffix("%")
     try:
-        value = float(text.rstrip("%") if percent else text)
+        value = float(number)
     except ValueError:
         raise ConfigError(f"bad tolerance {raw!r}") from None
     if not value > 0:
         raise ConfigError(f"tolerance {raw!r} must be positive")
-    return value / 100.0 * pairwise_sum(test_forecasts) if percent else value
-
-
-def _resolve_unit(config: RunConfig, tolerance_abs: float, n_days: int) -> float | None:
-    unit = config.adjustment_unit
-    if unit is None:
-        return None
-    if unit.strip() == "per-day":
-        return tolerance_abs / n_days
-    try:
-        return float(unit)
-    except ValueError:
-        raise ConfigError(f"bad adjustment_unit {unit!r}") from None
-
-
-def _unit_key(config: RunConfig) -> str:
-    """The config key that sets the adjustment unit."""
-    unit = config.adjustment_unit
-    return "tolerance" if unit is None or unit.strip() == "per-day" else "adjustment_unit"
+    return value / 100.0 * base_total if number != text else value
 
 
 def _metrics_overflow(reach: float, smallest_total: float) -> bool:
@@ -241,9 +219,9 @@ def training(config: RunConfig, filled: Calendar) -> list[CycleData]:
 
 
 def prepare(config: RunConfig, filled: Calendar) -> PreparedExperiment:
-    """Partition and forecast the test month of a loaded calendar, check its
-    two totals, and build and check every agent setting and grid cell, all
-    before any file is written."""
+    """Partition and forecast the test month of a loaded calendar and check
+    its two totals; then build the base agent setting and every grid cell
+    through one path, `setting`, all before any file is written."""
     try:
         month = month_partition(filled, (config.test_month, config.test_month))[0]
     except DataError as exc:
@@ -277,40 +255,46 @@ def prepare(config: RunConfig, filled: Calendar) -> PreparedExperiment:
     test = CycleData(daily, month.values, base_total)
     # A percentage tolerance is a share of the base total; below 0 it would
     # be a negative tolerance, and the data, not the config, is at fault.
-    if base_total < 0 and any(map(_is_percentage, (config.tolerance, *config.grid_tolerances))):
+    if base_total < 0 and any(str(raw).strip().endswith("%")
+                              for raw in (config.tolerance, *config.grid_tolerances)):
         raise DataError(f"{base_path}: the base forecasts of test month {month.label} sum to "
                         f"{base_total!r}, below 0; a percentage tolerance needs a positive "
                         "total")
-
-    tolerance = resolve_tolerance(config.tolerance, daily)
-    # Every agent setting has a config key of the same name; the
-    # tolerance and the unit are resolved against the test cycle.
+    # Every agent setting has a config key of the same name.
     shared = {name: getattr(config, name) for name in AgentConfig._fields}
-    shared.update(tolerance=tolerance,
-                  adjustment_unit=_resolve_unit(config, tolerance, len(month)))
 
-    def check_reach(cfg: AgentConfig) -> AgentConfig:
+    def setting(raw: str, where: str = "", **changes) -> AgentConfig:
+        """The checked setting at tolerance ``raw`` with ``changes``. An error
+        names ``where``, or, for the base setting's reach, the unit's key."""
+        tolerance = resolve_tolerance(raw, base_total)
+        unit, key = config.adjustment_unit, "tolerance"
+        if unit is not None and unit.strip() == "per-day":
+            unit = tolerance / len(daily)
+        elif unit is not None:
+            try:
+                unit = float(unit)
+            except ValueError:
+                raise ConfigError(f"bad adjustment_unit {unit!r}") from None
+            key = "adjustment_unit"
+        try:
+            cfg = AgentConfig(**{**shared, "tolerance": tolerance, "adjustment_unit": unit,
+                                 **changes})
+        except ValueError as exc:
+            raise ConfigError(f"{where}{exc}") from None
         if _metrics_overflow(abs_sum + len(daily) * cfg.unit, smallest_total):
-            raise ValueError(f"moving each of the {len(daily)} daily forecasts of test month "
-                             f"{month.label} by {cfg.unit!r} overflows MAPE_rec or %_f")
+            raise ConfigError(f"{where or key + ': '}moving each of the {len(daily)} daily "
+                              f"forecasts of test month {month.label} by {cfg.unit!r} "
+                              "overflows MAPE_rec or %_f")
         return cfg
 
-    where = ""
-    grid_cells = []
-    try:
-        agent_cfg = AgentConfig(**shared)
-        where = f"{_unit_key(config)}: "
-        check_reach(agent_cfg)
-        for i, raw in enumerate(config.grid_tolerances):
-            tol = resolve_tolerance(raw, daily)
-            unit = _resolve_unit(config, tol, len(month))
-            for j, eps in enumerate(config.grid_epsilons):
-                where = f"grid_tolerances={raw}, grid_epsilons={eps}: "
-                grid_cells.append(check_reach(agent_cfg._replace(
-                    tolerance=tol, adjustment_unit=unit, exploration=eps,
-                    seed=derive_seed(agent_cfg.seed, f"grid:{i}:{j}"))))
-    except ValueError as exc:
-        raise ConfigError(f"{where}{exc}") from None
+    agent_cfg = setting(config.tolerance)
+    grid_cells = [setting(raw, f"grid_tolerances={raw}, grid_epsilons={eps}: ", exploration=eps,
+                          seed=derive_seed(agent_cfg.seed, f"grid:{i}:{j}"))
+                  for i, raw in enumerate(config.grid_tolerances)
+                  for j, eps in enumerate(config.grid_epsilons)]
+    if not config.grid_epsilons:  # no cell to build, but a bad grid tolerance is refused
+        for raw in config.grid_tolerances:
+            resolve_tolerance(raw, base_total)
     return PreparedExperiment(month, test, agent_cfg, grid_cells)
 
 

@@ -235,6 +235,6 @@ def test_criterion_10_protocol_smoke_and_tolerance_resolution(tmp_path):
     # Percentage tolerances resolved against the reference forecast column.
     daily = np.array(REFERENCE_FORECASTS, dtype=float)
     for pct, reported in (("10%", 36736.0), ("20%", 73473.0), ("30%", 110209.0)):
-        resolved = resolve_tolerance(pct, daily)
+        resolved = resolve_tolerance(pct, float(daily.sum()))
         assert abs(resolved - reported) <= 0.005 * reported
     print(f"ACCEPTANCE PASS: criterion 10 (protocol smoke test on {source})")

@@ -3,6 +3,7 @@
 import builtins
 import json
 import math
+import os
 import shutil
 import string
 import subprocess
@@ -94,14 +95,14 @@ def test_build_run_config_returns_config_or_config_error(key, raw):
 
 
 def test_resolve_tolerance_percentage_of_cycle_total():
-    daily = np.array(REFERENCE_FORECASTS, dtype=float)
-    assert resolve_tolerance("20%", daily) == pytest.approx(0.2 * daily.sum())
-    assert resolve_tolerance("5000", daily) == 5000.0
-    assert resolve_tolerance(123.0, daily) == 123.0
-    with pytest.raises(ConfigError):
-        resolve_tolerance("abc", daily)
-    with pytest.raises(ConfigError):
-        resolve_tolerance("-5", daily)
+    total = float(np.array(REFERENCE_FORECASTS, dtype=float).sum())
+    assert resolve_tolerance("20%", total) == pytest.approx(0.2 * total)
+    assert resolve_tolerance(" 20 %", total) == resolve_tolerance("20%", total)
+    assert resolve_tolerance("5000", total) == 5000.0
+    assert resolve_tolerance(123.0, total) == 123.0
+    for bad in ("abc", "-5", "20%%", "%"):
+        with pytest.raises(ConfigError):
+            resolve_tolerance(bad, total)
 
 
 def test_run_verb_end_to_end(tmp_path, daily_csv, capsys):
@@ -216,7 +217,7 @@ def test_prepare_builds_grid_cells_row_major(tmp_path, daily_csv):
         config = build_run_config(mapping)
         prep = cli.prepare(config, cli.load(config, config.train_end)[1])
         base = prep.agent_cfg
-        tolerances = [resolve_tolerance(raw, prep.test.forecasts) for raw in ("10%", "20%")]
+        tolerances = [resolve_tolerance(raw, prep.test.monthly_total) for raw in ("10%", "20%")]
         # A per-day unit follows the cell's own tolerance; an absolute one stays.
         units = {None: [None, None], "per-day": [tol / 31 for tol in tolerances],
                  "250": [250.0, 250.0]}[unit]
@@ -565,6 +566,8 @@ def test_a_bad_agent_setting_is_refused_with_one_message(tmp_path, daily_csv, ca
             (["grid_epsilons=0.1,3"],
              "grid_tolerances=10%, grid_epsilons=3.0: exploration probability must be in [0, 1]"),
             (["tolerance=abc", "adjustment_unit=abc"], "bad tolerance 'abc'"),
+            (["tolerance=20%%"], "bad tolerance '20%%'"),
+            (["grid_tolerances=10%%"], "bad tolerance '10%%'"),
         ):
             argv = [*verb, "--config", str(cfg_path), "--set", f"output_dir={out}",
                     "--set", "grid_tolerances=10%,500", "--set", "grid_epsilons=0.1"]
@@ -847,6 +850,17 @@ def test_run_episode_keeps_the_traced_shape():
         assert all(type(rec) is agent.DayRecord for rec in records)
 
 
+def run_fresh(*args, check=False):
+    """``python *args`` in a fresh interpreter that imports this checkout's
+    package. It keeps the caller's PYTHONDONTWRITEBYTECODE, so that a run
+    with it set writes no bytecode, and a child that hangs fails its test."""
+    env = {"PYTHONPATH": str(Path(dtreconcile.__file__).parents[1])}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          check=check, env=env, timeout=120)
+
+
 # Run in a fresh interpreter with the config, the snapshot and an output
 # directory as arguments; prints the exit codes and the modules loaded.
 DAILY_VERBS_SCRIPT = """
@@ -880,11 +894,9 @@ def test_cli_import_loads_no_hierarchy_code(tmp_path, daily_csv):
     # each costs start-up that every fresh process pays.
     cfg_path = write_config(tmp_path, daily_csv, tmp_path / "trained")
     assert main(["run", "--config", str(cfg_path)]) == 0
-    src = str(Path(dtreconcile.__file__).parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", DAILY_VERBS_SCRIPT, str(cfg_path),
-         str(tmp_path / "trained" / "qtable.txt"), str(tmp_path / "daily_out")],
-        capture_output=True, text=True, check=True, env={"PYTHONPATH": src})
+    result = run_fresh("-c", DAILY_VERBS_SCRIPT, str(cfg_path),
+                       str(tmp_path / "trained" / "qtable.txt"), str(tmp_path / "daily_out"),
+                       check=True)
     report = json.loads(result.stdout)
     assert report == {"import": [], "daily": [0, 0], "after_daily": [], "run": 0,
                       "after_run": []}, result.stderr
@@ -896,10 +908,9 @@ def test_cli_import_loads_no_hierarchy_code(tmp_path, daily_csv):
          {"agent", "errors", "evaluation", "seeding", "totals"}),
         ("forecasting", {"errors", "forecasting"}),
     ):
-        result = subprocess.run(
-            [sys.executable, "-c", f"import sys\nfrom dtreconcile import {modules}\n"
-             "print(' '.join(n for n in sys.modules if n.startswith('dtreconcile.')))"],
-            capture_output=True, text=True, check=True, env={"PYTHONPATH": src})
+        result = run_fresh("-c", f"import sys\nfrom dtreconcile import {modules}\n"
+                           "print(' '.join(n for n in sys.modules "
+                           "if n.startswith('dtreconcile.')))", check=True)
         assert {name.split(".")[1] for name in result.stdout.split()} == expected, modules
 
 
@@ -912,7 +923,6 @@ def test_module_entry_point_exits_with_the_documented_code(tmp_path, daily_csv, 
     rows[4][1] = "abc"  # the Open value on line 5
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("".join(",".join(row) + "\n" for row in rows))
-    src = str(Path(dtreconcile.__file__).parents[1])
     validate = ["validate-data", "--config", str(cfg_path)]
     for args, code, message in (
         (validate, 0, "complete months"),
@@ -924,9 +934,7 @@ def test_module_entry_point_exits_with_the_documented_code(tmp_path, daily_csv, 
         (["bogus"], 1, "config error: dtreconcile: argument verb: invalid choice: 'bogus'"),
         (["--help"], 0, "usage: dtreconcile"),
     ):
-        result = subprocess.run(
-            [sys.executable, "-m", "dtreconcile.cli", *args],
-            capture_output=True, text=True, env={"PYTHONPATH": src})
+        result = run_fresh("-m", "dtreconcile.cli", *args)
         assert result.returncode == code, result.stderr
         assert message in result.stdout + result.stderr
         assert "Traceback" not in result.stderr
