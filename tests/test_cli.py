@@ -946,6 +946,112 @@ def test_module_entry_point_exits_with_the_documented_code(tmp_path, daily_csv, 
         assert message in capsys.readouterr().err
 
 
+VERB_OPTIONS_HELP = """
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  flat key=value config file
+  --set KEY=VALUE  override a config key (repeatable; wins over the file)
+"""
+HELP = {
+    "": """usage: dtreconcile [-h] {run,grid,reconcile,validate-data} ...
+
+Revise a monthly forecast from streaming daily actuals
+
+positional arguments:
+  {run,grid,reconcile,validate-data}
+  options               the verb's options
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "run": "usage: dtreconcile run [-h] [--config CONFIG] [--set KEY=VALUE]\n"
+           + VERB_OPTIONS_HELP,
+    "grid": "usage: dtreconcile grid [-h] [--config CONFIG] [--set KEY=VALUE]\n"
+            + VERB_OPTIONS_HELP,
+    "reconcile": "usage: dtreconcile reconcile [-h] [--config CONFIG] [--set KEY=VALUE] --qtable\n"
+                 "                             QTABLE\n" + VERB_OPTIONS_HELP
+                 + "  --qtable QTABLE  Q-table snapshot to load\n",
+    "validate-data": "usage: dtreconcile validate-data [-h] [--config CONFIG] [--set KEY=VALUE]\n"
+                     + VERB_OPTIONS_HELP,
+}
+CHOICES = "(choose from 'run', 'grid', 'reconcile', 'validate-data')"
+# argv -> ("parsed", (verb, config, sets, qtable)), ("help", stdout text,
+# exit 0) or ("error", the `config error: ` line, exit 1). The help texts
+# are argparse's at 80 columns.
+COMMAND_LINES = (
+    (["run", "--config=a.cfg"], "parsed", ("run", "a.cfg", [], None)),
+    (["run", "--conf", "a.cfg"], "parsed", ("run", "a.cfg", [], None)),
+    (["run", "--se", "seed=3"], "parsed", ("run", None, ["seed=3"], None)),
+    (["grid", "--set", "a=1", "--config", "a.cfg", "--set", "b=2"], "parsed",
+     ("grid", "a.cfg", ["a=1", "b=2"], None)),
+    (["validate-data", "--c=a.cfg", "--s=k=v", "--set="], "parsed",
+     ("validate-data", "a.cfg", ["k=v", ""], None)),
+    (["reconcile", "--q", "q.txt", "--config", "a.cfg"], "parsed",
+     ("reconcile", "a.cfg", [], "q.txt")),
+    (["reconcile", "--qtable=q.txt", "--qtable", "r.txt", "--config", "a", "--config", "b"],
+     "parsed", ("reconcile", "b", [], "r.txt")),
+    (["run", "--config", "-5", "--set", "-x y"], "parsed", ("run", "-5", ["-x y"], None)),
+    (["run", "--", "--config", "a.cfg"], "parsed", ("run", "a.cfg", [], None)),
+    (["--", "run", "--config", "a.cfg"], "parsed", ("run", "a.cfg", [], None)),
+    (["run", "--config"], "error", "dtreconcile run: argument --config: expected one argument"),
+    (["run", "--set", "--config", "a.cfg"], "error",
+     "dtreconcile run: argument --set: expected one argument"),
+    (["run", "--config", "--", "a.cfg"], "error",
+     "dtreconcile run: argument --config: expected one argument"),
+    (["reconcile", "--qtable"], "error",
+     "dtreconcile reconcile: argument --qtable: expected one argument"),
+    (["run", "--bogus", "-h"], "help", HELP["run"]),
+    (["run", "--config", "a.cfg", "--", "x"], "error",
+     "dtreconcile run: unrecognized arguments: -- x"),
+    (["run", "x", "--config", "a.cfg", "-c", "y"], "error",
+     "dtreconcile run: unrecognized arguments: x -c y"),
+    (["grid", "--qtable", "q"], "error", "dtreconcile grid: unrecognized arguments: --qtable q"),
+    (["reconcile"], "error",
+     "dtreconcile reconcile: the following arguments are required: --qtable"),
+    (["reconcile", "--bogus", "--config", "a.cfg"], "error",
+     "dtreconcile reconcile: the following arguments are required: --qtable"),
+    (["run", "-h", "--=x"], "error",
+     "dtreconcile run: ambiguous option: --=x could match --help, --config, --set"),
+    (["run", "--help=x"], "error",
+     "dtreconcile run: argument -h/--help: ignored explicit argument 'x'"),
+    (["run", "-hhx"], "error", "dtreconcile run: argument -h/--help: ignored explicit argument 'x'"),
+    ([], "error", "dtreconcile: the following arguments are required: verb"),
+    (["bogus"], "error", f"dtreconcile: argument verb: invalid choice: 'bogus' {CHOICES}"),
+    (["bogus", "-h"], "error", f"dtreconcile: argument verb: invalid choice: 'bogus' {CHOICES}"),
+    (["--config", "a.cfg", "run"], "error",
+     f"dtreconcile: argument verb: invalid choice: 'a.cfg' {CHOICES}"),
+    (["--version", "run"], "error", "dtreconcile: unrecognized arguments: --version"),
+    (["--version"], "error", "dtreconcile: the following arguments are required: verb"),
+    (["--help"], "help", HELP[""]),
+    (["-h", "bogus"], "help", HELP[""]),
+    (["--he", "run"], "help", HELP[""]),
+    (["run", "--help"], "help", HELP["run"]),
+    (["grid", "--h"], "help", HELP["grid"]),
+    (["reconcile", "--help"], "help", HELP["reconcile"]),
+    (["validate-data", "--config", "a.cfg", "-hh"], "help", HELP["validate-data"]),
+)
+
+
+def test_command_line_forms_keep_their_meaning(capsys, monkeypatch):
+    # The forms argparse accepted, its usage errors and its help, pinned
+    # before the command line was scanned without it.
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, kind, expected in COMMAND_LINES:
+        if kind == "parsed":
+            args = cli._parse_args(argv)
+            parsed = (args.verb, args.config, list(args.set), getattr(args, "qtable", None))
+            assert parsed == expected, argv
+            assert capsys.readouterr() == ("", ""), argv
+        elif kind == "help":
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            assert stop.value.code == 0, argv
+            assert capsys.readouterr() == (expected, ""), argv
+        else:
+            assert main(argv) == 1, argv
+            assert capsys.readouterr() == ("", f"config error: {expected}\n"), argv
+
+
 def _neumaier_sum(builtin_sum):
     """`sum` as Python 3.12 computes it: compensated (Neumaier) over floats."""
     def compensated(iterable, /, start=0):
