@@ -17,9 +17,9 @@ Configuration is a flat key=value file; command-line --set overrides win.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from math import isfinite
 from pathlib import Path
@@ -292,9 +292,14 @@ def prepare(config: RunConfig, filled: Calendar) -> PreparedExperiment:
                           seed=derive_seed(agent_cfg.seed, f"grid:{i}:{j}"))
                   for i, raw in enumerate(config.grid_tolerances)
                   for j, eps in enumerate(config.grid_epsilons)]
-    if not config.grid_epsilons:  # no cell to build, but a bad grid tolerance is refused
+    # With one grid list empty no cell is built, but a bad value in the
+    # other is refused: a tolerance alone, an epsilon at the base setting.
+    if not config.grid_epsilons:
         for raw in config.grid_tolerances:
             resolve_tolerance(raw, base_total)
+    if not config.grid_tolerances:
+        for eps in config.grid_epsilons:
+            setting(config.tolerance, f"grid_epsilons={eps}: ", exploration=eps)
     return PreparedExperiment(month, test, agent_cfg, grid_cells)
 
 
@@ -413,34 +418,137 @@ def validate_data(config: RunConfig) -> None:
     )
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # A usage error is a configuration error: exit 1, not argparse's 2,
-        # which is the data-error code. The verbs' parsers are this class too.
-        raise ConfigError(f"{self.prog}: {message}")
+VERBS = ("run", "grid", "reconcile", "validate-data")
+
+_OPTIONS_HELP = """
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  flat key=value config file
+  --set KEY=VALUE  override a config key (repeatable; wins over the file)
+"""
+# Help by program name, as argparse laid it out at 80 columns.
+_HELP = {
+    "dtreconcile": """usage: dtreconcile [-h] {run,grid,reconcile,validate-data} ...
+
+Revise a monthly forecast from streaming daily actuals
+
+positional arguments:
+  {run,grid,reconcile,validate-data}
+  options               the verb's options
+
+options:
+  -h, --help            show this help message and exit
+""",
+    **{f"dtreconcile {verb}": f"usage: dtreconcile {verb} [-h] [--config CONFIG] "
+       f"[--set KEY=VALUE]\n{_OPTIONS_HELP}" for verb in ("run", "grid", "validate-data")},
+    "dtreconcile reconcile": "usage: dtreconcile reconcile [-h] [--config CONFIG] "
+    "[--set KEY=VALUE] --qtable\n                             QTABLE\n" + _OPTIONS_HELP
+    + "  --qtable QTABLE  Q-table snapshot to load\n",
+}
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """The verb and its options. Only the named verb's parser is built:
-    building all four took longer than a parse."""
-    parser = _Parser(
-        prog="dtreconcile",
-        description="Revise a monthly forecast from streaming daily actuals",
-    )
-    parser.add_argument("verb", choices=("run", "grid", "reconcile", "validate-data"))
-    options = parser.add_argument("options", nargs=argparse.REMAINDER,
-                                  help="the verb's options")
-    options.required = False  # so that a missing verb is named alone
-    head = parser.parse_args(argv)
-    p = _Parser(prog=f"dtreconcile {head.verb}")
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument(
-        "--set", action="append", default=[], metavar="KEY=VALUE",
-        help="override a config key (repeatable; wins over the file)",
-    )
-    if head.verb == "reconcile":
-        p.add_argument("--qtable", required=True, help="Q-table snapshot to load")
-    return p.parse_args(head.options, argparse.Namespace(verb=head.verb))
+class _Args(NamedTuple):
+    verb: str
+    config: str | None
+    set: list[str]
+    qtable: str | None
+
+
+def _option(arg: str, names: tuple[str, ...], prog: str) -> tuple[str, str | None] | None:
+    """How argparse read ``arg`` beside ``-h``/``--help`` and the long
+    options ``names``: None for a value, else the option's name ('' if it
+    is unknown) and the value attached to it, or None if there is none."""
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg.startswith("--"):
+        head, eq, value = arg.partition("=")
+        matches = [name for name in ("help", *names) if f"--{name}".startswith(head)]
+        if len(matches) > 1:
+            raise ConfigError(f"{prog}: ambiguous option: {arg} could match "
+                              + ", ".join(f"--{name}" for name in matches))
+        if matches:
+            return matches[0], value if eq else None
+    elif arg.startswith("-h"):
+        head, eq, value = arg.partition("=")
+        return "help", value if head == "-h" and eq else arg[2:] or None
+    return None if _NEGATIVE_NUMBER(arg) or " " in arg else ("", None)
+
+
+def _help(prog: str, arg: str, value: str | None) -> None:
+    """Print ``prog``'s help and exit 0; of an attached value only more
+    `h`s after ``-h`` are read (as ``-h`` again), any other is refused."""
+    if value is not None:
+        rest = value if arg.startswith("--") else value.lstrip("h")
+        if rest or not value:
+            raise ConfigError(f"{prog}: argument -h/--help: ignored explicit argument {rest!r}")
+    try:
+        (sys.stdout or sys.stderr).write(_HELP[prog])
+    except (AttributeError, OSError):
+        pass
+    raise SystemExit(0)
+
+
+def _parse_args(argv) -> _Args:
+    """`dtreconcile VERB [--config PATH] [--set KEY=VALUE]... [--qtable PATH]`,
+    ``--qtable`` for `reconcile` alone and required there, read as argparse
+    read it: ``--opt value`` or ``--opt=value``, a unique prefix of an
+    option, ``-h`` or ``--help`` before or after the verb, the same usage
+    errors in the same order. One difference: an option where the verb
+    goes, with no verb after it, is an invalid verb, not a missing one."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    lead = 0  # before the verb only -h/--help means anything
+    while lead < len(args) and args[lead] != "--" and (
+            opt := _option(args[lead], (), "dtreconcile")):
+        if opt[0] == "help":
+            _help("dtreconcile", args[lead], opt[1])
+        lead += 1
+    unknown, args = args[:lead], args[lead:]
+    if args[:1] == ["--"]:
+        del args[0]
+    elif args[1:2] == ["--"]:  # `run -- --set k=v` is `run --set k=v`
+        del args[1]
+    if not args and not unknown:
+        raise ConfigError("dtreconcile: the following arguments are required: verb")
+    verb, rest = args[0] if args else unknown[0], args[1:]  # an option is no verb
+    if verb not in VERBS:
+        raise ConfigError(f"dtreconcile: argument verb: invalid choice: {verb!r} "
+                          f"(choose from {', '.join(map(repr, VERBS))})")
+    if unknown:
+        raise ConfigError(f"dtreconcile: unrecognized arguments: {' '.join(unknown)}")
+
+    prog = f"dtreconcile {verb}"
+    names = ("config", "set", "qtable") if verb == "reconcile" else ("config", "set")
+    # Nothing after `--` is an option. Every option is read before any
+    # acts, so an ambiguous one is refused first.
+    end = rest.index("--") if "--" in rest else len(rest)
+    read = [_option(arg, names, prog) for arg in rest[:end]]
+    values: dict[str, str | None] = {"config": None, "qtable": None}
+    sets, extras = [], []
+    i = 0
+    while i < end:
+        name, value = read[i] or ("", None)
+        if not name:
+            extras.append(rest[i])
+        elif name == "help":
+            _help(prog, rest[i], value)
+        else:
+            if value is None:
+                i += 1
+                if i == end or read[i] is not None:
+                    raise ConfigError(f"{prog}: argument --{name}: expected one argument")
+                value = rest[i]
+            if name == "set":
+                sets.append(value)
+            else:
+                values[name] = value
+        i += 1
+    extras += rest[end:]
+    if verb == "reconcile" and values["qtable"] is None:
+        raise ConfigError(f"{prog}: the following arguments are required: --qtable")
+    if extras:
+        raise ConfigError(f"{prog}: unrecognized arguments: {' '.join(extras)}")
+    return _Args(verb, values["config"], sets, values["qtable"])
 
 
 def _merge_config(args) -> RunConfig:

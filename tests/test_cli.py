@@ -576,12 +576,18 @@ def test_a_bad_agent_setting_is_refused_with_one_message(tmp_path, daily_csv, ca
             assert main(argv) == 1, (verb, bad)
             assert capsys.readouterr().err == f"config error: {message}\n", (verb, bad)
             assert not out.exists(), (verb, bad)
-    # `run` and `reconcile` check the grid tolerances even with no epsilons.
+    # `run` and `reconcile` check the grid tolerances even with no epsilons,
+    # and the grid epsilons with no tolerances.
     for verb in (["run"], ["reconcile", "--qtable", str(trained / "qtable.txt")]):
-        assert main([*verb, "--config", str(cfg_path), "--set", f"output_dir={out}",
-                     "--set", "grid_tolerances=10%,abc"]) == 1, verb
-        assert capsys.readouterr().err == "config error: bad tolerance 'abc'\n", verb
-        assert not out.exists(), verb
+        for grid, message in (
+            ("grid_tolerances=10%,abc", "bad tolerance 'abc'"),
+            ("grid_epsilons=0.1,2",
+             "grid_epsilons=2.0: exploration probability must be in [0, 1]"),
+        ):
+            assert main([*verb, "--config", str(cfg_path), "--set", f"output_dir={out}",
+                         "--set", grid]) == 1, (verb, grid)
+            assert capsys.readouterr().err == f"config error: {message}\n", (verb, grid)
+            assert not out.exists(), (verb, grid)
 
 
 def test_reconcile_rejects_malformed_snapshot(tmp_path, daily_csv, capsys):
@@ -868,7 +874,7 @@ import contextlib, io, json, sys
 from dtreconcile import cli
 
 def loaded(names=("dtreconcile.hierarchy", "dtreconcile.baselines",
-                  "dataclasses", "inspect", "calendar")):
+                  "dataclasses", "inspect", "calendar", "argparse", "gettext")):
     return sorted(name for name in sys.modules
                   if name.split(".")[0] == "numpy" or name in names)
 
@@ -881,7 +887,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     report["after_daily"] = loaded()
     report["run"] = cli.main(["run", "--config", cfg, "--set", "output_dir=" + out])
 # numpy, which training imports, loads inspect itself.
-report["after_run"] = [name for name in ("dataclasses", "calendar") if name in sys.modules]
+report["after_run"] = [name for name in ("dataclasses", "calendar", "argparse", "gettext")
+                       if name in sys.modules]
 print(json.dumps(report))
 """
 
@@ -890,8 +897,8 @@ def test_cli_import_loads_no_hierarchy_code(tmp_path, daily_csv):
     # `validate-data` and `reconcile` load neither numpy nor the baselines:
     # a top-level `import numpy` anywhere on their path fails here. `run`
     # imports numpy inside training and still succeeds. No verb loads
-    # `dataclasses` or `calendar`, and the daily verbs not `inspect`:
-    # each costs start-up that every fresh process pays.
+    # `dataclasses`, `calendar`, `argparse` or `gettext`, and the daily
+    # verbs not `inspect`: each costs start-up that every fresh process pays.
     cfg_path = write_config(tmp_path, daily_csv, tmp_path / "trained")
     assert main(["run", "--config", str(cfg_path)]) == 0
     result = run_fresh("-c", DAILY_VERBS_SCRIPT, str(cfg_path),
@@ -1021,7 +1028,7 @@ COMMAND_LINES = (
     (["--config", "a.cfg", "run"], "error",
      f"dtreconcile: argument verb: invalid choice: 'a.cfg' {CHOICES}"),
     (["--version", "run"], "error", "dtreconcile: unrecognized arguments: --version"),
-    (["--version"], "error", "dtreconcile: the following arguments are required: verb"),
+    (["--version"], "error", f"dtreconcile: argument verb: invalid choice: '--version' {CHOICES}"),
     (["--help"], "help", HELP[""]),
     (["-h", "bogus"], "help", HELP[""]),
     (["--he", "run"], "help", HELP[""]),
@@ -1034,7 +1041,8 @@ COMMAND_LINES = (
 
 def test_command_line_forms_keep_their_meaning(capsys, monkeypatch):
     # The forms argparse accepted, its usage errors and its help, pinned
-    # before the command line was scanned without it.
+    # before the command line was scanned without it; only an option where
+    # the verb goes, with no verb after it, is now named as an invalid verb.
     monkeypatch.setenv("COLUMNS", "80")
     for argv, kind, expected in COMMAND_LINES:
         if kind == "parsed":
