@@ -418,7 +418,7 @@ def validate_data(config: RunConfig) -> None:
     )
 
 
-VERBS = ("run", "grid", "reconcile", "validate-data")
+_VERBS = ("run", "grid", "reconcile", "validate-data")
 
 _OPTIONS_HELP = """
 options:
@@ -511,9 +511,9 @@ def _parse_args(argv) -> _Args:
     if not args and not unknown:
         raise ConfigError("dtreconcile: the following arguments are required: verb")
     verb, rest = args[0] if args else unknown[0], args[1:]  # an option is no verb
-    if verb not in VERBS:
+    if verb not in _VERBS:
         raise ConfigError(f"dtreconcile: argument verb: invalid choice: {verb!r} "
-                          f"(choose from {', '.join(map(repr, VERBS))})")
+                          f"(choose from {', '.join(map(repr, _VERBS))})")
     if unknown:
         raise ConfigError(f"dtreconcile: unrecognized arguments: {' '.join(unknown)}")
 

@@ -1021,7 +1021,8 @@ COMMAND_LINES = (
      "dtreconcile run: ambiguous option: --=x could match --help, --config, --set"),
     (["run", "--help=x"], "error",
      "dtreconcile run: argument -h/--help: ignored explicit argument 'x'"),
-    (["run", "-hhx"], "error", "dtreconcile run: argument -h/--help: ignored explicit argument 'x'"),
+    (["run", "-hhx"], "error",
+     "dtreconcile run: argument -h/--help: ignored explicit argument 'x'"),
     ([], "error", "dtreconcile: the following arguments are required: verb"),
     (["bogus"], "error", f"dtreconcile: argument verb: invalid choice: 'bogus' {CHOICES}"),
     (["bogus", "-h"], "error", f"dtreconcile: argument verb: invalid choice: 'bogus' {CHOICES}"),
