@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from math import isfinite
 from pathlib import Path
@@ -292,11 +291,12 @@ def prepare(config: RunConfig, filled: Calendar) -> PreparedExperiment:
                           seed=derive_seed(agent_cfg.seed, f"grid:{i}:{j}"))
                   for i, raw in enumerate(config.grid_tolerances)
                   for j, eps in enumerate(config.grid_epsilons)]
-    # With one grid list empty no cell is built, but a bad value in the
-    # other is refused: a tolerance alone, an epsilon at the base setting.
+    # With one grid list empty no cell is built, but each value of the other
+    # is checked: a tolerance at the base exploration, an epsilon at the
+    # base tolerance.
     if not config.grid_epsilons:
         for raw in config.grid_tolerances:
-            resolve_tolerance(raw, base_total)
+            setting(raw, f"grid_tolerances={raw}: ")
     if not config.grid_tolerances:
         for eps in config.grid_epsilons:
             setting(config.tolerance, f"grid_epsilons={eps}: ", exploration=eps)
@@ -420,33 +420,6 @@ def validate_data(config: RunConfig) -> None:
 
 _VERBS = ("run", "grid", "reconcile", "validate-data")
 
-_OPTIONS_HELP = """
-options:
-  -h, --help       show this help message and exit
-  --config CONFIG  flat key=value config file
-  --set KEY=VALUE  override a config key (repeatable; wins over the file)
-"""
-# Help by program name, as argparse laid it out at 80 columns.
-_HELP = {
-    "dtreconcile": """usage: dtreconcile [-h] {run,grid,reconcile,validate-data} ...
-
-Revise a monthly forecast from streaming daily actuals
-
-positional arguments:
-  {run,grid,reconcile,validate-data}
-  options               the verb's options
-
-options:
-  -h, --help            show this help message and exit
-""",
-    **{f"dtreconcile {verb}": f"usage: dtreconcile {verb} [-h] [--config CONFIG] "
-       f"[--set KEY=VALUE]\n{_OPTIONS_HELP}" for verb in ("run", "grid", "validate-data")},
-    "dtreconcile reconcile": "usage: dtreconcile reconcile [-h] [--config CONFIG] "
-    "[--set KEY=VALUE] --qtable\n                             QTABLE\n" + _OPTIONS_HELP
-    + "  --qtable QTABLE  Q-table snapshot to load\n",
-}
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
-
 
 class _Args(NamedTuple):
     verb: str
@@ -455,105 +428,67 @@ class _Args(NamedTuple):
     qtable: str | None
 
 
-def _option(arg: str, names: tuple[str, ...], prog: str) -> tuple[str, str | None] | None:
-    """How argparse read ``arg`` beside ``-h``/``--help`` and the long
-    options ``names``: None for a value, else the option's name ('' if it
-    is unknown) and the value attached to it, or None if there is none."""
-    if not arg.startswith("-") or arg == "-":
-        return None
-    if arg.startswith("--"):
-        head, eq, value = arg.partition("=")
-        matches = [name for name in ("help", *names) if f"--{name}".startswith(head)]
-        if len(matches) > 1:
-            raise ConfigError(f"{prog}: ambiguous option: {arg} could match "
-                              + ", ".join(f"--{name}" for name in matches))
-        if matches:
-            return matches[0], value if eq else None
-    elif arg.startswith("-h"):
-        head, eq, value = arg.partition("=")
-        return "help", value if head == "-h" and eq else arg[2:] or None
-    return None if _NEGATIVE_NUMBER(arg) or " " in arg else ("", None)
-
-
-def _help(prog: str, arg: str, value: str | None) -> None:
-    """Print ``prog``'s help and exit 0; of an attached value only more
-    `h`s after ``-h`` are read (as ``-h`` again), any other is refused."""
-    if value is not None:
-        rest = value if arg.startswith("--") else value.lstrip("h")
-        if rest or not value:
-            raise ConfigError(f"{prog}: argument -h/--help: ignored explicit argument {rest!r}")
-    try:
-        (sys.stdout or sys.stderr).write(_HELP[prog])
-    except (AttributeError, OSError):
-        pass
-    raise SystemExit(0)
-
-
 def _parse_args(argv) -> _Args:
     """`dtreconcile VERB [--config PATH] [--set KEY=VALUE]... [--qtable PATH]`,
-    ``--qtable`` for `reconcile` alone and required there, read as argparse
-    read it: ``--opt value`` or ``--opt=value``, a unique prefix of an
-    option, ``-h`` or ``--help`` before or after the verb, the same usage
-    errors in the same order. One difference: an option where the verb
-    goes, with no verb after it, is an invalid verb, not a missing one."""
+    ``--qtable`` for `reconcile` alone and required there. A direct scan,
+    which spares a call building argparse's parsers, reads the line written
+    in this form: each option in full, each value after ``=`` or as the
+    next argument, not starting with ``-``. `_argparse` reads every other
+    line, so argparse alone gives abbreviations, help and usage errors."""
     args = sys.argv[1:] if argv is None else list(argv)
-    lead = 0  # before the verb only -h/--help means anything
-    while lead < len(args) and args[lead] != "--" and (
-            opt := _option(args[lead], (), "dtreconcile")):
-        if opt[0] == "help":
-            _help("dtreconcile", args[lead], opt[1])
-        lead += 1
-    unknown, args = args[:lead], args[lead:]
-    if args[:1] == ["--"]:
-        del args[0]
-    elif args[1:2] == ["--"]:  # `run -- --set k=v` is `run --set k=v`
-        del args[1]
-    if not args and not unknown:
-        raise ConfigError("dtreconcile: the following arguments are required: verb")
-    verb, rest = args[0] if args else unknown[0], args[1:]  # an option is no verb
-    if verb not in _VERBS:
-        raise ConfigError(f"dtreconcile: argument verb: invalid choice: {verb!r} "
-                          f"(choose from {', '.join(map(repr, _VERBS))})")
-    if unknown:
-        raise ConfigError(f"dtreconcile: unrecognized arguments: {' '.join(unknown)}")
-
-    prog = f"dtreconcile {verb}"
-    names = ("config", "set", "qtable") if verb == "reconcile" else ("config", "set")
-    # Nothing after `--` is an option. Every option is read before any
-    # acts, so an ambiguous one is refused first.
-    end = rest.index("--") if "--" in rest else len(rest)
-    read = [_option(arg, names, prog) for arg in rest[:end]]
-    values: dict[str, str | None] = {"config": None, "qtable": None}
-    sets, extras = [], []
-    i = 0
-    while i < end:
-        name, value = read[i] or ("", None)
-        if not name:
-            extras.append(rest[i])
-        elif name == "help":
-            _help(prog, rest[i], value)
-        else:
-            if value is None:
-                i += 1
-                if i == end or read[i] is not None:
-                    raise ConfigError(f"{prog}: argument --{name}: expected one argument")
-                value = rest[i]
-            if name == "set":
-                sets.append(value)
+    if args and args[0] in _VERBS:
+        names = (("--config", "--set", "--qtable") if args[0] == "reconcile"
+                 else ("--config", "--set"))
+        found = {"--config": None, "--set": [], "--qtable": None}
+        rest = iter(args[1:])
+        for arg in rest:
+            name, eq, value = arg.partition("=")
+            value = value if eq else next(rest, "-")
+            if name not in names or value.startswith("-"):
+                break
+            if name == "--set":
+                found[name].append(value)
             else:
-                values[name] = value
-        i += 1
-    extras += rest[end:]
-    if verb == "reconcile" and values["qtable"] is None:
-        raise ConfigError(f"{prog}: the following arguments are required: --qtable")
-    if extras:
-        raise ConfigError(f"{prog}: unrecognized arguments: {' '.join(extras)}")
-    return _Args(verb, values["config"], sets, values["qtable"])
+                found[name] = value
+        else:
+            if args[0] != "reconcile" or found["--qtable"] is not None:
+                return _Args(args[0], found["--config"], found["--set"], found["--qtable"])
+    return _argparse(args)
+
+
+def _argparse(args: list[str]) -> _Args:
+    """``args`` read by argparse, imported only here, where its start-up cost
+    is paid: a parser for the verb, then one for the named verb's options."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            # A usage error is a configuration error: exit 1, not argparse's
+            # 2, which is the data-error code.
+            raise ConfigError(f"{self.prog}: {message}")
+
+    parser = Parser(prog="dtreconcile",
+                    description="Revise a monthly forecast from streaming daily actuals")
+    parser.add_argument("verb", choices=_VERBS)
+    options = parser.add_argument("options", nargs=argparse.REMAINDER,
+                                  help="the verb's options")
+    options.required = False  # so that a missing verb is named alone
+    head = parser.parse_args(args)
+    p = Parser(prog=f"dtreconcile {head.verb}")
+    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                   help="override a config key (repeatable; wins over the file)")
+    if head.verb == "reconcile":
+        p.add_argument("--qtable", required=True, help="Q-table snapshot to load")
+    ns = p.parse_args(head.options, argparse.Namespace(verb=head.verb, qtable=None))
+    # Python 3.11's argparse reads the value of `--opt=--` as [], not "--".
+    given = lambda value: "--" if value == [] else value
+    return _Args(ns.verb, given(ns.config), list(map(given, ns.set)), given(ns.qtable))
 
 
 def _merge_config(args) -> RunConfig:
     mapping: dict[str, str] = {}
-    if args.config:
+    if args.config is not None:
         mapping.update(parse_config_file(args.config))
     for item in args.set:
         if "=" not in item:

@@ -11,6 +11,7 @@ import sys
 from collections import Counter, defaultdict
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -340,6 +341,11 @@ def test_exit_codes(tmp_path, daily_csv, capsys):
     assert "missing.csv" in capsys.readouterr().err
     # 1: no configuration at all
     assert main(["run"]) == 1
+    assert "no configuration given" in capsys.readouterr().err
+    # 1: an empty config path is a config file that cannot be read
+    for empty in (["--config="], ["--config", ""]):
+        assert main(["validate-data", *empty, "--set", "data_path=x.csv"]) == 1, empty
+        assert capsys.readouterr().err.startswith("config error: cannot read config : "), empty
     # 1: agent settings out of range
     cfg_path = write_config(tmp_path, daily_csv, tmp_path / "out")
     for bad in ("tolerance=0%", "exploration=2", "step_size=0", "episodes=-1",
@@ -578,9 +584,15 @@ def test_a_bad_agent_setting_is_refused_with_one_message(tmp_path, daily_csv, ca
             assert not out.exists(), (verb, bad)
     # `run` and `reconcile` check the grid tolerances even with no epsilons,
     # and the grid epsilons with no tolerances.
+    overflow = ("moving each of the 31 daily forecasts of test month 2020-03 by 1e+308 "
+                "overflows MAPE_rec or %_f")
     for verb in (["run"], ["reconcile", "--qtable", str(trained / "qtable.txt")]):
         for grid, message in (
             ("grid_tolerances=10%,abc", "bad tolerance 'abc'"),
+            ("grid_tolerances=inf", "grid_tolerances=inf: tolerance must be positive and finite"),
+            ("grid_tolerances=1e400%",
+             "grid_tolerances=1e400%: tolerance must be positive and finite"),
+            ("grid_tolerances=1e308", f"grid_tolerances=1e308: {overflow}"),
             ("grid_epsilons=0.1,2",
              "grid_epsilons=2.0: exploration probability must be in [0, 1]"),
         ):
@@ -945,6 +957,14 @@ def test_module_entry_point_exits_with_the_documented_code(tmp_path, daily_csv, 
         assert result.returncode == code, result.stderr
         assert message in result.stdout + result.stderr
         assert "Traceback" not in result.stderr
+    # argparse reads these, imported by `_argparse` alone: pytest imports it
+    # itself, so only a fresh interpreter runs that import. Writing to a pipe
+    # with no COLUMNS set, argparse lays the help out for 80 columns.
+    for args, expected in ((["run", "--help"], (0, HELP["run"], "")),
+                           (["run", "--conf"], (1, "", "config error: dtreconcile run: "
+                                                "argument --config: expected one argument\n"))):
+        result = run_fresh("-m", "dtreconcile.cli", *args)
+        assert (result.returncode, result.stdout, result.stderr) == expected, args
     # In process, `main` returns the code rather than raising SystemExit.
     for args, message in ((["run", "--bogus"], "unrecognized arguments: --bogus"),
                           ([], "the following arguments are required: verb"),
@@ -1029,7 +1049,7 @@ COMMAND_LINES = (
     (["--config", "a.cfg", "run"], "error",
      f"dtreconcile: argument verb: invalid choice: 'a.cfg' {CHOICES}"),
     (["--version", "run"], "error", "dtreconcile: unrecognized arguments: --version"),
-    (["--version"], "error", f"dtreconcile: argument verb: invalid choice: '--version' {CHOICES}"),
+    (["--version"], "error", "dtreconcile: the following arguments are required: verb"),
     (["--help"], "help", HELP[""]),
     (["-h", "bogus"], "help", HELP[""]),
     (["--he", "run"], "help", HELP[""]),
@@ -1041,9 +1061,8 @@ COMMAND_LINES = (
 
 
 def test_command_line_forms_keep_their_meaning(capsys, monkeypatch):
-    # The forms argparse accepted, its usage errors and its help, pinned
-    # before the command line was scanned without it; only an option where
-    # the verb goes, with no verb after it, is now named as an invalid verb.
+    # The forms argparse accepts, its usage errors and its help, whether
+    # the scan or argparse reads the line.
     monkeypatch.setenv("COLUMNS", "80")
     for argv, kind, expected in COMMAND_LINES:
         if kind == "parsed":
@@ -1059,6 +1078,52 @@ def test_command_line_forms_keep_their_meaning(capsys, monkeypatch):
         else:
             assert main(argv) == 1, argv
             assert capsys.readouterr() == ("", f"config error: {expected}\n"), argv
+
+
+# A value the scan reads: any text, empty or holding `=`, but one that
+# starts with `-`.
+SCANNED_VALUE = st.text(alphabet="ab=.% /-", max_size=6).filter(lambda v: not v.startswith("-"))
+
+
+@st.composite
+def canonical_command_lines(draw):
+    """The verb, then its options written in full, in any order and any
+    number, each value after `=` or as the next argument."""
+    verb = draw(st.sampled_from(cli._VERBS))
+    names = ["--config", "--set"] + ["--qtable"] * (verb == "reconcile")
+    options = draw(st.lists(st.tuples(st.sampled_from(names), SCANNED_VALUE, st.booleans()),
+                            max_size=6))
+    if verb == "reconcile":  # required there
+        options.insert(draw(st.integers(0, len(options))),
+                       ("--qtable", draw(SCANNED_VALUE), draw(st.booleans())))
+    argv = [verb]
+    for name, value, attached in options:
+        argv += [f"{name}={value}"] if attached else [name, value]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=canonical_command_lines())
+def test_the_scan_reads_a_canonical_line_as_argparse_does(argv):
+    with mock.patch.object(cli, "_argparse", wraps=cli._argparse) as spy:
+        scanned = cli._parse_args(argv)
+    assert spy.call_count == 0, argv
+    assert scanned == cli._argparse(argv), argv
+
+
+def test_argparse_reads_every_other_line():
+    for argv, expected in (
+        (["run", "--config", "-5"], ("run", "-5", [], None)),
+        (["run", "--set=-x"], ("run", None, ["-x"], None)),
+        (["run", "--conf", "a.cfg"], ("run", "a.cfg", [], None)),
+        (["reconcile", "--q=q.txt"], ("reconcile", None, [], "q.txt")),
+        (["run", "--", "--config", "a.cfg"], ("run", "a.cfg", [], None)),
+        # Python 3.11's argparse reads this value as [], which `_argparse` undoes.
+        (["reconcile", "--conf=--", "--se=--", "--qt=--"], ("reconcile", "--", ["--"], "--")),
+    ):
+        with mock.patch.object(cli, "_argparse", wraps=cli._argparse) as spy:
+            assert cli._parse_args(argv) == expected, argv
+        assert spy.call_count == 1, argv
 
 
 def _neumaier_sum(builtin_sum):
