@@ -9,8 +9,9 @@ Verbs:
   validate-data  ingestion and calendar checks only
 
 Each verb calls `load` once for the work done once per data file: read,
-fill the calendar, check the months it needs. `prepare` then builds the
-test month from the filled calendar, and `training` the training cycles.
+fill the calendar, check the months train_start..test_month. `prepare`
+then builds the test month from the filled calendar, and `training` the
+training cycles.
 
 Configuration is a flat key=value file; command-line --set overrides win.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import warnings
 from math import isfinite
 from pathlib import Path
 from typing import NamedTuple
@@ -27,12 +29,12 @@ from typing import NamedTuple
 from .agent import AgentConfig, CycleData, load_table, reconcile_online, save_table, train
 from .data import (
     Calendar,
-    MonthlyActuals,
     TimeSeries,
     check_months,
     fill_calendar,
     load_external_forecasts,
     load_ohlcv_csv,
+    month_label,
     month_partition,
     parse_month,
 )
@@ -103,7 +105,8 @@ def parse_config_file(path) -> dict[str, str]:
     try:
         # A byte that is not text decodes to U+FFFD, which a comment
         # ignores and which makes a key unknown or a value bad.
-        text = Path(path).read_text(errors="replace")
+        with open(path, errors="replace") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -180,20 +183,20 @@ def _metrics_overflow(reach: float, smallest_total: float) -> bool:
     return not isfinite((smallest_total + reach) / smallest_total * 200.0)
 
 
-def load(config: RunConfig, last: str) -> tuple[TimeSeries, Calendar, int]:
+def load(config: RunConfig) -> tuple[TimeSeries, Calendar, int]:
     """The data as read, its filled calendar and the number of months
-    train_start..``last`` it covers, the work done once per data file; a
+    train_start..test_month it covers, the work done once per data file; a
     fill that overflows or a month not covered names the data file."""
     series = load_ohlcv_csv(config.data_path, config.date_column, config.value_column)
     try:
         filled = fill_calendar(series)
-        return series, filled, check_months(filled, (config.train_start, last))
+        return series, filled, check_months(filled, (config.train_start, config.test_month))
     except DataError as exc:
         raise DataError(f"{config.data_path}: {exc}") from None
 
 
 class PreparedExperiment(NamedTuple):
-    test_month: MonthlyActuals  # its dates label the rows of metrics.csv
+    test_month: Calendar  # its dates label the rows of metrics.csv
     test: CycleData
     agent_cfg: AgentConfig
     # Row-major over grid_tolerances x grid_epsilons; each seed derives from
@@ -218,13 +221,10 @@ def training(config: RunConfig, filled: Calendar) -> list[CycleData]:
 
 
 def prepare(config: RunConfig, filled: Calendar) -> PreparedExperiment:
-    """Partition and forecast the test month of a loaded calendar and check
-    its two totals; then build the base agent setting and every grid cell
-    through one path, `setting`, all before any file is written."""
-    try:
-        month = month_partition(filled, (config.test_month, config.test_month))[0]
-    except DataError as exc:
-        raise DataError(f"{config.data_path}: {exc}") from None
+    """Partition and forecast the test month of a calendar `load` checked
+    and check its two totals; then build the base agent setting and every
+    grid cell through one path, `setting`, all before any file is written."""
+    month = month_partition(filled, (config.test_month, config.test_month))[0]
 
     if config.forecaster == "external":
         base_path = config.external_forecast_path
@@ -361,7 +361,7 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None,
     """
     _refuse_overwrite(config, ("metrics.csv", "qtable.txt", "summary.json"), qtable_path,
                       config_path)
-    _, filled, _ = load(config, config.train_end)
+    _, filled, _ = load(config)
     prep = prepare(config, filled)
     if qtable_path is None:
         table = train(training(config, filled), prep.agent_cfg)
@@ -396,7 +396,7 @@ def grid_experiment(config: RunConfig, config_path: str | None = None) -> None:
     if not (config.grid_tolerances and config.grid_epsilons):
         raise ConfigError("grid verb needs grid_tolerances and grid_epsilons")
     _refuse_overwrite(config, ("grid.csv",), config_path=config_path)
-    _, filled, _ = load(config, config.train_end)
+    _, filled, _ = load(config)
     prep = prepare(config, filled)
     grid = run_grid(training(config, filled), prep.test, prep.grid_cells)
     path = Path(config.output_dir) / "grid.csv"
@@ -409,8 +409,8 @@ def grid_experiment(config: RunConfig, config_path: str | None = None) -> None:
 
 
 def validate_data(config: RunConfig) -> None:
-    series, filled, n_months = load(config, config.test_month)
-    first, last = ("%04d-%02d" % parse_month(label)
+    series, filled, n_months = load(config)
+    first, last = (month_label(*parse_month(label))
                    for label in (config.train_start, config.test_month))
     print(
         f"{config.data_path}: {len(series)} rows, {len(filled)} after calendar "
@@ -501,6 +501,10 @@ def _merge_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    # A warning prints as one line, without the source path and line that
+    # the default format adds.
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         args = _parse_args(argv)
         config = _merge_config(args)
@@ -521,6 +525,8 @@ def main(argv=None) -> int:
     except (ReconcileError, OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = formatwarning
     return 0
 
 

@@ -10,9 +10,9 @@ whose field count differs from the header's, or a line longer than the
 csv field size limit. Both give the same series; only the row reader
 raises, so every load error comes from one place.
 
-A filled `Calendar` and a `MonthlyActuals` are a first day and values:
-`check_months` finds from the calendar's two ends whether it covers a
-month range, and a month is a slice of the calendar's values."""
+A filled calendar is a `Calendar`, a first day and values, and so is a
+month, a slice of the calendar's values: `check_months` finds from the
+calendar's two ends whether it covers a month range."""
 
 from __future__ import annotations
 
@@ -271,6 +271,17 @@ class Calendar(Record):
     def __len__(self) -> int:
         return len(self.values)
 
+    @property
+    def dates(self) -> tuple[date, ...]:
+        """The days, built at each call."""
+        first = self.start.toordinal()
+        return tuple(map(date.fromordinal, range(first, first + len(self.values))))
+
+    @property
+    def label(self) -> str:
+        """The "YYYY-MM" of the first day."""
+        return month_label(self.start.year, self.start.month)
+
 
 def fill_calendar(series: TimeSeries) -> Calendar:
     """The calendar from the series' first day through its last, each
@@ -309,22 +320,6 @@ def fill_calendar(series: TimeSeries) -> Calendar:
     return Calendar(stamps[0], tuple(filled))
 
 
-class MonthlyActuals(Record):
-    """One calendar month of daily observations, labelled "YYYY-MM", from
-    its first day ``start``; its length is the number of days."""
-
-    __slots__ = ("label", "start", "values")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def dates(self) -> tuple[date, ...]:
-        """The month's days, built at each call."""
-        first = self.start.toordinal()
-        return tuple(map(date.fromordinal, range(first, first + len(self.values))))
-
-
 def parse_month(label: str) -> tuple[int, int]:
     try:
         year_str, month_str = label.split("-")
@@ -334,6 +329,10 @@ def parse_month(label: str) -> tuple[int, int]:
     except ValueError:
         raise DataError(f"bad month label {label!r}; expected YYYY-MM") from None
     return year, month
+
+
+def month_label(year: int, month: int) -> str:
+    return f"{year:04d}-{month:02d}"
 
 
 def _days_in_month(year: int, month: int) -> int:
@@ -368,30 +367,27 @@ def check_months(calendar: Calendar, month_range: tuple[str, str]) -> int:
     covered = max(0, min(first + n_days - 1, end) - max(first, start) + 1)
     missing = first if first < start else max(first, end + 1)
     raise DataError(
-        f"month {year:04d}-{month:02d} incomplete: {n_days - covered} missing days "
+        f"month {month_label(year, month)} incomplete: {n_days - covered} missing days "
         f"(first {date.fromordinal(missing).isoformat()})"
     )
 
 
-def month_partition(
-    calendar: Calendar, month_range: tuple[str, str]
-) -> list[MonthlyActuals]:
+def month_partition(calendar: Calendar, month_range: tuple[str, str]) -> list[Calendar]:
     """The full months of ``month_range`` in a calendar, in order, each a
-    slice of its values; `check_months` names a month not covered."""
+    `Calendar` slice of its values; `check_months` names a month not covered."""
     n_months = check_months(calendar, month_range)
     year, month = parse_month(month_range[0])
     start, values = (date(year, month, 1) - calendar.start).days, calendar.values
     months = []
     for _ in range(n_months):
         end = start + _days_in_month(year, month)
-        months.append(MonthlyActuals(f"{year:04d}-{month:02d}", date(year, month, 1),
-                                     values[start:end]))
+        months.append(Calendar(date(year, month, 1), values[start:end]))
         start = end
         year, month = (year + 1, 1) if month == 12 else (year, month + 1)
     return months
 
 
-def load_external_forecasts(path, month: MonthlyActuals) -> tuple[float, ...]:
+def load_external_forecasts(path, month: Calendar) -> tuple[float, ...]:
     """The daily forecasts of a CSV `date,forecast` covering the test
     cycle. An optional `monthly_total,<value>` row is parsed and checked,
     and warns when it differs from the sum of the daily forecasts by more

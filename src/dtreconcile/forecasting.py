@@ -47,10 +47,10 @@ def drift(history, h: int) -> tuple[float, ...]:
 
 
 def forecast_month(series, month, method: str, period: int) -> tuple[float, ...]:
-    """Daily base forecasts for one month (a `data.MonthlyActuals`) from the
-    values before it in ``series``, a `data.Calendar`, whose values are
-    one per day from its first day; the month's offset from that day is
-    its count of history days. Short of history, and for any other method
+    """Daily base forecasts for one month from the values before it in
+    ``series``; both are `data.Calendar`s, whose values are one per day
+    from their first day, so the month's offset from the series' first
+    day is its count of history days. Short of history, and for any other method
     (an `external` file covers only the test cycle), this is `naive`; with
     no history at all, the month's own first observation repeated. Each
     method is handed only the window of the history it reads."""

@@ -1,10 +1,11 @@
 """The base of the records whose length is not their field count.
 
 The package's records are immutable `typing.NamedTuple`s, except the
-three `Record`s in `data`, `TimeSeries`, `Calendar` and `MonthlyActuals`:
-their length counts days, which a tuple's ``_make`` and ``_replace``
-would take for the field count. None uses `dataclasses`, whose import and
-per-class generated code slowed the start of every process.
+two `Record`s in `data`, `TimeSeries` and `Calendar`: their length counts
+days, which a tuple's ``_make`` and ``_replace`` would take for the field
+count. No module a verb imports uses `dataclasses`, whose import and
+per-class generated code slowed the start of every process; only the
+baselines' `hierarchy` and `baselines` do.
 """
 
 

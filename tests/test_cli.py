@@ -4,10 +4,12 @@ import builtins
 import json
 import math
 import os
+import shlex
 import shutil
 import string
 import subprocess
 import sys
+import warnings
 from collections import Counter, defaultdict
 from datetime import date
 from pathlib import Path
@@ -216,7 +218,7 @@ def test_prepare_builds_grid_cells_row_major(tmp_path, daily_csv):
         if unit is not None:
             mapping["adjustment_unit"] = unit
         config = build_run_config(mapping)
-        prep = cli.prepare(config, cli.load(config, config.train_end)[1])
+        prep = cli.prepare(config, cli.load(config)[1])
         base = prep.agent_cfg
         tolerances = [resolve_tolerance(raw, prep.test.monthly_total) for raw in ("10%", "20%")]
         # A per-day unit follows the cell's own tolerance; an absolute one stays.
@@ -241,7 +243,7 @@ def test_shorter_training_is_a_prefix_of_a_longer_one(tmp_path, daily_csv, forec
     mapping = {**parse_config_file(write_config(tmp_path, daily_csv, tmp_path / "out")),
                "forecaster": forecaster}
     config = build_run_config(mapping)
-    _, filled, _ = cli.load(config, config.train_end)
+    _, filled, _ = cli.load(config)
 
     def bits(cycles):
         return [(tuple(map(float.hex, c.forecasts)), tuple(map(float.hex, c.actuals)),
@@ -345,7 +347,8 @@ def test_exit_codes(tmp_path, daily_csv, capsys):
     # 1: an empty config path is a config file that cannot be read
     for empty in (["--config="], ["--config", ""]):
         assert main(["validate-data", *empty, "--set", "data_path=x.csv"]) == 1, empty
-        assert capsys.readouterr().err.startswith("config error: cannot read config : "), empty
+        assert capsys.readouterr().err == ("config error: cannot read config : [Errno 2] "
+                                           "No such file or directory: ''\n"), empty
     # 1: agent settings out of range
     cfg_path = write_config(tmp_path, daily_csv, tmp_path / "out")
     for bad in ("tolerance=0%", "exploration=2", "step_size=0", "episodes=-1",
@@ -552,6 +555,19 @@ def test_exit_codes(tmp_path, daily_csv, capsys):
     for verb in ("run", "validate-data"):
         assert main([verb, "--config", str(cfg_path), "--set", f"data_path={short}"]) == 2
         assert f"data error: {short}: month 2020-03 incomplete" in capsys.readouterr().err
+    # Every verb names the first month not covered, here one between the
+    # training range and the test month, before any file is written.
+    early = tmp_path / "early.csv"
+    write_daily_csv(early, date(2018, 12, 1), date(2020, 1, 15), nifty_like_value)
+    out = tmp_path / "early_out"
+    for verb in (["run"], ["grid"], ["reconcile", "--qtable", str(trained / "qtable.txt")],
+                 ["validate-data"]):
+        assert main([*verb, "--config", str(cfg_path), "--set", f"data_path={early}",
+                     "--set", "train_end=2019-12", "--set", f"output_dir={out}",
+                     "--set", "grid_tolerances=10%", "--set", "grid_epsilons=0.1"]) == 2, verb
+        assert capsys.readouterr().err == (f"data error: {early}: month 2020-01 incomplete: "
+                                           "16 missing days (first 2020-01-16)\n"), verb
+        assert not out.exists(), verb
 
 
 def test_a_bad_agent_setting_is_refused_with_one_message(tmp_path, daily_csv, capsys):
@@ -971,6 +987,43 @@ def test_module_entry_point_exits_with_the_documented_code(tmp_path, daily_csv, 
                           (["reconcile", "--config", str(cfg_path)], "required: --qtable")):
         assert main(args) == 1
         assert message in capsys.readouterr().err
+
+
+def test_a_warning_prints_as_one_line(tmp_path, daily_csv):
+    # Without the source path and line of code Python's default format adds;
+    # `main` puts the default format back when it returns.
+    forecasts = tmp_path / "forecast.csv"
+    forecasts.write_text("date,forecast\n" + "".join(
+        f"2020-03-{day:02d},{value}\n" for day, value in enumerate(REFERENCE_FORECASTS, 1))
+        + "monthly_total,1\n")
+    argv = ["run", "--config", str(write_config(tmp_path, daily_csv, tmp_path / "out")),
+            "--set", "forecaster=external", "--set", f"external_forecast_path={forecasts}"]
+    result = run_fresh("-m", "dtreconcile.cli", *argv)
+    assert (result.returncode, result.stderr) == (
+        0, f"warning: monthly total 1.0 differs from sum of daily forecasts "
+           f"{float(sum(REFERENCE_FORECASTS))} by more than 0.1%\n")
+    formatwarning = warnings.formatwarning
+    with pytest.warns(UserWarning, match="monthly total 1.0 differs"):
+        assert main([*argv, "--set", f"output_dir={tmp_path / 'in_process'}"]) == 0
+    assert warnings.formatwarning is formatwarning
+
+
+def test_the_readme_example_runs(tmp_path, daily_csv, monkeypatch, capsys):
+    # The README's config file and its four commands, as written but for
+    # the data and output paths, so that a renamed key or verb fails here.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n# run.cfg\n", 1)[1].split("```", 1)[0]
+    paths = {"data_path": daily_csv, "output_dir": tmp_path / "out"}
+    lines = [f"{key} = {paths[key]}" if (key := line.partition("=")[0].strip()) in paths
+             else line for line in example.splitlines()]
+    assert len(set(lines) - set(example.splitlines())) == len(paths)
+    (tmp_path / "run.cfg").write_text("\n".join(lines) + "\n")
+    commands = [shlex.split(line)[1:] for line in readme.splitlines()
+                if line.startswith("dtreconcile ")]
+    assert [argv[0] for argv in commands] == ["run", "grid", "reconcile", "validate-data"]
+    monkeypatch.chdir(tmp_path)  # where the commands' relative paths lead
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 VERB_OPTIONS_HELP = """

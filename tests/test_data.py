@@ -12,7 +12,6 @@ import pytest
 from dtreconcile import data
 from dtreconcile.data import (
     Calendar,
-    MonthlyActuals,
     TimeSeries,
     fill_calendar,
     load_external_forecasts,
@@ -177,8 +176,9 @@ def test_calendar_and_month_are_first_day_and_values():
     assert len(calendar) == 3 and calendar == Calendar(date(2020, 2, 27), (1.0, 2.0, 3.0))
     with pytest.raises(AttributeError):
         calendar.start = date(2020, 1, 1)
-    month = MonthlyActuals("2020-02", date(2020, 2, 28), (1.0, 2.0))
+    month = Calendar(date(2020, 2, 28), (1.0, 2.0))
     assert len(month) == 2 and month.dates == (date(2020, 2, 28), date(2020, 2, 29))
+    assert month.label == "2020-02"
     # The fields are given in order, all of them.
     for fields in ((date(2020, 2, 1),), (date(2020, 2, 1), (1.0,), "extra")):
         with pytest.raises(ValueError):
@@ -187,11 +187,6 @@ def test_calendar_and_month_are_first_day_and_values():
 
 def _calendar_series(start, end, value=100.0):
     return Calendar(start, (value,) * (end.toordinal() - start.toordinal() + 1))
-
-
-def _calendar_days(calendar):
-    first = calendar.start.toordinal()
-    return tuple(map(date.fromordinal, range(first, first + len(calendar))))
 
 
 def test_month_partition_counts_and_lengths():
@@ -239,7 +234,7 @@ def test_month_partition_round_trip():
     months = month_partition(series, ("2019-11", "2020-01"))
     dates = [d for m in months for d in m.dates]
     values = np.concatenate([m.values for m in months])
-    assert tuple(dates) == _calendar_days(series)
+    assert tuple(dates) == series.dates
     assert [m.start for m in months] == [date(2019, 11, 1), date(2019, 12, 1), date(2020, 1, 1)]
     assert np.array_equal(values, series.values)
 
@@ -258,7 +253,7 @@ def test_load_fill_partition_pipeline(tmp_path):
 def _external_forecasts(tmp_path, total_row):
     """Load a February-2021 forecast file of 28 rows of 100 (sum 2800)
     followed by ``total_row``."""
-    month = MonthlyActuals("2021-02", date(2021, 2, 1), (1.0,) * 28)
+    month = Calendar(date(2021, 2, 1), (1.0,) * 28)
     assert month.dates == tuple(date(2021, 2, k) for k in range(1, 29))
     path = tmp_path / "forecast.csv"
     path.write_text("date,forecast\n" + "".join(f"{day.isoformat()},100\n" for day in month.dates)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dtreconcile import forecasting
-from dtreconcile.data import Calendar, MonthlyActuals, month_partition
+from dtreconcile.data import Calendar, month_partition
 from dtreconcile.errors import InsufficientDataError
 from dtreconcile.forecasting import drift, forecast_month, naive, seasonal_naive
 
@@ -78,7 +78,7 @@ def test_forecast_month_falls_back_to_naive(monkeypatch):
     start = date(2020, 1, 29)  # three days of history before February
     days = tuple(start + timedelta(days=k) for k in range(32))
     series = Calendar(start, tuple(np.concatenate([history, np.full(29, 7.0)]).tolist()))
-    month = MonthlyActuals("2020-02", days[3], series.values[3:])
+    month = Calendar(days[3], series.values[3:])
     assert np.array_equal(forecast_month(series, month, "seasonal_naive", 2),
                           seasonal_naive(history, 2, 29))
     assert np.array_equal(forecast_month(series, month, "drift", 7), drift(history, 29))
@@ -89,8 +89,7 @@ def test_forecast_month_falls_back_to_naive(monkeypatch):
         assert np.array_equal(forecast_month(data, month, method, period),
                               naive(data.values[:-29], 29)), method
     # No history at all: the month's own first observation.
-    first = Calendar(month.start, month.values)
-    assert np.array_equal(forecast_month(first, month, "drift", 7), np.full(29, 7.0))
+    assert np.array_equal(forecast_month(month, month, "drift", 7), np.full(29, 7.0))
     # The forecasters are looked up as module globals, so a wrapper sees each call.
     calls = []
     for name in ("naive", "seasonal_naive", "drift"):

@@ -132,14 +132,9 @@ def same_series(a, b):
     return a.timestamps == b.timestamps and hex_values(a.values) == hex_values(b.values)
 
 
-def calendar_days(calendar):
-    first = calendar.start.toordinal()
-    return tuple(map(date.fromordinal, range(first, first + len(calendar))))
-
-
 def same_calendar(calendar, series):
     """Whether a `data.Calendar` holds the oracle series' days and values."""
-    return (calendar_days(calendar) == series.timestamps
+    return (calendar.dates == series.timestamps
             and hex_values(calendar.values) == hex_values(series.values))
 
 
