@@ -189,8 +189,6 @@ def init_state_values(monthly_total: float, daily_forecasts) -> ValueTable:
     daily = list(map(float, daily_forecasts))
     if not daily:
         raise InsufficientDataError("cannot initialize values for an empty cycle")
-    if len(daily) > MAX_CYCLE_DAYS:
-        raise ShapeError(f"cycle length {len(daily)} exceeds {MAX_CYCLE_DAYS}")
     # Running sums left to right, as np.cumsum adds them.
     remaining = [monthly_total - running for running in accumulate(daily)]
     v = remaining + [remaining[-1]] * (MAX_CYCLE_DAYS - len(daily))
@@ -377,18 +375,13 @@ def reconcile_online(
     substitution. Each policy call consumes one uniform variate,
     ``rng.random()``.
 
-    The stream holds the actuals as numbers in day order from day 1 and
-    may cover only part of the cycle; a day past it raises
-    `StreamOrderError`.
+    The forecasts are a checked cycle's, 1..MAX_CYCLE_DAYS finite numbers
+    (`CycleData` refuses any other), and are not checked again here. The
+    stream holds the actuals as numbers in day order from day 1 and may
+    cover only part of the cycle; a day past it raises `StreamOrderError`.
     """
-    forecasts = tuple(map(float, forecasts))
-    n = len(forecasts)
-    if not 1 <= n <= MAX_CYCLE_DAYS:
-        raise ShapeError(f"cycle length {n} outside 1..{MAX_CYCLE_DAYS}")
-    if not all(map(isfinite, forecasts)):
-        raise ValueError("forecasts must be finite")
-    return tuple(_walk(table, forecasts, map(float, actual_stream), cfg, rng.random,
-                       online=True))
+    return tuple(_walk(table, tuple(map(float, forecasts)), map(float, actual_stream), cfg,
+                       rng.random, online=True))
 
 
 def save_table(table: ValueTable, path, cfg: AgentConfig) -> None:

@@ -171,8 +171,6 @@ def resolve_tolerance(raw: str | float, base_total: float) -> float:
         value = float(number)
     except ValueError:
         raise ConfigError(f"bad tolerance {raw!r}") from None
-    if not value > 0:
-        raise ConfigError(f"tolerance {raw!r} must be positive")
     return value / 100.0 * base_total if number != text else value
 
 
@@ -265,7 +263,10 @@ def prepare(config: RunConfig, filled: Calendar) -> PreparedExperiment:
     def setting(raw: str, where: str = "", **changes) -> AgentConfig:
         """The checked setting at tolerance ``raw`` with ``changes``. An error
         names ``where``, or, for the base setting's reach, the unit's key."""
-        tolerance = resolve_tolerance(raw, base_total)
+        try:
+            tolerance = resolve_tolerance(raw, base_total)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}{exc}") from None
         unit, key = config.adjustment_unit, "tolerance"
         if unit is not None and unit.strip() == "per-day":
             unit = tolerance / len(daily)

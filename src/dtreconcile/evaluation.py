@@ -13,15 +13,11 @@ from .totals import pairwise_sum
 
 def mape_rec(actual_total: float, rmf: float) -> float:
     """Percentage error of a revised monthly forecast vs the actual total."""
-    if actual_total == 0:
-        raise ZeroDivisionError("MAPE undefined for a zero actual total")
     return abs(actual_total - rmf) / abs(actual_total) * 100.0
 
 
 def pct_improvement(base_total: float, rmf: float) -> float:
     """Percentage change of the revised total vs the unreconciled total."""
-    if base_total == 0:
-        raise ZeroDivisionError("undefined for a zero base total")
     return abs(base_total - rmf) / abs(base_total) * 100.0
 
 

@@ -5,6 +5,10 @@ base forecasts exist for a cycle. These naive/seasonal/drift methods are
 sane defaults when no external forecast file is supplied (that file is
 read by `data.load_external_forecasts`); `forecast_month` picks one for
 a month and decides the fallbacks.
+
+Each forecaster takes a horizon ``h`` of 0 or more, and a horizon of 0
+gives ``()``; `seasonal_naive` takes a ``period`` of at least 1, which
+`RunConfig` has already checked. Neither is checked again here.
 """
 
 from __future__ import annotations
@@ -16,21 +20,15 @@ def naive(history, h: int) -> tuple[float, ...]:
     """Repeat the last observed value h steps ahead."""
     if len(history) == 0:
         raise InsufficientDataError("naive forecast needs at least one observation")
-    if h < 1:
-        raise ValueError("horizon must be positive")
     return (float(history[-1]),) * h
 
 
 def seasonal_naive(history, period: int, h: int) -> tuple[float, ...]:
     """Repeat the last full seasonal cycle, wrapping past the period."""
-    if period < 1:
-        raise ValueError("period must be positive")
     if len(history) < period:
         raise InsufficientDataError(
             f"seasonal naive needs at least {period} observations, got {len(history)}"
         )
-    if h < 1:
-        raise ValueError("horizon must be positive")
     last_cycle = [float(x) for x in history[len(history) - period:]]
     return tuple(last_cycle[(k - 1) % period] for k in range(1, h + 1))
 
@@ -39,8 +37,6 @@ def drift(history, h: int) -> tuple[float, ...]:
     """Extend the straight line through the first and last observations."""
     if len(history) < 2:
         raise InsufficientDataError("drift forecast needs at least two observations")
-    if h < 1:
-        raise ValueError("horizon must be positive")
     first, last = float(history[0]), float(history[-1])
     slope = (last - first) / (len(history) - 1)
     return tuple(last + slope * k for k in range(1, h + 1))

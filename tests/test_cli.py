@@ -103,7 +103,7 @@ def test_resolve_tolerance_percentage_of_cycle_total():
     assert resolve_tolerance(" 20 %", total) == resolve_tolerance("20%", total)
     assert resolve_tolerance("5000", total) == 5000.0
     assert resolve_tolerance(123.0, total) == 123.0
-    for bad in ("abc", "-5", "20%%", "%"):
+    for bad in ("abc", "20%%", "%"):
         with pytest.raises(ConfigError):
             resolve_tolerance(bad, total)
 
@@ -582,14 +582,18 @@ def test_a_bad_agent_setting_is_refused_with_one_message(tmp_path, daily_csv, ca
         for bad, message in (
             (["adjustment_unit=abc"], "bad adjustment_unit 'abc'"),
             (["tolerance=abc"], "bad tolerance 'abc'"),
-            (["grid_tolerances=10%,abc"], "bad tolerance 'abc'"),
-            (["tolerance=-5"], "tolerance '-5' must be positive"),
+            (["grid_tolerances=10%,abc"],
+             "grid_tolerances=abc, grid_epsilons=0.1: bad tolerance 'abc'"),
+            (["tolerance=-5"], "tolerance must be positive and finite"),
+            (["grid_tolerances=-5"],
+             "grid_tolerances=-5, grid_epsilons=0.1: tolerance must be positive and finite"),
             (["exploration=3"], "exploration probability must be in [0, 1]"),
             (["grid_epsilons=0.1,3"],
              "grid_tolerances=10%, grid_epsilons=3.0: exploration probability must be in [0, 1]"),
             (["tolerance=abc", "adjustment_unit=abc"], "bad tolerance 'abc'"),
             (["tolerance=20%%"], "bad tolerance '20%%'"),
-            (["grid_tolerances=10%%"], "bad tolerance '10%%'"),
+            (["grid_tolerances=10%%"],
+             "grid_tolerances=10%%, grid_epsilons=0.1: bad tolerance '10%%'"),
         ):
             argv = [*verb, "--config", str(cfg_path), "--set", f"output_dir={out}",
                     "--set", "grid_tolerances=10%,500", "--set", "grid_epsilons=0.1"]
@@ -604,7 +608,8 @@ def test_a_bad_agent_setting_is_refused_with_one_message(tmp_path, daily_csv, ca
                 "overflows MAPE_rec or %_f")
     for verb in (["run"], ["reconcile", "--qtable", str(trained / "qtable.txt")]):
         for grid, message in (
-            ("grid_tolerances=10%,abc", "bad tolerance 'abc'"),
+            ("grid_tolerances=10%,abc", "grid_tolerances=abc: bad tolerance 'abc'"),
+            ("grid_tolerances=-5", "grid_tolerances=-5: tolerance must be positive and finite"),
             ("grid_tolerances=inf", "grid_tolerances=inf: tolerance must be positive and finite"),
             ("grid_tolerances=1e400%",
              "grid_tolerances=1e400%: tolerance must be positive and finite"),
