@@ -38,7 +38,7 @@ from .data import (
     month_partition,
     parse_month,
 )
-from .errors import ConfigError, DataError, ReconcileError
+from .errors import ConfigError, DataError, DistributionError, ReconcileError
 from .evaluation import build_metric_report, run_grid
 from .forecasting import forecast_month
 from .seeding import derive_seed, rng_for
@@ -329,9 +329,11 @@ def _summary_json(config: RunConfig, prep: PreparedExperiment, report) -> str:
 def _refuse_overwrite(config: RunConfig, outputs: tuple[str, ...],
                       qtable_path: str | None = None,
                       config_path: str | None = None) -> None:
-    """Refuse, before anything is read, a verb whose ``output_dir`` is not
-    a directory or lies under a file, or whose output files in it include
-    one of its input files."""
+    """Refuse, before anything is read, a verb whose ``output_dir`` is empty,
+    is not a directory or lies under a file, or whose output files in it
+    include one of its input files."""
+    if not config.output_dir:  # `Path("")` is the current directory
+        raise ConfigError("output_dir is empty")
     out = Path(config.output_dir)
     # `mkdir` would fail on it only at the first write, after all the work.
     existing = next((path for path in (out, *out.parents) if os.path.lexists(path)), None)
@@ -365,7 +367,12 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None,
     _, filled, _ = load(config)
     prep = prepare(config, filled)
     if qtable_path is None:
-        table = train(training(config, filled), prep.agent_cfg)
+        try:
+            table = train(training(config, filled), prep.agent_cfg)
+        except DistributionError as exc:
+            # Every table starts finite, so only the data's TD updates can
+            # have overflowed it.
+            raise DataError(f"{config.data_path}: training overflows: {exc}") from None
     else:
         table = load_table(qtable_path)
     test = prep.test
@@ -503,20 +510,23 @@ def _merge_config(args) -> RunConfig:
 
 def main(argv=None) -> int:
     # A warning prints as one line, without the source path and line that
-    # the default format adds.
+    # the default format adds. Entering `catch_warnings` resets Python's
+    # record of the warnings already shown once per location, so each call
+    # prints its own.
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
-        args = _parse_args(argv)
-        config = _merge_config(args)
-        if args.verb == "run":
-            run_experiment(config, config_path=args.config)
-        elif args.verb == "grid":
-            grid_experiment(config, config_path=args.config)
-        elif args.verb == "reconcile":
-            run_experiment(config, qtable_path=args.qtable, config_path=args.config)
-        else:
-            validate_data(config)
+        with warnings.catch_warnings():
+            args = _parse_args(argv)
+            config = _merge_config(args)
+            if args.verb == "run":
+                run_experiment(config, config_path=args.config)
+            elif args.verb == "grid":
+                grid_experiment(config, config_path=args.config)
+            elif args.verb == "reconcile":
+                run_experiment(config, qtable_path=args.qtable, config_path=args.config)
+            else:
+                validate_data(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

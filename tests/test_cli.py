@@ -355,6 +355,17 @@ def test_exit_codes(tmp_path, daily_csv, capsys):
                 "discount=nan", "discount=5"):
         assert main(["run", "--config", str(cfg_path), "--set", bad]) == 1, bad
         assert "config error" in capsys.readouterr().err
+    # 1: a key its companion contradicts, or a --set with no `=`, named
+    # exactly, before any file is written
+    for bad, message in (
+        (["forecaster=external"], "external forecaster needs external_forecast_path"),
+        (["train_start=2020-02", "train_end=2020-01"], "train_start is after train_end"),
+        (["foo"], "--set expects KEY=VALUE, got 'foo'"),
+    ):
+        sets = [arg for item in bad for arg in ("--set", item)]
+        assert main(["run", "--config", str(cfg_path), *sets]) == 1, bad
+        assert capsys.readouterr().err == f"config error: {message}\n", bad
+        assert not (tmp_path / "out").exists(), bad
     # 1: a value its key's type does not accept, named with the key
     for bad in ("online_updates=ture", "clamp_nonnegative=2", "train_start=2020/02",
                 "train_end=2020/02", "test_month=2020/02", "seasonal_period=0",
@@ -714,13 +725,19 @@ def test_output_dir_that_is_not_a_directory_is_a_config_error(tmp_path, daily_cs
     dangling.symlink_to(tmp_path / "nowhere")
     cfg_path = write_config(tmp_path, daily_csv, tmp_path / "out", extra=GRID_KEYS)
     snapshot = tmp_path / "qtable.txt"
+    verbs = (("run", []), ("grid", []), ("reconcile", ["--qtable", str(snapshot)]))
     for output_dir, existing in ((taken, taken), (taken / "sub" / "dir", taken),
                                  (dangling, dangling)):
-        for verb, extra in (("run", []), ("grid", []), ("reconcile", ["--qtable", str(snapshot)])):
+        for verb, extra in verbs:
             assert main([verb, "--config", str(cfg_path), "--set", f"output_dir={output_dir}",
                          *extra]) == 1, (verb, output_dir)
             assert (f"config error: output_dir {output_dir}: {existing} is not a directory"
                     in capsys.readouterr().err)
+    # An empty output_dir, which `Path` reads as the current directory.
+    monkeypatch.chdir(tmp_path)
+    for verb, extra in verbs:
+        assert main([verb, "--config", str(cfg_path), "--set", "output_dir=", *extra]) == 1, verb
+        assert capsys.readouterr().err == "config error: output_dir is empty\n", verb
     assert taken.read_text() == "kept\n"
     assert sorted(tmp_path.iterdir()) == sorted([daily_csv, dangling, cfg_path, taken])
 
@@ -1011,6 +1028,64 @@ def test_a_warning_prints_as_one_line(tmp_path, daily_csv):
     with pytest.warns(UserWarning, match="monthly total 1.0 differs"):
         assert main([*argv, "--set", f"output_dir={tmp_path / 'in_process'}"]) == 0
     assert warnings.formatwarning is formatwarning
+
+
+def write_overflowing_csv(tmp_path):
+    """Daily Date,Open rows 2019-12-01..2020-03-31 of 100 plus the day's
+    offset, but 1.5e308 on 2020-01-10..20: with OVERFLOW_MONTHS one
+    training episode stays finite and a second overflows Q."""
+    first = date(2019, 12, 1).toordinal()
+    days = [date.fromordinal(first + k) for k in range(122)]
+    path = tmp_path / "overflow.csv"
+    path.write_text("Date,Open\n" + "".join(
+        f"{day},{1.5e308 if date(2020, 1, 10) <= day <= date(2020, 1, 20) else 100 + k}\n"
+        for k, day in enumerate(days)))
+    return path
+
+
+OVERFLOW_MONTHS = ["--set", "train_start=2020-01", "--set", "train_end=2020-02",
+                   "--set", "test_month=2020-03"]
+
+
+def test_training_that_overflows_is_a_data_error(tmp_path, capsys):
+    # Every table starts finite, so only the data can make a TD update
+    # overflow: `run` exits 2 naming the file, with nothing written, and
+    # `grid` marks the cell.
+    out = tmp_path / "out"
+    argv = ["--set", f"data_path={write_overflowing_csv(tmp_path)}", *OVERFLOW_MONTHS,
+            "--set", "episodes=3", "--set", f"output_dir={out}"]
+    with pytest.warns(UserWarning, match="step size"):
+        assert main(["run", *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {tmp_path / 'overflow.csv'}: ")
+    assert not out.exists()
+    with pytest.warns(UserWarning, match="step size"):
+        assert main(["grid", *argv, "--set", "grid_tolerances=10%",
+                     "--set", "grid_epsilons=0.1"]) == 0
+    assert (out / "grid.csv").read_text().splitlines()[1].endswith(",error,error")
+
+
+# Calls `run` three times in one interpreter, with the output directory and
+# the run's --set arguments as arguments; prints each call's exit code and
+# count of step-size warning lines.
+REPEATED_RUN_SCRIPT = """
+import contextlib, io, sys
+from dtreconcile.cli import main
+for call in range(3):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", *sys.argv[2:], "--set", f"output_dir={sys.argv[1]}/{call}"])
+    print(code, err.getvalue().count("warning: step size"))
+"""
+
+
+def test_each_call_prints_its_warnings(tmp_path):
+    # Python shows a warning once per location and process; `main` resets
+    # that record, so a second call prints its step-size warning too. Pytest
+    # records warnings rather than printing them, hence a fresh interpreter.
+    result = run_fresh("-c", REPEATED_RUN_SCRIPT, str(tmp_path / "out"),
+                       "--set", f"data_path={write_overflowing_csv(tmp_path)}",
+                       *OVERFLOW_MONTHS, "--set", "episodes=1", check=True)
+    assert result.stdout.splitlines() == ["0 1"] * 3, result.stderr
 
 
 def test_the_readme_example_runs(tmp_path, daily_csv, monkeypatch, capsys):
