@@ -375,8 +375,7 @@ def reconcile_online(
     substitution. Each policy call consumes one uniform variate,
     ``rng.random()``.
 
-    The forecasts are a checked cycle's, 1..MAX_CYCLE_DAYS finite numbers
-    (`CycleData` refuses any other), and are not checked again here. The
+    The forecasts are those of a `CycleData`, which checked them. The
     stream holds the actuals as numbers in day order from day 1 and may
     cover only part of the cycle; a day past it raises `StreamOrderError`.
     """

@@ -6,9 +6,8 @@ sane defaults when no external forecast file is supplied (that file is
 read by `data.load_external_forecasts`); `forecast_month` picks one for
 a month and decides the fallbacks.
 
-Each forecaster takes a horizon ``h`` of 0 or more, and a horizon of 0
-gives ``()``; `seasonal_naive` takes a ``period`` of at least 1, which
-`RunConfig` has already checked. Neither is checked again here.
+A horizon ``h`` of 0 gives ``()``; `RunConfig` has refused a ``period``
+below 1, so neither is checked here.
 """
 
 from __future__ import annotations
