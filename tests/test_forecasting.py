@@ -61,7 +61,7 @@ def test_drift_needs_two_points():
     (drift, ([1.0, 2.0],)),
 ])
 def test_forecasters_return_h_finite_values(fn, args):
-    for h in (1, 5, 40):
+    for h in (0, 1, 5, 40):  # a horizon of 0 gives ()
         out = fn(*args, h)
         assert np.shape(out) == (h,)
         assert np.all(np.isfinite(out))
