@@ -26,12 +26,16 @@ update) lives in `tests/oracle.py`; the kernel repeats its float
 operations in the same order, so walking a cycle either way gives
 bit-identical tables, records and draws. Training records nothing and
 computes no RMF: the update never reads one. Online revision returns a
-`DayRecord` per streamed day; its RMF reads a per-call cache of each
-day's greedy-adjusted forecast, built after the first day's update and
-refreshed only in the row just updated. RMF sums fold the day-ordered
-floats left to right with `reduce(add, ..., 0.0)`, not with the builtin
-`sum`: from Python 3.12 `sum` compensates float rounding, so its last
-bits, and the output files, would depend on the Python version.
+`DayRecord` per streamed day. Before its first draw it tabulates each
+day's three adjusted forecasts once (`_moves`, whose arithmetic
+`adjusted_forecast` reads too). After the first day's update it reads
+every day's greedy action; from then on only the row just updated can
+change, and the RMF is refolded only on a day whose greedy action flips.
+Otherwise the folded list, and so its sum, is the same as the day
+before. RMF sums fold the day-ordered floats left to right with
+`reduce(add, ..., 0.0)`, not with the builtin `sum`: from Python 3.12
+`sum` compensates float rounding, so its last bits, and the output
+files, would depend on the Python version.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate
 from math import isfinite
 from operator import add
@@ -190,16 +194,27 @@ def init_state_values(monthly_total: float, daily_forecasts) -> ValueTable:
     if not daily:
         raise InsufficientDataError("cannot initialize values for an empty cycle")
     # Running sums left to right, as np.cumsum adds them.
-    remaining = [monthly_total - running for running in accumulate(daily)]
+    remaining = [float(monthly_total - running) for running in accumulate(daily)]
     v = remaining + [remaining[-1]] * (MAX_CYCLE_DAYS - len(daily))
-    return ValueTable(q=[[value] * N_ACTIONS for value in v], v=v)
+    if not all(map(isfinite, v)):
+        raise ValueError("value tables must be finite")
+    # Fresh lists of checked floats: `_make` skips `ValueTable`'s copy and checks.
+    return ValueTable._make(([[value] * N_ACTIONS for value in v], v))
+
+
+def _moves(forecasts: Iterable[float], cfg: AgentConfig) -> list[tuple[float, float, float]]:
+    """Each day's adjusted forecast for every action, in action order:
+    the day's forecast plus the action's delta times the unit, clamped
+    at 0 under ``clamp_nonnegative``."""
+    up, keep, down = (delta * cfg.unit for delta in _ACTION_DELTAS)
+    moves = [(f + up, f + keep, f + down) for f in forecasts]
+    if cfg.clamp_nonnegative:
+        moves = [(max(a, 0.0), max(b, 0.0), max(c, 0.0)) for a, b, c in moves]
+    return moves
 
 
 def adjusted_forecast(y_hat_t: float, action: int, cfg: AgentConfig) -> float:
-    value = y_hat_t + _ACTION_DELTAS[action] * cfg.unit
-    if cfg.clamp_nonnegative:
-        value = max(value, 0.0)
-    return float(value)
+    return float(_moves((y_hat_t,), cfg)[0][action])
 
 
 def _greedy(q0: float, q1: float, q2: float) -> int:
@@ -215,12 +230,14 @@ def _greedy(q0: float, q1: float, q2: float) -> int:
     raise DistributionError("need a finite Q row with one entry per action")
 
 
+@lru_cache(maxsize=64)
 def _policy_edges(epsilon: float) -> tuple[tuple[float, float], ...]:
     """Inverse-CDF edges of the epsilon-greedy policy for each greedy
     action: a uniform u picks increase below the first edge, keep below
     the second and decrease otherwise. Each edge adds the action
     probabilities, epsilon / 3 plus 1 - epsilon for the greedy one, in
-    action order; `AgentConfig` has checked that ``epsilon`` is in [0, 1]."""
+    action order; `AgentConfig` has checked that ``epsilon`` is in [0, 1].
+    Cached, as `train` walks every cycle with one epsilon."""
     low = epsilon / N_ACTIONS
     high = low + (1.0 - epsilon)
     return (
@@ -253,9 +270,11 @@ def _walk(
 
     Training (``online=False``) always updates and records nothing.
     Online revision updates only under ``cfg.online_updates`` and records
-    each day; a day's RMF is the greedy sum over the whole cycle. Q and V
-    are updated in place in ``table``. A day past the cycle raises
-    `StreamOrderError` before it draws.
+    each day; a day's RMF is the greedy sum over the whole cycle, read
+    from the moves tabulated before the first draw and refolded only when
+    the updated row's greedy action flips. Q and V are updated in place
+    in ``table``. A day past the cycle raises `StreamOrderError` before
+    it draws.
     """
     n = len(forecasts)
     q, v = table.q, table.v
@@ -263,7 +282,8 @@ def _walk(
     update = cfg.online_updates or not online
     edges = _policy_edges(cfg.exploration)
     increase_edges, keep_edges, decrease_edges = edges
-    greedy = None
+    moves = _moves(forecasts, cfg) if online else None
+    actions = None
     records: list[DayRecord] = []
     action = None
     for t, actual in enumerate(actuals, start=1):
@@ -294,15 +314,17 @@ def _walk(
             row[action] += alpha * (actual + gamma * q_next - row[action])
             v[t - 1] += alpha * (actual + gamma * v_next - v[t - 1])
         if online:
-            # Greedy-adjusted forecast per day, built after the first
-            # update; only the row just updated can change after that.
-            if greedy is None:
-                greedy = [adjusted_forecast(f, _greedy(*row), cfg)
-                          for f, row in zip(forecasts, q)]
-            else:
-                greedy[t - 1] = adjusted_forecast(forecasts[t - 1], _greedy(*q[t - 1]), cfg)
-            adjusted = adjusted_forecast(forecasts[t - 1], action, cfg)
-            records.append(DayRecord(t, action, adjusted, actual, reduce(add, greedy, 0.0)))
+            # Each day's greedy action, read after the first update; only
+            # the row just updated can change after that, and the RMF is
+            # refolded only when its greedy action flips.
+            if actions is None:
+                actions = [_greedy(*row) for row in q[:n]]
+                greedy = [day[a] for day, a in zip(moves, actions)]
+                rmf = reduce(add, greedy, 0.0)
+            elif (a := _greedy(*q[t - 1])) != actions[t - 1]:
+                actions[t - 1], greedy[t - 1] = a, moves[t - 1][a]
+                rmf = reduce(add, greedy, 0.0)
+            records.append(DayRecord(t, action, moves[t - 1][action], actual, rmf))
         action = action_next
     return records
 
@@ -340,7 +362,8 @@ def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
         raise InsufficientDataError("cannot initialize a table without data")
     first = history[0]
     table = init_state_values(first.monthly_total, first.forecasts)
-    max_reward = max(max(map(abs, c.actuals)) for c in history)
+    # The largest |actual|, from each cycle's extremes rather than an `abs` per day.
+    max_reward = max(max(max(c.actuals), -min(c.actuals)) for c in history)
     value_scale = max(map(abs, table.v))
     if cfg.step_size * max_reward > max(value_scale, 1e-12):
         warnings.warn(

@@ -346,12 +346,28 @@ def _refuse_overwrite(config: RunConfig, outputs: tuple[str, ...],
         inputs.append(("--qtable", qtable_path))
     if config_path is not None:
         inputs.append(("--config", config_path))
-    # `realpath`, unlike `Path.resolve`, returns on a symlink loop.
-    written = {os.path.realpath(path): path for path in (out / name for name in outputs)}
+    # `realpath`, unlike `Path.resolve`, returns on a symlink loop. An
+    # output that exists is also keyed by its inode, which a hard link to an
+    # input shares while their paths differ.
+    written = {}
+    for output in (out / name for name in outputs):
+        written[os.path.realpath(output)] = output
+        if (inode := _inode(output)) is not None:
+            written[inode] = output
     for key, path in inputs:
-        if (output := written.get(os.path.realpath(path))) is not None:
+        output = written.get(os.path.realpath(path)) or written.get(_inode(path))
+        if output is not None:
             raise ConfigError(f"{key} {path} would be overwritten by {output}; "
                               "set output_dir to another directory")
+
+
+def _inode(path) -> tuple[int, int] | None:
+    """The device and inode of an existing file, or None."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return stat.st_dev, stat.st_ino
 
 
 def run_experiment(config: RunConfig, qtable_path: str | None = None,
@@ -383,6 +399,13 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None,
         prep.agent_cfg,
         rng_for(prep.agent_cfg.seed, "online"),
     )
+    # The online updates can overflow a finite table without a policy
+    # error, and a snapshot with an infinite entry would not load again.
+    if not all(isfinite(x) for row in table.q for x in row):
+        source = config.data_path if qtable_path is None else qtable_path
+        month = prep.test_month.start
+        raise DataError(f"{source}: revising {month_label(month.year, month.month)} "
+                        "overflows the Q table")
     report = build_metric_report(
         trace,
         test,

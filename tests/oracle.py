@@ -2,7 +2,9 @@
 
 The per-step helpers the scalar kernel in `dtreconcile.agent` repeats:
 `greedy_action`, `egreedy_probabilities`, `select_action` (one uniform
-per call) and `sarsa_step` (one TD update on day indices). `run_episode`
+per call), `sarsa_step` (one TD update on day indices) and
+`adjusted_forecast` (one day's move, which the kernel tabulates once per
+walk). `run_episode`
 and `reconcile_online` as they stood before the kernel: numpy scalars
 and one probability vector per policy call. Training records nothing;
 online revision rebuilds the greedy sum over every day after each
@@ -36,7 +38,6 @@ from dtreconcile.agent import (
     CycleData,
     DayRecord,
     ValueTable,
-    adjusted_forecast,
 )
 from dtreconcile.data import (
     DEFAULT_DATE_COLUMN,
@@ -52,6 +53,15 @@ def greedy_action(q_row) -> int:
     """Argmax with ties resolved keep > decrease > increase."""
     q0, q1, q2 = (float(x) for x in q_row)
     return agent._greedy(q0, q1, q2)
+
+
+def adjusted_forecast(y_hat_t, action: int, cfg: AgentConfig) -> float:
+    """The day's forecast plus the action's delta times the unit, clamped
+    at 0 under ``clamp_nonnegative``."""
+    value = y_hat_t + (1.0, 0.0, -1.0)[action] * cfg.unit
+    if cfg.clamp_nonnegative:
+        value = max(value, 0.0)
+    return float(value)
 
 
 def egreedy_probabilities(q_row, epsilon: float) -> list[float]:

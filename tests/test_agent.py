@@ -401,6 +401,16 @@ def test_train_warns_on_large_step_reward_product():
         train([cycle], make_cfg(step_size=1.0, episodes=1))
 
 
+def test_train_warning_names_a_negative_actual_by_its_magnitude():
+    # The largest |actual| here is the most negative actual.
+    cycle = CycleData([10.0, 10.0], [-3e6, 1e6], 20.0)
+    with pytest.warns(UserWarning) as caught:
+        train([cycle], make_cfg(step_size=1.0, episodes=1))
+    assert [str(w.message) for w in caught] == [
+        "step size 1.0 times max reward 3000000.0 exceeds the initial value scale 10.0; "
+        "updates may diverge"]
+
+
 def test_learned_fixed_point_is_actuals_from_day_t_on():
     # Characterises the learning rule, not a target: Q(t) starts at the
     # forecast remaining after day t (criterion 6), but the TD target adds

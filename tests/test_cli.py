@@ -670,17 +670,20 @@ def test_reconcile_refuses_to_overwrite_its_snapshot(tmp_path, daily_csv, capsys
 @pytest.mark.parametrize("verb, key, name, link", [
     ("run", "data_path", "metrics.csv", False),
     ("run", "data_path", "metrics.csv", True),
+    ("run", "data_path", "metrics.csv", "hard"),
     ("run", "external_forecast_path", "summary.json", False),
     ("grid", "data_path", "grid.csv", False),
     ("reconcile", "data_path", "qtable.txt", False),
     ("reconcile", "external_forecast_path", "metrics.csv", False),
     ("run", "--config", "summary.json", False),
     ("grid", "--config", "grid.csv", False),
+    ("grid", "--config", "grid.csv", "hard"),
     ("reconcile", "--config", "metrics.csv", True),
 ])
 def test_verbs_refuse_to_overwrite_an_input(tmp_path, daily_csv, capsys, verb, key, name, link):
-    # An input at one of the verb's output paths, or a link to one, exits
-    # 1 naming the key and both paths, before any file is read or written.
+    # An input at one of the verb's output paths, or a symbolic (``link``
+    # True) or hard ("hard") link to one, exits 1 naming the key and both
+    # paths, before any file is read or written.
     forecast_path = tmp_path / "forecast.csv"
     forecast_path.write_text("date,forecast\n" + "".join(
         f"2020-03-{day:02d},{value}\n" for day, value in zip(range(1, 32), REFERENCE_FORECASTS)))
@@ -696,7 +699,10 @@ def test_verbs_refuse_to_overwrite_an_input(tmp_path, daily_csv, capsys, verb, k
                         "--config": cfg_path}[key].read_bytes())
     before = target.read_bytes()
     path = target
-    if link:
+    if link == "hard":
+        path = tmp_path / "link.csv"
+        os.link(target, path)
+    elif link:
         path = tmp_path / "link.csv"
         path.symlink_to(target)
     # The config file's copy keeps its `output_dir`, the directory it is in.
@@ -1064,16 +1070,34 @@ def test_training_that_overflows_is_a_data_error(tmp_path, capsys):
     assert (out / "grid.csv").read_text().splitlines()[1].endswith(",error,error")
 
 
-# Calls `run` three times in one interpreter, with the output directory and
-# the run's --set arguments as arguments; prints each call's exit code and
-# count of step-size warning lines.
+def test_an_online_revision_that_overflows_is_a_data_error(tmp_path, daily_csv, capsys):
+    # The online updates of a finite snapshot whose rows alternate +-1.7e308
+    # overflow with no policy error: `reconcile` exits 2 naming the
+    # snapshot and the test month, with nothing written, rather than write
+    # a Q table that it could not load again.
+    snapshot = tmp_path / "huge.txt"
+    snapshot.write_text("# config_hash=0 seed=0\n" + "".join(
+        f"{t},{a},{(1.7e308 if t % 2 else -1.7e308)!r}\n"
+        for t in range(1, 32) for a in range(3)))
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, daily_csv, out)
+    assert main(["reconcile", "--config", str(cfg_path), "--qtable", str(snapshot)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {snapshot}: revising 2020-03 overflows the Q table\n")
+    assert not out.exists()
+
+
+# Calls a verb three times in one interpreter, with the verb, the output
+# directory and the verb's --set arguments as arguments; prints each call's
+# exit code and count of step-size warning lines.
 REPEATED_RUN_SCRIPT = """
 import contextlib, io, sys
 from dtreconcile.cli import main
+verb, out = sys.argv[1:3]
 for call in range(3):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["run", *sys.argv[2:], "--set", f"output_dir={sys.argv[1]}/{call}"])
+        code = main([verb, *sys.argv[3:], "--set", f"output_dir={out}/{call}"])
     print(code, err.getvalue().count("warning: step size"))
 """
 
@@ -1082,10 +1106,15 @@ def test_each_call_prints_its_warnings(tmp_path):
     # Python shows a warning once per location and process; `main` resets
     # that record, so a second call prints its step-size warning too. Pytest
     # records warnings rather than printing them, hence a fresh interpreter.
-    result = run_fresh("-c", REPEATED_RUN_SCRIPT, str(tmp_path / "out"),
-                       "--set", f"data_path={write_overflowing_csv(tmp_path)}",
-                       *OVERFLOW_MONTHS, "--set", "episodes=1", check=True)
-    assert result.stdout.splitlines() == ["0 1"] * 3, result.stderr
+    # Every `grid` cell trains with the same step size on the same data, so
+    # a call prints the warning once, not once per cell.
+    data = write_overflowing_csv(tmp_path)
+    for verb, cells in (("run", []), ("grid", ["--set", "grid_tolerances=10%,20%",
+                                               "--set", "grid_epsilons=0.05,0.1"])):
+        result = run_fresh("-c", REPEATED_RUN_SCRIPT, verb, str(tmp_path / verb),
+                           "--set", f"data_path={data}", *OVERFLOW_MONTHS,
+                           "--set", "episodes=1", *cells, check=True)
+        assert result.stdout.splitlines() == ["0 1"] * 3, (verb, result.stderr)
 
 
 def test_the_readme_example_runs(tmp_path, daily_csv, monkeypatch, capsys):

@@ -26,8 +26,10 @@ from dtreconcile.seeding import rng_for
 EXAMPLES = settings(max_examples=40, deadline=None)
 
 # Small integers make ties in Q and equal forecasts likely; zero and
-# negative values are in range on purpose.
+# negative values are in range on purpose, and -0.0 pins that "keep" adds
+# 0.0 to a forecast of -0.0, as every adjusted forecast adds its move.
 values = st.one_of(
+    st.just(-0.0),
     st.integers(-20, 20).map(float),
     st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False),
 )
@@ -138,7 +140,8 @@ def test_reconcile_online_matches_oracle(data, table, cfg, seed):
 
 def test_nan_discount_raises_distribution_error_in_both():
     """A NaN discount, which AgentConfig rejects, poisons the Q rows it
-    updates; the next policy read of such a row raises in both loops."""
+    updates; the next policy read of such a row raises in both loops, and
+    online the RMF's read of the row just updated raises on day 1."""
     cycle = CycleData(np.array([10.0, 20.0, 30.0]), np.array([12.0, 18.0, 33.0]), 60.0)
     cfg = AgentConfig(tolerance=1.0, exploration=0.1, episodes=2)
     # `_make` builds a config without its checks.
@@ -154,9 +157,19 @@ def test_nan_discount_raises_distribution_error_in_both():
         with pytest.raises(DistributionError):
             episode(cycle, table, cfg, source)
         tables.append(table)
-    assert np.isnan(tables[0].q).any()
-    assert np.array_equal(tables[0].q, tables[1].q, equal_nan=True)
-    assert np.array_equal(tables[0].v, tables[1].v, equal_nan=True)
+    next_draws = []
+    for online in (reconcile_online, oracle.reconcile_online):
+        table = init_state_values(cycle.monthly_total, cycle.forecasts)
+        rng = rng_for(0, "nan")
+        with pytest.raises(DistributionError):
+            online(table, cycle.forecasts, cycle.actuals, cfg, rng)
+        tables.append(table)
+        next_draws.append(rng.random())
+    assert next_draws[0] == next_draws[1]
+    assert np.isnan(tables[0].q).any() and np.isnan(tables[2].q).any()
+    for kernel, expected in (tables[:2], tables[2:]):
+        assert np.array_equal(kernel.q, expected.q, equal_nan=True)
+        assert np.array_equal(kernel.v, expected.v, equal_nan=True)
 
 
 @pytest.mark.parametrize("bad, day", [(math.inf, 2), (math.inf, 4), (-math.inf, 2),
