@@ -4,9 +4,8 @@ The per-step helpers the scalar kernel in `dtreconcile.agent` repeats:
 `greedy_action`, `egreedy_probabilities`, `select_action` (one uniform
 per call), `sarsa_step` (one TD update on day indices) and
 `adjusted_forecast` (one day's move, which the kernel tabulates once per
-walk). `run_episode`
-and `reconcile_online` as they stood before the kernel: numpy scalars
-and one probability vector per policy call. Training records nothing;
+walk). `run_episode` and `reconcile_online` as they stood before the
+kernel: numpy scalars and one probability vector per policy call. Training records nothing;
 online revision rebuilds the greedy sum over every day after each
 update. The kernel must match them bit for bit (tests/test_kernel.py).
 `greedy_action` looks up `agent._greedy` at each call, so a test that
