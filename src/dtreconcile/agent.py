@@ -430,7 +430,7 @@ def load_table(path) -> ValueTable:
     try:
         # A byte that is not text decodes to U+FFFD and fails its line's parse.
         with open(path, errors="replace") as fh:
-            lines = [(no, line.strip()) for no, line in enumerate(fh, start=1) if line.strip()]
+            lines = [(no, text) for no, line in enumerate(fh, start=1) if (text := line.strip())]
     except OSError as exc:
         raise DataError(f"{path}: cannot open: {exc}") from exc
     if not lines or not lines[0][1].startswith("#"):
@@ -438,21 +438,22 @@ def load_table(path) -> ValueTable:
     q = [[0.0] * N_ACTIONS for _ in range(MAX_CYCLE_DAYS)]
     seen: set[tuple[int, int]] = set()
     for line_no, line in lines[1:]:
-        where = f"{path}:{line_no}"
         try:
             day_str, action_str, value_str = line.split(",")
             day, action, value = int(day_str), int(action_str), float(value_str)
         except ValueError:
-            raise DataError(f"{where}: expected day,action,q_value, got {line!r}") from None
+            raise DataError(f"{path}:{line_no}: expected day,action,q_value, "
+                            f"got {line!r}") from None
         if not (1 <= day <= MAX_CYCLE_DAYS and 0 <= action < N_ACTIONS):
             raise DataError(
-                f"{where}: day {day}, action {action} outside "
+                f"{path}:{line_no}: day {day}, action {action} outside "
                 f"1..{MAX_CYCLE_DAYS} x 0..{N_ACTIONS - 1}"
             )
         if (day, action) in seen:
-            raise DataError(f"{where}: duplicate entry for day {day}, action {action}")
+            raise DataError(f"{path}:{line_no}: duplicate entry for day {day}, "
+                            f"action {action}")
         if not isfinite(value):
-            raise DataError(f"{where}: q value {value_str!r} is not finite")
+            raise DataError(f"{path}:{line_no}: q value {value_str!r} is not finite")
         seen.add((day, action))
         q[day - 1][action] = value
     if len(seen) < MAX_CYCLE_DAYS * N_ACTIONS:
@@ -464,4 +465,6 @@ def load_table(path) -> ValueTable:
             f"{path}:{lines[-1][0]}: table ends with {len(seen)} of "
             f"{MAX_CYCLE_DAYS * N_ACTIONS} entries; day {day}, action {action} is missing"
         )
-    return ValueTable(q=q, v=[max(row) for row in q])
+    # Every entry was parsed as a float and checked finite above, so
+    # `ValueTable`'s copy and checks would repeat.
+    return ValueTable._make((q, [max(row) for row in q]))

@@ -9,9 +9,9 @@ Verbs:
   validate-data  ingestion and calendar checks only
 
 Each verb calls `load` once for the work done once per data file: read,
-fill the calendar, check the months train_start..test_month. `prepare`
-then builds the test month from the filled calendar, and `training` the
-training cycles.
+fill the calendar days the verb reads, check the months
+train_start..test_month. `prepare` then builds the test month from the
+filled calendar, and `training` the training cycles.
 
 Configuration is a flat key=value file; command-line --set overrides win.
 """
@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import warnings
+from datetime import date
 from math import isfinite
 from pathlib import Path
 from typing import NamedTuple
@@ -31,6 +32,7 @@ from .data import (
     Calendar,
     TimeSeries,
     check_months,
+    days_in_month,
     fill_calendar,
     load_external_forecasts,
     load_ohlcv_csv,
@@ -40,7 +42,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, DistributionError, ReconcileError
 from .evaluation import build_metric_report, run_grid
-from .forecasting import forecast_month
+from .forecasting import forecast_month, lookback
 from .seeding import derive_seed, rng_for
 from .totals import pairwise_sum
 
@@ -181,14 +183,33 @@ def _metrics_overflow(reach: float, smallest_total: float) -> bool:
     return not isfinite((smallest_total + reach) / smallest_total * 200.0)
 
 
-def load(config: RunConfig) -> tuple[TimeSeries, Calendar, int]:
-    """The data as read, its filled calendar and the number of months
-    train_start..test_month it covers, the work done once per data file; a
-    fill that overflows or a month not covered names the data file."""
+def load(config: RunConfig,
+         fill_from: str | None = "train_start") -> tuple[TimeSeries, Calendar, int]:
+    """The data as read, its calendar filled over the days a verb reads, and
+    the number of months train_start..test_month the data's first and last
+    days cover, the work done once per data file.
+
+    The filled days run from the month that the config key ``fill_from``
+    names, less the forecaster's `lookback`, through the last day of
+    test_month, clipped to the data's ends: from train_start for `run` and
+    `grid`, from test_month for `reconcile`. With ``fill_from`` None no day
+    is filled, but every gap is still checked. A fill that overflows, then
+    a month not covered, names the data file."""
     series = load_ohlcv_csv(config.data_path, config.date_column, config.value_column)
+    stamps = series.timestamps
+    first, last = date.max, date.min  # an empty window
+    if fill_from is not None:
+        # In day ordinals, so that no day before date.min is made.
+        year, month = parse_month(getattr(config, fill_from))
+        first = date.fromordinal(max(
+            date(year, month, 1).toordinal() - lookback(config.forecaster, config.seasonal_period),
+            stamps[0].toordinal()))
+        year, month = parse_month(config.test_month)
+        last = date(year, month, days_in_month(year, month))
     try:
-        filled = fill_calendar(series)
-        return series, filled, check_months(filled, (config.train_start, config.test_month))
+        filled = fill_calendar(series, first, last)
+        return series, filled, check_months(stamps[0], stamps[-1],
+                                            (config.train_start, config.test_month))
     except DataError as exc:
         raise DataError(f"{config.data_path}: {exc}") from None
 
@@ -380,7 +401,7 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None,
     """
     _refuse_overwrite(config, ("metrics.csv", "qtable.txt", "summary.json"), qtable_path,
                       config_path)
-    _, filled, _ = load(config)
+    _, filled, _ = load(config, "train_start" if qtable_path is None else "test_month")
     prep = prepare(config, filled)
     if qtable_path is None:
         try:
@@ -440,11 +461,12 @@ def grid_experiment(config: RunConfig, config_path: str | None = None) -> None:
 
 
 def validate_data(config: RunConfig) -> None:
-    series, filled, n_months = load(config)
+    series, _, n_months = load(config, None)
+    days = (series.timestamps[-1] - series.timestamps[0]).days + 1
     first, last = (month_label(*parse_month(label))
                    for label in (config.train_start, config.test_month))
     print(
-        f"{config.data_path}: {len(series)} rows, {len(filled)} after calendar "
+        f"{config.data_path}: {len(series)} rows, {days} after calendar "
         f"fill, {n_months} complete months {first}..{last}"
     )
 

@@ -11,15 +11,19 @@ csv field size limit. Both give the same series; only the row reader
 raises, so every load error comes from one place.
 
 A filled calendar is a `Calendar`, a first day and values, and so is a
-month, a slice of the calendar's values: `check_months` finds from the
-calendar's two ends whether it covers a month range."""
+month, a slice of the calendar's values. `fill_calendar` fills only the
+days of a window, interpolating only the gaps that touch it, yet still
+names a gap anywhere in the series whose interpolation overflows.
+`check_months` finds from two days, the data's or a calendar's first and
+last, whether they cover a month range, so the data's range is checked
+without a filled calendar."""
 
 from __future__ import annotations
 
 import csv
 import warnings
-from bisect import bisect_left
-from datetime import date, datetime
+from bisect import bisect_left, bisect_right
+from datetime import date, datetime, timedelta
 from math import isfinite
 from operator import lt
 
@@ -36,6 +40,9 @@ _CHUNK_CHARS = 1 << 13
 # Every byte but "," and "\n", which `bytes.translate` deletes to leave a
 # block's shape.
 _NOT_COMMA_OR_LF = bytes(byte for byte in range(256) if byte not in b",\n")
+
+# The magnitude below which no two values' interpolation overflows.
+_OVERFLOW_FREE = 2.0 ** 1022
 
 DEFAULT_DATE_COLUMN = "Date"
 DEFAULT_VALUE_COLUMN = "Open"
@@ -283,26 +290,47 @@ class Calendar(Record):
         return month_label(self.start.year, self.start.month)
 
 
-def fill_calendar(series: TimeSeries) -> Calendar:
-    """The calendar from the series' first day through its last, each
-    missing day filled by linear interpolation between the nearest
-    observed neighbors; a series with no gap lends it its values tuple.
+def fill_calendar(series: TimeSeries, first: date | None = None,
+                  last: date | None = None) -> Calendar:
+    """The calendar over ``first..last``, clipped to the series' first and
+    last days, each missing day filled by linear interpolation between
+    the nearest observed neighbors; with no bound, the series' whole
+    span. A window with ``first`` after ``last`` gives no values, and a
+    series with no gap lends the window a slice of its values tuple.
 
     A missing day x between observed days x0 and x1 gets
     ``slope * (x - x0) + f0`` with ``slope = (f1 - f0) / (x1 - x0)``, the
     float operations of ``np.interp`` in their order, so the filled
-    values equal numpy's bit for bit. A gap whose interpolation overflows
-    raises a `DataError` naming its two observed days."""
+    values equal numpy's bit for bit. Only the rows from the observed
+    day on or before the window through the one on or after it are
+    interpolated. A gap whose interpolation overflows raises a
+    `DataError` naming its two observed days, also when it lies outside
+    the window."""
     if len(series) == 0:
         raise DataError("cannot calendar-fill an empty series")
     stamps, values = series.timestamps, series.values
-    first = stamps[0].toordinal()
-    if stamps[-1].toordinal() - first + 1 == len(series):
-        return Calendar(stamps[0], values)
+    first = stamps[0] if first is None else max(first, stamps[0])
+    last = stamps[-1] if last is None else min(last, stamps[-1])
+    origin, n = stamps[0].toordinal(), len(series)
+    # The window's offset from the series' first day and its length.
+    offset, length = first.toordinal() - origin, max(last.toordinal() - first.toordinal() + 1, 0)
+    if stamps[-1].toordinal() - origin + 1 == n:
+        return Calendar(first, values[offset:offset + length])
+    # The observed neighbours of the window's two ends; an empty window
+    # keeps one row.
+    lo = bisect_right(stamps, first) - 1
+    hi = max(bisect_left(stamps, last), lo)
+    # Below 2**1022 in magnitude every f1 - f0 is below 2**1023, so no gap
+    # overflows. Otherwise, when a gap lies outside rows lo..hi, the whole
+    # span is filled, so that the first gap that overflows is named.
+    if ((stamps[lo].toordinal() - origin != lo
+         or stamps[-1].toordinal() - stamps[hi].toordinal() != n - 1 - hi)
+            and (max(values) >= _OVERFLOW_FREE or min(values) <= -_OVERFLOW_FREE)):
+        lo, hi = 0, n - 1
     filled: list[float] = []
     add = filled.append
-    x0, f0 = first, values[0]
-    for x1, f1 in zip(map(date.toordinal, stamps), values):
+    x0, f0 = stamps[lo].toordinal(), values[lo]
+    for x1, f1 in zip(map(date.toordinal, stamps[lo:hi + 1]), values[lo:hi + 1]):
         span = x1 - x0
         if span > 1:
             slope = (f1 - f0) / span
@@ -312,12 +340,15 @@ def fill_calendar(series: TimeSeries) -> Calendar:
         x0, f0 = x1, f1
     if not all(map(isfinite, filled)):  # the observed values are finite
         k = next(k for k, value in enumerate(filled) if not isfinite(value))
-        after = bisect_left(stamps, date.fromordinal(first + k))
+        after = bisect_left(stamps, date.fromordinal(stamps[lo].toordinal() + k))
         raise DataError(
             f"interpolating the gap between {stamps[after - 1].isoformat()} and "
             f"{stamps[after].isoformat()} overflows"
         )
-    return Calendar(stamps[0], tuple(filled))
+    # The rows' days trimmed to the window.
+    del filled[:first.toordinal() - stamps[lo].toordinal()]
+    del filled[length:]
+    return Calendar(first, tuple(filled))
 
 
 def parse_month(label: str) -> tuple[int, int]:
@@ -335,37 +366,37 @@ def month_label(year: int, month: int) -> str:
     return f"{year:04d}-{month:02d}"
 
 
-def _days_in_month(year: int, month: int) -> int:
+def days_in_month(year: int, month: int) -> int:
     # December is always 31 days: 9999-12 has no next month to subtract.
     if month == 12:
         return 31
     return (date(year, month + 1, 1) - date(year, month, 1)).days
 
 
-def check_months(calendar: Calendar, month_range: tuple[str, str]) -> int:
+def check_months(first: date, last: date, month_range: tuple[str, str]) -> int:
     """The number of months in ``month_range``, its first and last
-    "YYYY-MM" labels, when the calendar covers each whole. Otherwise the
-    first month in range order that it does not cover raises, with its
-    count of missing days and the first of them."""
+    "YYYY-MM" labels, when the days ``first..last``, the data's or a
+    calendar's two ends, cover each whole. Otherwise the first month in
+    range order that they do not cover raises, with its count of missing
+    days and the first of them."""
     (year, month), (y1, m1) = map(parse_month, month_range)
     if (year, month) > (y1, m1):
         raise DataError(f"month range {month_range[0]}..{month_range[1]} is reversed")
     n_months = (y1 - year) * 12 + m1 - month + 1
-    start = calendar.start.toordinal()
-    end = start + len(calendar) - 1
+    start, end = first.toordinal(), last.toordinal()
     if date(year, month, 1).toordinal() >= start:
-        # No month of the range starts before the calendar, so the first
-        # one not covered is the range's first or the calendar's next day's.
+        # No month of the range starts before the first day, so the first
+        # one not covered is the range's first or the next day's.
         if end == date.max.toordinal():
             return n_months
         after = date.fromordinal(end + 1)
         year, month = max((year, month), (after.year, after.month))
         if (year, month) > (y1, m1):
             return n_months
-    n_days = _days_in_month(year, month)
-    first = date(year, month, 1).toordinal()
-    covered = max(0, min(first + n_days - 1, end) - max(first, start) + 1)
-    missing = first if first < start else max(first, end + 1)
+    n_days = days_in_month(year, month)
+    first_day = date(year, month, 1).toordinal()
+    covered = max(0, min(first_day + n_days - 1, end) - max(first_day, start) + 1)
+    missing = first_day if first_day < start else max(first_day, end + 1)
     raise DataError(
         f"month {month_label(year, month)} incomplete: {n_days - covered} missing days "
         f"(first {date.fromordinal(missing).isoformat()})"
@@ -374,13 +405,15 @@ def check_months(calendar: Calendar, month_range: tuple[str, str]) -> int:
 
 def month_partition(calendar: Calendar, month_range: tuple[str, str]) -> list[Calendar]:
     """The full months of ``month_range`` in a calendar, in order, each a
-    `Calendar` slice of its values; `check_months` names a month not covered."""
-    n_months = check_months(calendar, month_range)
+    `Calendar` slice of its values; `check_months` names a month that the
+    calendar's two ends do not cover."""
+    n_months = check_months(calendar.start, calendar.start + timedelta(len(calendar) - 1),
+                            month_range)
     year, month = parse_month(month_range[0])
     start, values = (date(year, month, 1) - calendar.start).days, calendar.values
     months = []
     for _ in range(n_months):
-        end = start + _days_in_month(year, month)
+        end = start + days_in_month(year, month)
         months.append(Calendar(date(year, month, 1), values[start:end]))
         start = end
         year, month = (year + 1, 1) if month == 12 else (year, month + 1)

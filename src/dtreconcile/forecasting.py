@@ -12,6 +12,8 @@ below 1, so neither is checked here.
 
 from __future__ import annotations
 
+from datetime import date
+
 from .errors import InsufficientDataError
 
 
@@ -41,6 +43,19 @@ def drift(history, h: int) -> tuple[float, ...]:
     return tuple(last + slope * k for k in range(1, h + 1))
 
 
+def lookback(method: str, period: int) -> int:
+    """How many days before a month `forecast_month` reads: the last one
+    for `naive`, and for `external`, whose training months fall back to
+    `naive`; the last ``period`` for `seasonal_naive`, whose short-history
+    fallback reads fewer; and for `drift`, every day from the series'
+    first, more days than any calendar holds."""
+    if method == "seasonal_naive":
+        return period
+    if method == "drift":
+        return date.max.toordinal()
+    return 1
+
+
 def forecast_month(series, month, method: str, period: int) -> tuple[float, ...]:
     """Daily base forecasts for one month from the values before it in
     ``series``; both are `data.Calendar`s, whose values are one per day
@@ -48,7 +63,10 @@ def forecast_month(series, month, method: str, period: int) -> tuple[float, ...]
     day is its count of history days. Short of history, and for any other method
     (an `external` file covers only the test cycle), this is `naive`; with
     no history at all, the month's own first observation repeated. Each
-    method is handed only the window of the history it reads."""
+    method is handed only the window of the history it reads, at most
+    `lookback` days before the month, so a calendar that starts that far
+    before the month, or on the series' first day, gives the same
+    forecasts as the whole calendar."""
     values, end = series.values, (month.start - series.start).days
     h = len(month)
     if not end:

@@ -334,6 +334,74 @@ def test_each_verb_partitions_only_the_months_it_reads(tmp_path, daily_csv, caps
         assert plain[1] or verb == ["validate-data"]
 
 
+def test_each_verb_fills_only_the_days_it_reads(tmp_path, daily_csv, capsys, monkeypatch):
+    # `validate-data` fills no day, `reconcile` the test month and the
+    # forecaster's lookback, `run` train_start less the lookback through
+    # the test month; the counter changes no byte a verb writes or prints.
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, daily_csv, out)
+    snapshot = tmp_path / "snapshot" / "qtable.txt"
+    assert main(["run", "--config", str(cfg_path), "--set",
+                 f"output_dir={snapshot.parent}"]) == 0
+    capsys.readouterr()
+    original = cli.fill_calendar
+
+    def outputs(verb):
+        shutil.rmtree(out, ignore_errors=True)
+        assert main([*verb, "--config", str(cfg_path)]) == 0
+        files = {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else {}
+        return capsys.readouterr().out, files
+
+    test_month = (date(2020, 3, 1), date(2020, 3, 31))
+    for verb, (first, last) in (
+        (["validate-data"], (None, None)),
+        (["reconcile", "--qtable", str(snapshot)], (date(2020, 2, 29), test_month[1])),
+        (["reconcile", "--qtable", str(snapshot), "--set", "forecaster=seasonal_naive"],
+         (date(2020, 2, 23), test_month[1])),
+        (["run"], (date(2018, 12, 31), test_month[1])),
+        (["run", "--set", "forecaster=seasonal_naive"], (date(2018, 12, 25), test_month[1])),
+        # The data's first day, a Monday, clips drift's whole history.
+        (["run", "--set", "forecaster=drift"], (date(2018, 12, 3), test_month[1])),
+    ):
+        plain = outputs(verb)
+        filled = []
+        monkeypatch.setattr(cli, "fill_calendar", lambda *args: filled.append(
+            original(*args)) or filled[-1])
+        assert outputs(verb) == plain, verb
+        monkeypatch.setattr(cli, "fill_calendar", original)
+        (calendar,) = filled
+        days = 0 if first is None else (last - first).days + 1
+        assert len(calendar) == days, verb
+        assert first is None or calendar.start == first, verb
+        assert plain[1] or verb == ["validate-data"]
+
+
+@pytest.mark.parametrize("forecaster", ["naive", "seasonal_naive"])
+@pytest.mark.parametrize("first_day, last_day, months", [
+    (date.min, date(2, 4, 10), ("0001-01", "0002-02", "0002-03")),
+    (date(9998, 11, 2), date.max, ("9998-12", "9999-11", "9999-12")),
+])
+def test_verbs_on_data_at_the_calendar_ends(tmp_path, capsys, forecaster, first_day,
+                                            last_day, months):
+    # Data that start on the first day a date can name, with train_start
+    # its month, and data that end on the last, with test_month its month:
+    # no verb may reach for a day before the one or after the other.
+    path = tmp_path / "daily.csv"
+    days = (date.fromordinal(n) for n in range(first_day.toordinal(), last_day.toordinal() + 1))
+    path.write_text("Date,Open\n" + "".join(f"{day.isoformat()},{100.0 + day.day * 1.5 + day.month}\n"
+                                            for day in days if day.weekday() < 5))
+    train_start, train_end, test_month = months
+    cfg_path = write_config(tmp_path, path, tmp_path / "out", extra=[
+        f"train_start = {train_start}", f"train_end = {train_end}",
+        f"test_month = {test_month}", f"forecaster = {forecaster}", *GRID_KEYS])
+    reconcile = ["reconcile", "--qtable", str(tmp_path / "out" / "qtable.txt"),
+                 "--set", f"output_dir={tmp_path / 'out2'}"]
+    for verb in (["validate-data"], ["run"], ["grid"], reconcile):
+        assert main([verb[0], "--config", str(cfg_path), *verb[1:]]) == 0, verb
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "out2" / "metrics.csv").exists()
+
+
 def test_exit_codes(tmp_path, daily_csv, capsys):
     # 1: config error
     assert main(["run", "--set", "data_path=x.csv"]) == 1

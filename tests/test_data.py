@@ -2,12 +2,15 @@
 
 import calendar
 import csv
+import math
 import re
 import warnings
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dtreconcile import data
 from dtreconcile.data import (
@@ -171,6 +174,65 @@ def test_fill_calendar_single_gap_midpoint():
     assert list(fill_calendar(series).values) == [10.0, 15.0, 20.0]
 
 
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except DataError as exc:
+        return "error", str(exc)
+
+
+# Levels with the overflow guard's edges: no two values below 2**1022 in
+# magnitude overflow their gap, and -2**1023 to 2**1023 does.
+WINDOW_LEVELS = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([1.7e308, -1.7e308, 2.0**1022, -2.0**1022, 2.0**1023, -2.0**1023,
+                     math.nextafter(2.0**1022, 0.0), -math.nextafter(2.0**1022, 0.0)]),
+)
+# Window ends as day offsets from the series' first day: inside, over
+# either end, outside, or reversed (empty); None is no bound.
+WINDOW_ENDS = st.one_of(st.none(), st.integers(-8, 60))
+
+
+def _day(origin, offset):
+    """The day ``offset`` days from ``origin``, clamped to the calendar."""
+    return date.fromordinal(min(max(origin.toordinal() + offset, 1), date.max.toordinal()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.dates(), st.lists(st.integers(1, 6), max_size=12),
+       st.lists(WINDOW_LEVELS, min_size=13, max_size=13), WINDOW_ENDS, WINDOW_ENDS)
+# An overflowing gap outside the window, after it and before it; one
+# inside it; and gaps of exactly +-2**1022, which do not overflow.
+@example(date(2020, 1, 1), [1, 3], [1.0, -2.0**1023, 2.0**1023], 0, 0)
+@example(date(2020, 1, 1), [3, 1], [-2.0**1023, 2.0**1023, 5.0], 4, 4)
+@example(date(2020, 1, 1), [1, 4, 1], [0.0, 1.7e308, -1.7e308, 0.0], 2, 3)
+@example(date(2020, 1, 1), [3, 2], [-2.0**1022, 2.0**1022, -2.0**1022], 4, 4)
+@example(date.min, [2], [-2.0**1023, 2.0**1023], -8, -8)
+@example(date(9999, 12, 28), [3], [1.7e308, -1.7e308], 60, None)
+def test_windowed_fill_is_the_slice_of_the_whole_fill(start, gaps, levels, first, last):
+    days = [start]
+    for gap in gaps:
+        if days[-1].toordinal() + gap > date.max.toordinal():
+            break
+        days.append(days[-1] + timedelta(gap))
+    series = TimeSeries(tuple(days), levels[:len(days)])
+    first = None if first is None else _day(start, first)
+    last = None if last is None else _day(start, last)
+    whole = _outcome(fill_calendar, series)
+    window = _outcome(fill_calendar, series, first, last)
+    if whole[0] == "error":
+        assert window == whole
+        return
+    assert window[0] == "ok", window
+    whole, window = whole[1], window[1]
+    lo = days[0] if first is None else max(first, days[0])
+    hi = days[-1] if last is None else min(last, days[-1])
+    begin, end = (lo - days[0]).days, (hi - days[0]).days + 1
+    expected = whole.values[begin:end] if end > begin else ()
+    assert window.start == lo
+    assert [value.hex() for value in window.values] == [value.hex() for value in expected]
+
+
 def test_calendar_and_month_are_first_day_and_values():
     calendar = Calendar(date(2020, 2, 27), (1.0, 2.0, 3.0))
     assert len(calendar) == 3 and calendar == Calendar(date(2020, 2, 27), (1.0, 2.0, 3.0))
@@ -202,7 +264,7 @@ def test_month_partition_counts_and_lengths():
 def test_days_in_month_equals_calendar():
     months = [(year, month) for year in range(date.min.year, date.max.year + 1)
               for month in range(1, 13)]
-    assert ([data._days_in_month(*ym) for ym in months]
+    assert ([data.days_in_month(*ym) for ym in months]
             == [calendar.monthrange(*ym)[1] for ym in months])
 
 

@@ -5,10 +5,12 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from dtreconcile import forecasting
-from dtreconcile.data import Calendar, month_partition
+from dtreconcile import cli, forecasting
+from dtreconcile.data import Calendar, fill_calendar, month_partition
 from dtreconcile.errors import InsufficientDataError
 from dtreconcile.forecasting import drift, forecast_month, naive, seasonal_naive
+
+from conftest import nifty_like_value, write_daily_csv
 
 
 def test_naive_repeats_last():
@@ -123,3 +125,37 @@ def test_forecast_month_equals_the_method_on_the_whole_history(method, period):
         except InsufficientDataError:
             expected = naive(history, len(month))
         assert forecast_month(series, month, method, period) == expected, month.label
+
+
+@pytest.mark.parametrize("method, period", [("naive", 7), ("seasonal_naive", 1),
+                                            ("seasonal_naive", 7), ("seasonal_naive", 40),
+                                            ("drift", 7)])
+@pytest.mark.parametrize("first_day", [date(2020, 1, 1), date(2019, 12, 28),
+                                       date(2019, 11, 20), date(2016, 1, 4)])
+def test_forecast_month_is_the_same_on_the_window_load_fills(tmp_path, method, period,
+                                                             first_day):
+    # `cli.load` fills from a month less the method's `lookback`, clipped
+    # to the data's first day; every month it covers must be forecast as
+    # on the whole calendar. The data start on the first training month's
+    # first day, a weekend before it, a month and more before it, and
+    # years before it, so the clipping, the short-history fallback, the
+    # "no history at all" branch and drift's whole history are all reached.
+    path = tmp_path / "daily.csv"
+    write_daily_csv(path, first_day, date(2020, 6, 30), nifty_like_value)
+    labels = ["2020-01", "2020-02", "2020-03", "2020-04", "2020-05"]
+    for k, train_start in enumerate(labels[:3]):
+        config = cli.RunConfig(data_path=str(path), train_start=train_start,
+                               train_end="2020-04", test_month="2020-05",
+                               forecaster=method, seasonal_period=period)
+        for fill_from, months in (("train_start", labels[k:]), ("test_month", labels[-1:])):
+            series, window, _ = cli.load(config, fill_from)
+            whole = fill_calendar(series)
+            first = date(*map(int, months[0].split("-")), 1).toordinal()
+            assert window.start.toordinal() == max(
+                first - forecasting.lookback(method, period), series.timestamps[0].toordinal())
+            for label in months:
+                (month,), (whole_month,) = (month_partition(calendar, (label, label))
+                                            for calendar in (window, whole))
+                assert (list(map(float.hex, forecast_month(window, month, method, period)))
+                        == list(map(float.hex, forecast_month(whole, whole_month, method,
+                                                              period)))), (label, fill_from)

@@ -199,7 +199,8 @@ def check_pipeline(text, months):
     (series, filled, same, parts), (o_series, o_filled, o_same, o_parts) = new[1], old[1]
     assert same_series(series, o_series) and same_calendar(filled, o_filled)
     assert same == o_same
-    assert len(parts) == len(o_parts) == data.check_months(filled, month_range)
+    assert len(parts) == len(o_parts) == data.check_months(
+        series.timestamps[0], series.timestamps[-1], month_range)
     assert same_months(parts, o_parts)
     for part, o_part in zip(parts, o_parts):
         assert type(part.values) is type(o_part.values) is tuple
@@ -243,7 +244,7 @@ def test_check_months_matches_oracle_partition(first, last, month_range, kind):
     series = data.TimeSeries(days, [0.1 * k - 3.0 for k in range(len(days))])
     calendar = data.fill_calendar(series)
     old = outcome(oracle.month_partition, series, month_range)
-    checked = outcome(data.check_months, calendar, month_range)
+    checked = outcome(data.check_months, first, last, month_range)
     parts = outcome(data.month_partition, calendar, month_range)
     assert old[0] == kind, old
     if kind == "error":
