@@ -352,16 +352,16 @@ def test_each_verb_fills_only_the_days_it_reads(tmp_path, daily_csv, capsys, mon
         files = {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else {}
         return capsys.readouterr().out, files
 
-    test_month = (date(2020, 3, 1), date(2020, 3, 31))
-    for verb, (first, last) in (
-        (["validate-data"], (None, None)),
-        (["reconcile", "--qtable", str(snapshot)], (date(2020, 2, 29), test_month[1])),
+    last = date(2020, 3, 31)  # the test month's last day
+    for verb, first in (
+        (["validate-data"], None),
+        (["reconcile", "--qtable", str(snapshot)], date(2020, 2, 29)),
         (["reconcile", "--qtable", str(snapshot), "--set", "forecaster=seasonal_naive"],
-         (date(2020, 2, 23), test_month[1])),
-        (["run"], (date(2018, 12, 31), test_month[1])),
-        (["run", "--set", "forecaster=seasonal_naive"], (date(2018, 12, 25), test_month[1])),
+         date(2020, 2, 23)),
+        (["run"], date(2018, 12, 31)),
+        (["run", "--set", "forecaster=seasonal_naive"], date(2018, 12, 25)),
         # The data's first day, a Monday, clips drift's whole history.
-        (["run", "--set", "forecaster=drift"], (date(2018, 12, 3), test_month[1])),
+        (["run", "--set", "forecaster=drift"], date(2018, 12, 3)),
     ):
         plain = outputs(verb)
         filled = []
@@ -388,7 +388,7 @@ def test_verbs_on_data_at_the_calendar_ends(tmp_path, capsys, forecaster, first_
     # no verb may reach for a day before the one or after the other.
     path = tmp_path / "daily.csv"
     days = (date.fromordinal(n) for n in range(first_day.toordinal(), last_day.toordinal() + 1))
-    path.write_text("Date,Open\n" + "".join(f"{day.isoformat()},{100.0 + day.day * 1.5 + day.month}\n"
+    path.write_text("Date,Open\n" + "".join(f"{day.isoformat()},{100 + day.day + day.month}\n"
                                             for day in days if day.weekday() < 5))
     train_start, train_end, test_month = months
     cfg_path = write_config(tmp_path, path, tmp_path / "out", extra=[
