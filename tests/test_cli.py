@@ -610,17 +610,25 @@ def test_exit_codes(tmp_path, daily_csv, capsys):
                     in capsys.readouterr().err), (verb, bad)
             assert not out.exists(), (verb, bad)
     # 2: a calendar gap whose interpolation overflows names the data file
-    # and the gap's two days
+    # and the gap's two days, also when it lies before the days a verb
+    # fills (`reconcile` fills from 2020-02-29) and the data cover every month
     overflow = tmp_path / "overflow.csv"
     overflow.write_text("Date,Open\n2020-01-01,1.7e308\n2020-01-03,-1.7e308\n")
+    early = tmp_path / "early_overflow.csv"
+    huge = {"2019-01-04": "1.7e308", "2019-01-07": "-1.7e308"}  # a Friday and a Monday
+    early.write_text("".join(
+        f"{line[:10]},{huge[line[:10]]},1,1,1,1000\n" if line[:10] in huge else line + "\n"
+        for line in daily_csv.read_text().splitlines()))
     out = tmp_path / "overflow_out"
-    for verb in (["validate-data"], ["run"],
-                 ["reconcile", "--qtable", str(trained / "qtable.txt")]):
-        assert main([*verb, "--config", str(cfg_path), "--set", f"data_path={overflow}",
-                     "--set", f"output_dir={out}"]) == 2, verb
-        assert (f"data error: {overflow}: interpolating the gap between 2020-01-01 and "
-                "2020-01-03 overflows" in capsys.readouterr().err), verb
-        assert not out.exists(), verb
+    for path, gap in ((overflow, "2020-01-01 and 2020-01-03"),
+                      (early, "2019-01-04 and 2019-01-07")):
+        for verb in (["validate-data"], ["run"],
+                     ["reconcile", "--qtable", str(trained / "qtable.txt")]):
+            assert main([*verb, "--config", str(cfg_path), "--set", f"data_path={path}",
+                         "--set", f"output_dir={out}"]) == 2, verb
+            assert (f"data error: {path}: interpolating the gap between {gap} overflows"
+                    in capsys.readouterr().err), verb
+            assert not out.exists(), verb
     # 2: a field past the csv module's size limit names the file and line
     wide = tmp_path / "wide.csv"
     wide.write_text("Date,Open\n2020-01-01,1\n2020-01-02," + "1" * 200_000 + "\n")
