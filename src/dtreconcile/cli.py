@@ -29,6 +29,8 @@ from typing import NamedTuple
 
 from .agent import AgentConfig, CycleData, load_table, reconcile_online, save_table, train
 from .data import (
+    DEFAULT_DATE_COLUMN,
+    DEFAULT_VALUE_COLUMN,
     Calendar,
     TimeSeries,
     check_months,
@@ -54,8 +56,8 @@ class _RunFields(NamedTuple):
     train_start: str
     train_end: str
     test_month: str
-    date_column: str = "Date"
-    value_column: str = "Open"
+    date_column: str = DEFAULT_DATE_COLUMN
+    value_column: str = DEFAULT_VALUE_COLUMN
     forecaster: str = "naive"
     seasonal_period: int = 7
     external_forecast_path: str | None = None
@@ -391,6 +393,12 @@ def _inode(path) -> tuple[int, int] | None:
     return stat.st_dev, stat.st_ino
 
 
+def _check_finite(table, what: str) -> None:
+    """Raise `DataError` "``what`` overflows the Q table" on a Q entry that is not finite."""
+    if not all(isfinite(x) for row in table.q for x in row):
+        raise DataError(f"{what} overflows the Q table")
+
+
 def run_experiment(config: RunConfig, qtable_path: str | None = None,
                    config_path: str | None = None) -> None:
     """Full pipeline: train, stream the test month, write the reports.
@@ -404,12 +412,16 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None,
     _, filled, _ = load(config, "train_start" if qtable_path is None else "test_month")
     prep = prepare(config, filled)
     if qtable_path is None:
+        cycles = training(config, filled)
         try:
-            table = train(training(config, filled), prep.agent_cfg)
-        except DistributionError as exc:
-            # Every table starts finite, so only the data's TD updates can
-            # have overflowed it.
+            table = train(cycles, prep.agent_cfg)
+        except (DistributionError, ValueError) as exc:
+            # Only the data can overflow the table: the first cycle's running
+            # forecasts that seed it (ValueError), or a TD update that a
+            # later day reads (DistributionError).
             raise DataError(f"{config.data_path}: training overflows: {exc}") from None
+        # An update that no later training day reads overflows unseen.
+        _check_finite(table, f"{config.data_path}: training")
     else:
         table = load_table(qtable_path)
     test = prep.test
@@ -422,11 +434,8 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None,
     )
     # The online updates can overflow a finite table without a policy
     # error, and a snapshot with an infinite entry would not load again.
-    if not all(isfinite(x) for row in table.q for x in row):
-        source = config.data_path if qtable_path is None else qtable_path
-        month = prep.test_month.start
-        raise DataError(f"{source}: revising {month_label(month.year, month.month)} "
-                        "overflows the Q table")
+    _check_finite(table, f"{config.data_path if qtable_path is None else qtable_path}: "
+                         f"revising {prep.test_month.label}")
     report = build_metric_report(
         trace,
         test,

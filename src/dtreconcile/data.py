@@ -10,13 +10,14 @@ whose field count differs from the header's, or a line longer than the
 csv field size limit. Both give the same series; only the row reader
 raises, so every load error comes from one place.
 
-A filled calendar is a `Calendar`, a first day and values, and so is a
-month, a slice of the calendar's values. `fill_calendar` fills only the
-days of a window, interpolating only the gaps that touch it, yet still
-names a gap anywhere in the series whose interpolation overflows.
-`check_months` finds from two days, the data's or a calendar's first and
-last, whether they cover a month range, so the data's range is checked
-without a filled calendar."""
+A series as read is a `TimeSeries`, its days and values. A filled
+calendar is a `Calendar`, a first day and values, and so is a month, a
+slice of the calendar's values. Both are NamedTuples whose length counts
+days. `fill_calendar` fills only the days of a window, interpolating
+only the gaps that touch it, yet still names a gap anywhere in the
+series whose interpolation overflows. `check_months` finds from two
+days, the data's or a calendar's first and last, whether they cover a
+month range, so the data's range is checked without a filled calendar."""
 
 from __future__ import annotations
 
@@ -26,9 +27,9 @@ from bisect import bisect_left, bisect_right
 from datetime import date, datetime, timedelta
 from math import isfinite
 from operator import lt
+from typing import NamedTuple
 
 from .errors import DataError, ShapeError
-from .records import Record
 from .totals import pairwise_sum
 
 _DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%y")
@@ -48,13 +49,18 @@ DEFAULT_DATE_COLUMN = "Date"
 DEFAULT_VALUE_COLUMN = "Open"
 
 
-class TimeSeries(Record):
+class _SeriesFields(NamedTuple):
+    timestamps: tuple[date, ...]
+    values: tuple[float, ...]
+
+
+class TimeSeries(_SeriesFields):
     """Daily observations: ordered calendar dates with finite values;
     its length is the number of days."""
 
-    __slots__ = ("timestamps", "values")
+    __slots__ = ()
 
-    def __init__(self, timestamps, values) -> None:
+    def __new__(cls, timestamps, values):
         values = tuple(map(float, values))
         stamps = tuple(timestamps)
         if len(stamps) != len(values):
@@ -64,8 +70,11 @@ class TimeSeries(Record):
         if not all(map(lt, stamps, stamps[1:])):
             cur = next(cur for prev, cur in zip(stamps, stamps[1:]) if cur <= prev)
             raise ValueError(f"timestamps not strictly increasing at {cur}")
-        object.__setattr__(self, "timestamps", stamps)
-        object.__setattr__(self, "values", values)
+        return super().__new__(cls, stamps, values)
+
+    # Builds without the checks above, and without NamedTuple's field
+    # count test, which would read the day count below.
+    _make = classmethod(tuple.__new__)
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -269,11 +278,17 @@ def load_ohlcv_csv(
     return TimeSeries(tuple(days), tuple(map(observations.__getitem__, days)))
 
 
-class Calendar(Record):
+class _CalendarFields(NamedTuple):
+    start: date
+    values: tuple[float, ...]
+
+
+class Calendar(_CalendarFields):
     """A calendar-complete daily series: its first day and one value per
     day from it on; its length is the number of days."""
 
-    __slots__ = ("start", "values")
+    __slots__ = ()
+    _make = classmethod(tuple.__new__)  # as `TimeSeries._make`
 
     def __len__(self) -> int:
         return len(self.values)

@@ -1040,9 +1040,12 @@ def test_cli_import_loads_no_hierarchy_code(tmp_path, daily_csv):
     assert report == {"import": [], "daily": [0, 0], "after_daily": [], "run": 0,
                       "after_run": []}, result.stderr
     assert (tmp_path / "daily_out" / "metrics.csv").exists()
-    # The module graph: the agent and the metrics never load the forecasters,
-    # and the forecasters load nothing of the package but its errors.
+    # The module graph: the command line loads exactly these modules, the
+    # agent and the metrics never load the forecasters, and the forecasters
+    # load nothing of the package but its errors.
     for modules, expected in (
+        ("cli", {"agent", "cli", "data", "errors", "evaluation", "forecasting", "seeding",
+                 "totals"}),
         ("agent, evaluation",
          {"agent", "errors", "evaluation", "seeding", "totals"}),
         ("forecasting", {"errors", "forecasting"}),
@@ -1141,6 +1144,48 @@ def test_training_that_overflows_is_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"data error: {tmp_path / 'overflow.csv'}: ")
     assert not out.exists()
     with pytest.warns(UserWarning, match="step size"):
+        assert main(["grid", *argv, "--set", "grid_tolerances=10%",
+                     "--set", "grid_epsilons=0.1"]) == 0
+    assert (out / "grid.csv").read_text().splitlines()[1].endswith(",error,error")
+
+
+def running_overflow(day):
+    # January sums to 0 pairwise, but its running sum passes 1.8e308.
+    if day.month == 1:
+        return 3e307 if day.day <= 8 else -3e307 if day.day <= 16 else 0.0
+    return 100.0 + day.day
+
+
+def unread_overflow(day):
+    # Day 1's update of row 1 in February overflows; no later day reads it.
+    if day.month == 1:
+        return 1e300
+    return 1.7976931348623157e308 if day == date(2020, 2, 1) else 100.0
+
+
+@pytest.mark.parametrize("value, keys, message", [
+    (running_overflow, ["forecaster=seasonal_naive", "seasonal_period=31"],
+     "training overflows: value tables must be finite"),
+    (unread_overflow, ["step_size=1"], "training overflows the Q table"),
+])
+def test_training_that_overflows_unseen_is_a_data_error(tmp_path, capsys, value, keys,
+                                                        message):
+    # The first training cycle's forecasts sum to a finite total whose
+    # running sum overflows the initial table, or a single episode leaves
+    # an infinite Q entry that only the online walk would read: `run`
+    # exits 2 naming the file, with nothing written, and `grid` marks the
+    # cell.
+    data = tmp_path / "unseen.csv"
+    write_daily_csv(data, date(2020, 1, 1), date(2020, 3, 31), value, skip_weekends=False)
+    out = tmp_path / "out"
+    argv = ["--set", f"data_path={data}", "--set", "train_start=2020-02",
+            "--set", "train_end=2020-02", "--set", "test_month=2020-03",
+            "--set", f"output_dir={out}", *(arg for key in keys for arg in ("--set", key))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the step-size warning, if any
+        assert main(["run", *argv]) == 2
+        assert capsys.readouterr().err == f"data error: {data}: {message}\n"
+        assert not out.exists()
         assert main(["grid", *argv, "--set", "grid_tolerances=10%",
                      "--set", "grid_epsilons=0.1"]) == 0
     assert (out / "grid.csv").read_text().splitlines()[1].endswith(",error,error")

@@ -136,9 +136,11 @@ def test_descending_file_leaves_the_column_pass_before_a_series_is_built(
     built = []
 
     class CountingSeries(TimeSeries):
-        def __init__(self, timestamps, values):
+        __slots__ = ()
+
+        def __new__(cls, timestamps, values):
             built.append(len(timestamps))
-            super().__init__(timestamps, values)
+            return super().__new__(cls, timestamps, values)
 
     monkeypatch.setattr(data, "TimeSeries", CountingSeries)
     path = tmp_path / "descending.csv"
@@ -243,8 +245,27 @@ def test_calendar_and_month_are_first_day_and_values():
     assert month.label == "2020-02"
     # The fields are given in order, all of them.
     for fields in ((date(2020, 2, 1),), (date(2020, 2, 1), (1.0,), "extra")):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             Calendar(*fields)
+
+
+def test_records_count_days_and_compare_as_tuples():
+    days, values = (date(2020, 1, 1), date(2020, 1, 3), date(2020, 1, 4)), (1.0, 2.0, 3.0)
+    series = TimeSeries(days, values)
+    # `_make` builds without the checks and the field count, and the
+    # length is still the day count, not the two fields.
+    assert len(TimeSeries._make((days, values))) == 3 == len(series)
+    assert len(Calendar._make((days[0], values[:2]))) == 2
+    assert series._replace(values=(4.0, 5.0, 6.0)).values == (4.0, 5.0, 6.0)
+    # No record takes an attribute beyond its fields.
+    for record in (series, Calendar(days[0], values)):
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        with pytest.raises(AttributeError):
+            record.values = ()
+    # Equality and hashing are a tuple's: the type is not compared.
+    assert series == (days, values) and hash(series) == hash((days, values))
+    assert Calendar(days[0], values) == (days[0], values)
 
 
 def _calendar_series(start, end, value=100.0):
