@@ -35,7 +35,9 @@ Otherwise the folded list, and so its sum, is the same as the day
 before. RMF sums fold the day-ordered floats left to right with
 `reduce(add, ..., 0.0)`, not with the builtin `sum`: from Python 3.12
 `sum` compensates float rounding, so its last bits, and the output
-files, would depend on the Python version.
+files, would depend on the Python version. `train` and `reconcile_online`
+each scan Q once at the end and raise `DistributionError` if the data
+overflowed it; `run_episode` and `_walk` check only the rows they read.
 """
 
 from __future__ import annotations
@@ -188,7 +190,8 @@ def init_state_values(monthly_total: float, daily_forecasts) -> ValueTable:
 
     Q rows start equal to their day's V for all three actions. Days past
     the cycle length keep the end-of-cycle remainder so the table always
-    covers the maximum cycle length.
+    covers the maximum cycle length. Running forecasts that overflow
+    raise `train`'s `DistributionError`, "training overflows the Q table".
     """
     daily = list(map(float, daily_forecasts))
     if not daily:
@@ -197,7 +200,7 @@ def init_state_values(monthly_total: float, daily_forecasts) -> ValueTable:
     remaining = [float(monthly_total - running) for running in accumulate(daily)]
     v = remaining + [remaining[-1]] * (MAX_CYCLE_DAYS - len(daily))
     if not all(map(isfinite, v)):
-        raise ValueError("value tables must be finite")
+        raise DistributionError("training overflows the Q table")
     # Fresh lists of checked floats: `_make` skips `ValueTable`'s copy and checks.
     return ValueTable._make(([[value] * N_ACTIONS for value in v], v))
 
@@ -340,7 +343,8 @@ def run_episode(
     Calls ``draw()`` once per day for a uniform variate in [0, 1):
     `train` passes its pass's block, a test a generator's ``random``.
     Training records no day, so the second item is always empty.
-    `tests/oracle.py` walks the same cycle one step at a time.
+    `tests/oracle.py` walks the same cycle one step at a time. It may
+    leave a Q entry that is not finite; `train` scans for one.
     """
     _walk(table, cycle.forecasts, cycle.actuals, cfg, draw, online=False)
     return table, ()
@@ -354,7 +358,9 @@ def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
     block of uniforms from numpy's generator on the ``train`` stream, and
     each cycle takes its n in turn, as if from ``rng.random(n)``: PCG64
     buffers nothing between doubles. The block draw is why training, and
-    nothing else on the command line, imports numpy.
+    nothing else on the command line, imports numpy. The table returned is
+    finite: data that overflow it, in the forecasts that seed it or in any
+    update, raise `DistributionError` "training overflows the Q table".
     """
     import numpy as np
 
@@ -373,11 +379,16 @@ def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
         )
     rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
     days = sum(len(cycle.forecasts) for cycle in history)
-    for _ in range(cfg.episodes):
-        # A view yields the block's doubles as floats without a list of them.
-        draw = iter(memoryview(rng.random(days))).__next__
-        for cycle in history:
-            run_episode(cycle, table, cfg, draw)
+    try:
+        for _ in range(cfg.episodes):
+            # A view yields the block's doubles as floats without a list of them.
+            draw = iter(memoryview(rng.random(days))).__next__
+            for cycle in history:
+                run_episode(cycle, table, cfg, draw)
+    except DistributionError:
+        pass  # `_walk` raises only on a Q entry that is not finite, which the scan finds
+    if not all(isfinite(x) for row in table.q for x in row):
+        raise DistributionError("training overflows the Q table")
     return table
 
 
@@ -401,9 +412,14 @@ def reconcile_online(
     The forecasts are those of a `CycleData`, which checked them. The
     stream holds the actuals as numbers in day order from day 1 and may
     cover only part of the cycle; a day past it raises `StreamOrderError`.
+    The records are returned only over a finite table: an update that
+    overflows Q raises `DistributionError` "revising overflows the Q table".
     """
-    return tuple(_walk(table, tuple(map(float, forecasts)), map(float, actual_stream), cfg,
-                       rng.random, online=True))
+    records = tuple(_walk(table, tuple(map(float, forecasts)), map(float, actual_stream), cfg,
+                          rng.random, online=True))
+    if not all(isfinite(x) for row in table.q for x in row):
+        raise DistributionError("revising overflows the Q table")
+    return records
 
 
 def save_table(table: ValueTable, path, cfg: AgentConfig) -> None:

@@ -49,6 +49,7 @@ from .seeding import derive_seed, rng_for
 from .totals import pairwise_sum
 
 FORECASTERS = ("naive", "seasonal_naive", "drift", "external")
+_AGENT = AgentConfig._field_defaults  # the agent settings' defaults, declared once
 
 
 class _RunFields(NamedTuple):
@@ -62,14 +63,14 @@ class _RunFields(NamedTuple):
     seasonal_period: int = 7
     external_forecast_path: str | None = None
     tolerance: str = "20%"
-    exploration: float = 0.05
-    step_size: float = 0.1
-    discount: float = 1.0
-    episodes: int = 1
-    seed: int = 0
-    online_updates: bool = True
-    adjustment_unit: str | None = None  # absolute number or "per-day"
-    clamp_nonnegative: bool = False
+    exploration: float = _AGENT["exploration"]
+    step_size: float = _AGENT["step_size"]
+    discount: float = _AGENT["discount"]
+    episodes: int = _AGENT["episodes"]
+    seed: int = _AGENT["seed"]
+    online_updates: bool = _AGENT["online_updates"]
+    adjustment_unit: str | None = _AGENT["adjustment_unit"]  # absolute number or "per-day"
+    clamp_nonnegative: bool = _AGENT["clamp_nonnegative"]
     grid_tolerances: tuple[str, ...] = ()
     grid_epsilons: tuple[float, ...] = ()
     output_dir: str = "out"
@@ -393,12 +394,6 @@ def _inode(path) -> tuple[int, int] | None:
     return stat.st_dev, stat.st_ino
 
 
-def _check_finite(table, what: str) -> None:
-    """Raise `DataError` "``what`` overflows the Q table" on a Q entry that is not finite."""
-    if not all(isfinite(x) for row in table.q for x in row):
-        raise DataError(f"{what} overflows the Q table")
-
-
 def run_experiment(config: RunConfig, qtable_path: str | None = None,
                    config_path: str | None = None) -> None:
     """Full pipeline: train, stream the test month, write the reports.
@@ -412,30 +407,19 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None,
     _, filled, _ = load(config, "train_start" if qtable_path is None else "test_month")
     prep = prepare(config, filled)
     if qtable_path is None:
-        cycles = training(config, filled)
         try:
-            table = train(cycles, prep.agent_cfg)
-        except (DistributionError, ValueError) as exc:
-            # Only the data can overflow the table: the first cycle's running
-            # forecasts that seed it (ValueError), or a TD update that a
-            # later day reads (DistributionError).
-            raise DataError(f"{config.data_path}: training overflows: {exc}") from None
-        # An update that no later training day reads overflows unseen.
-        _check_finite(table, f"{config.data_path}: training")
+            table = train(training(config, filled), prep.agent_cfg)
+        except DistributionError as exc:
+            raise DataError(f"{config.data_path}: {exc}") from None
     else:
         table = load_table(qtable_path)
     test = prep.test
-    trace = reconcile_online(
-        table,
-        test.forecasts,
-        test.actuals,
-        prep.agent_cfg,
-        rng_for(prep.agent_cfg.seed, "online"),
-    )
-    # The online updates can overflow a finite table without a policy
-    # error, and a snapshot with an infinite entry would not load again.
-    _check_finite(table, f"{config.data_path if qtable_path is None else qtable_path}: "
-                         f"revising {prep.test_month.label}")
+    try:
+        trace = reconcile_online(table, test.forecasts, test.actuals, prep.agent_cfg,
+                                 rng_for(prep.agent_cfg.seed, "online"))
+    except DistributionError:
+        raise DataError(f"{config.data_path if qtable_path is None else qtable_path}: "
+                        f"revising {prep.test_month.label} overflows the Q table") from None
     report = build_metric_report(
         trace,
         test,

@@ -18,7 +18,7 @@ class InsufficientDataError(ReconcileError):
 
 
 class DistributionError(ReconcileError):
-    """Malformed probability distribution."""
+    """Malformed probability distribution, or a Q table that is not finite."""
 
 
 class StreamOrderError(ReconcileError):

@@ -90,15 +90,13 @@ class Generator:
         state = (self._inc + (s0 << 64 | s1)) & _MASK128
         self._state = (state * _PCG_MULT + self._inc) & _MASK128
 
-    def _next64(self) -> int:
+    def random(self) -> float:
+        """One uniform double in [0, 1), the one numpy's ``random()`` returns:
+        the next 64-bit output's top 53 bits."""
         self._state = state = (self._state * _PCG_MULT + self._inc) & _MASK128
         rot = state >> 122
         word = ((state >> 64) ^ state) & _MASK64
-        return ((word >> rot) | (word << (64 - rot))) & _MASK64
-
-    def random(self) -> float:
-        """One uniform double in [0, 1), the one numpy's ``random()`` returns."""
-        return (self._next64() >> 11) * _TO_UNIT
+        return ((((word >> rot) | (word << (64 - rot))) & _MASK64) >> 11) * _TO_UNIT
 
 
 def rng_for(base_seed: int, purpose: str) -> Generator:

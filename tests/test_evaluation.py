@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dtreconcile import evaluation
-from dtreconcile.agent import AgentConfig, CycleData, reconcile_online, train
+from dtreconcile.agent import AgentConfig, CycleData, ValueTable, reconcile_online, train
+from dtreconcile.errors import DistributionError
 from dtreconcile.evaluation import (
     build_metric_report,
     mape_rec,
@@ -147,3 +148,32 @@ def test_run_grid_rejects_empty_grid():
     training, test = regime_shift_cycles(n_days=28, n_train=1)
     with pytest.raises(ValueError):
         _grid(training, test, [], [0.05], AgentConfig(tolerance=1.0))
+
+
+# One training cycle whose day-31 update overflows Q row 31, and a 30-day
+# test cycle whose walk never reads that row.
+UNREAD_OVERFLOW = CycleData([1.0] * 31, [1.0] * 30 + [1.7976931348623157e308], -1.5e308)
+THIRTY_DAYS = CycleData([1.0] * 30, [1.0] * 30, 30.0)
+
+
+def test_train_raises_on_an_overflow_that_no_day_reads():
+    with pytest.raises(DistributionError, match="^training overflows the Q table$"):
+        train([UNREAD_OVERFLOW], AgentConfig(tolerance=1.0))
+
+
+def test_run_grid_marks_a_cell_whose_training_overflows():
+    # The test walk reads rows 1-30 only, so no policy read finds row 31.
+    grid = run_grid([UNREAD_OVERFLOW], THIRTY_DAYS, [AgentConfig(tolerance=1.0)])
+    assert grid.rows[0].error == "training overflows the Q table"
+    assert grid.to_csv().splitlines()[1] == "1.0,0.05,error,error"
+
+
+def test_run_grid_marks_a_cell_whose_online_updates_overflow(monkeypatch):
+    # Rows alternating +-1.7e308: the online updates overflow Q with no
+    # policy error, as in `reconcile` on such a snapshot.
+    q = [[1.7e308 if t % 2 else -1.7e308] * 3 for t in range(1, 32)]
+    monkeypatch.setattr(evaluation, "train", lambda history, cfg: ValueTable(q, [0.0] * 31))
+    training, test = regime_shift_cycles(n_days=28, n_train=1)
+    grid = run_grid(training, test, [AgentConfig(tolerance=1.0)])
+    assert grid.rows[0].error == "revising overflows the Q table"
+    assert grid.to_csv().splitlines()[1] == "1.0,0.05,error,error"
