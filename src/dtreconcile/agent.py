@@ -19,8 +19,8 @@ One private scalar kernel, `_walk`, runs the day loop for training
 episodes (`run_episode`, which `train` calls once per cycle and pass)
 and for online revision (`reconcile_online`). It updates the table's
 rows in place, so rows updated before an exception stay updated. Each
-day it checks the next day's Q row, draws that day's epsilon-greedy
-action against `_policy_edges`, then applies the TD update. The
+day it draws the next day's epsilon-greedy action against
+`_policy_edges`, then applies the TD update. The
 per-step reference (greedy action, probabilities, one draw, one
 update) lives in `tests/oracle.py`; the kernel repeats its float
 operations in the same order, so walking a cycle either way gives
@@ -35,9 +35,9 @@ Otherwise the folded list, and so its sum, is the same as the day
 before. RMF sums fold the day-ordered floats left to right with
 `reduce(add, ..., 0.0)`, not with the builtin `sum`: from Python 3.12
 `sum` compensates float rounding, so its last bits, and the output
-files, would depend on the Python version. `train` and `reconcile_online`
-each scan Q once at the end and raise `DistributionError` if the data
-overflowed it; `run_episode` and `_walk` check only the rows they read.
+files, would depend on the Python version. Every number the API takes
+is checked against `AGENT_LIMIT` where it enters, so no update
+overflows (see `errors`) and no Q row is checked again.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from math import isfinite
 from operator import add
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import DataError, DistributionError, InsufficientDataError, ShapeError
+from .errors import AGENT_LIMIT, DataError, InsufficientDataError, ShapeError
 from .errors import StreamOrderError
 from .seeding import derive_seed
 
@@ -63,6 +63,12 @@ ACTION_KEEP = 1
 ACTION_DECREASE = 2
 
 _ACTION_DELTAS = (1.0, 0.0, -1.0)
+
+
+def _check(values: Iterable[float], what: str) -> None:
+    """Raise ValueError unless every value is at most `AGENT_LIMIT` in magnitude."""
+    if not all(abs(x) <= AGENT_LIMIT for x in values):  # NaN fails it too
+        raise ValueError(f"{what} must be finite and at most {AGENT_LIMIT:g} in magnitude")
 
 
 class _AgentFields(NamedTuple):
@@ -130,7 +136,7 @@ class ValueTable(_TableFields):
     ``q`` is a list of MAX_CYCLE_DAYS rows, each a list of N_ACTIONS
     floats, indexed ``q[day - 1][action]``; ``v`` is a list of
     MAX_CYCLE_DAYS floats. Any nested sequence of numbers of that shape
-    is copied in as Python floats. The lists are updated in place."""
+    within `AGENT_LIMIT` is copied in as floats, updated in place."""
 
     __slots__ = ()
 
@@ -144,8 +150,7 @@ class ValueTable(_TableFields):
             raise ShapeError(f"Q table must be {MAX_CYCLE_DAYS}x{N_ACTIONS}")
         if len(v) != MAX_CYCLE_DAYS:
             raise ShapeError(f"V table must have {MAX_CYCLE_DAYS} entries")
-        if not (all(isfinite(x) for row in q for x in row) and all(map(isfinite, v))):
-            raise ValueError("value tables must be finite")
+        _check([x for row in (*q, v) for x in row], "value table entries")
         return super().__new__(cls, q, v)
 
     def copy(self) -> "ValueTable":
@@ -159,7 +164,7 @@ class _CycleFields(NamedTuple):
 
 
 class CycleData(_CycleFields):
-    """One monthly episode: daily forecasts, daily actuals, monthly total."""
+    """One monthly episode: daily forecasts, actuals and total, within `AGENT_LIMIT`."""
 
     __slots__ = ()
 
@@ -172,8 +177,7 @@ class CycleData(_CycleFields):
             )
         if not 1 <= len(forecasts) <= MAX_CYCLE_DAYS:
             raise ShapeError(f"cycle length {len(forecasts)} outside 1..{MAX_CYCLE_DAYS}")
-        if not (all(map(isfinite, forecasts)) and isfinite(monthly_total)):
-            raise ValueError("forecasts and monthly total must be finite")
+        _check((*forecasts, *actuals, monthly_total), "forecasts, actuals and monthly total")
         return super().__new__(cls, forecasts, actuals, monthly_total)
 
 
@@ -190,18 +194,16 @@ def init_state_values(monthly_total: float, daily_forecasts) -> ValueTable:
 
     Q rows start equal to their day's V for all three actions. Days past
     the cycle length keep the end-of-cycle remainder so the table always
-    covers the maximum cycle length. Running forecasts that overflow
-    raise `train`'s `DistributionError`, "training overflows the Q table".
+    covers the maximum cycle length. Both inputs must be within `AGENT_LIMIT`.
     """
     daily = list(map(float, daily_forecasts))
     if not daily:
         raise InsufficientDataError("cannot initialize values for an empty cycle")
+    _check((*daily, monthly_total), "monthly total and forecasts")
     # Running sums left to right, as np.cumsum adds them.
     remaining = [float(monthly_total - running) for running in accumulate(daily)]
     v = remaining + [remaining[-1]] * (MAX_CYCLE_DAYS - len(daily))
-    if not all(map(isfinite, v)):
-        raise DistributionError("training overflows the Q table")
-    # Fresh lists of checked floats: `_make` skips `ValueTable`'s copy and checks.
+    # Fresh lists of floats: `_make` skips `ValueTable`'s copy and checks.
     return ValueTable._make(([[value] * N_ACTIONS for value in v], v))
 
 
@@ -223,14 +225,12 @@ def adjusted_forecast(y_hat_t: float, action: int, cfg: AgentConfig) -> float:
 def _greedy(q0: float, q1: float, q2: float) -> int:
     # Argmax ties resolve conservatively to "keep", then toward "decrease":
     # with collapsing actuals a freshly penalized greedy action must not
-    # flip the policy to "increase". No branch holds for a NaN entry.
+    # flip the policy to "increase".
     if q1 >= q0 and q1 >= q2:
         return ACTION_KEEP
     if q2 >= q0 and q2 >= q1:
         return ACTION_DECREASE
-    if q0 >= q1 and q0 >= q2:
-        return ACTION_INCREASE
-    raise DistributionError("need a finite Q row with one entry per action")
+    return ACTION_INCREASE
 
 
 @lru_cache(maxsize=64)
@@ -251,11 +251,8 @@ def _policy_edges(epsilon: float) -> tuple[tuple[float, float], ...]:
 
 
 def _choose(row: list[float], edges, draw) -> int:
-    """One epsilon-greedy draw on a Q row; checks the row before drawing."""
-    q0, q1, q2 = row
-    if not (isfinite(q0) and isfinite(q1) and isfinite(q2)):
-        raise DistributionError("need a finite Q row with one entry per action")
-    first, second = edges[_greedy(q0, q1, q2)]
+    """One epsilon-greedy draw on a Q row."""
+    first, second = edges[_greedy(*row)]
     u = draw()
     return 0 if u < first else 1 if u < second else 2
 
@@ -296,11 +293,9 @@ def _walk(
                 raise StreamOrderError(f"day {t} beyond the {n}-day cycle")
             action = _choose(q[t - 1], edges, draw)
         if t < n:
-            # `_choose` inlined: x * 0.0 is 0.0 exactly when x is finite.
+            # `_choose` inlined.
             next_row = q[t]
             q0, q1, q2 = next_row
-            if q0 * 0.0 + q1 * 0.0 + q2 * 0.0 != 0.0:
-                raise DistributionError("need a finite Q row with one entry per action")
             if q1 >= q0 and q1 >= q2:
                 first, second = keep_edges
             elif q2 >= q0 and q2 >= q1:
@@ -343,8 +338,7 @@ def run_episode(
     Calls ``draw()`` once per day for a uniform variate in [0, 1):
     `train` passes its pass's block, a test a generator's ``random``.
     Training records no day, so the second item is always empty.
-    `tests/oracle.py` walks the same cycle one step at a time. It may
-    leave a Q entry that is not finite; `train` scans for one.
+    `tests/oracle.py` walks the same cycle one step at a time.
     """
     _walk(table, cycle.forecasts, cycle.actuals, cfg, draw, online=False)
     return table, ()
@@ -358,9 +352,7 @@ def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
     block of uniforms from numpy's generator on the ``train`` stream, and
     each cycle takes its n in turn, as if from ``rng.random(n)``: PCG64
     buffers nothing between doubles. The block draw is why training, and
-    nothing else on the command line, imports numpy. The table returned is
-    finite: data that overflow it, in the forecasts that seed it or in any
-    update, raise `DistributionError` "training overflows the Q table".
+    nothing else on the command line, imports numpy.
     """
     import numpy as np
 
@@ -379,16 +371,11 @@ def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
         )
     rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
     days = sum(len(cycle.forecasts) for cycle in history)
-    try:
-        for _ in range(cfg.episodes):
-            # A view yields the block's doubles as floats without a list of them.
-            draw = iter(memoryview(rng.random(days))).__next__
-            for cycle in history:
-                run_episode(cycle, table, cfg, draw)
-    except DistributionError:
-        pass  # `_walk` raises only on a Q entry that is not finite, which the scan finds
-    if not all(isfinite(x) for row in table.q for x in row):
-        raise DistributionError("training overflows the Q table")
+    for _ in range(cfg.episodes):
+        # A view yields the block's doubles as floats without a list of them.
+        draw = iter(memoryview(rng.random(days))).__next__
+        for cycle in history:
+            run_episode(cycle, table, cfg, draw)
     return table
 
 
@@ -411,15 +398,18 @@ def reconcile_online(
 
     The forecasts are those of a `CycleData`, which checked them. The
     stream holds the actuals as numbers in day order from day 1 and may
-    cover only part of the cycle; a day past it raises `StreamOrderError`.
-    The records are returned only over a finite table: an update that
-    overflows Q raises `DistributionError` "revising overflows the Q table".
+    cover only part of the cycle; a day past it raises `StreamOrderError`,
+    and an actual past `AGENT_LIMIT` raises `ValueError` when it is read.
     """
-    records = tuple(_walk(table, tuple(map(float, forecasts)), map(float, actual_stream), cfg,
-                          rng.random, online=True))
-    if not all(isfinite(x) for row in table.q for x in row):
-        raise DistributionError("revising overflows the Q table")
-    return records
+    return tuple(_walk(table, tuple(map(float, forecasts)), _checked(actual_stream), cfg,
+                       rng.random, online=True))
+
+
+def _checked(actuals: Iterable[float]):
+    """The actuals as floats, each checked against `AGENT_LIMIT` as it is read."""
+    for actual in map(float, actuals):
+        _check((actual,), "streamed actuals")
+        yield actual
 
 
 def save_table(table: ValueTable, path, cfg: AgentConfig) -> None:
@@ -439,8 +429,8 @@ def save_table(table: ValueTable, path, cfg: AgentConfig) -> None:
 def load_table(path) -> ValueTable:
     """Load a Q snapshot; V is rebuilt as the per-day Q maximum.
 
-    Every (day, action) entry must appear exactly once with a finite
-    value. A malformed, duplicate, out-of-range or missing entry raises
+    Every (day, action) entry must appear exactly once, within
+    `AGENT_LIMIT`. A malformed, duplicate, out-of-range or missing entry raises
     `DataError` naming the file and line; an unreadable file, naming the file.
     """
     try:
@@ -468,8 +458,9 @@ def load_table(path) -> ValueTable:
         if (day, action) in seen:
             raise DataError(f"{path}:{line_no}: duplicate entry for day {day}, "
                             f"action {action}")
-        if not isfinite(value):
-            raise DataError(f"{path}:{line_no}: q value {value_str!r} is not finite")
+        if not abs(value) <= AGENT_LIMIT:
+            raise DataError(f"{path}:{line_no}: q value {value_str!r} is not finite or "
+                            f"exceeds {AGENT_LIMIT:g} in magnitude")
         seen.add((day, action))
         q[day - 1][action] = value
     if len(seen) < MAX_CYCLE_DAYS * N_ACTIONS:
@@ -481,6 +472,6 @@ def load_table(path) -> ValueTable:
             f"{path}:{lines[-1][0]}: table ends with {len(seen)} of "
             f"{MAX_CYCLE_DAYS * N_ACTIONS} entries; day {day}, action {action} is missing"
         )
-    # Every entry was parsed as a float and checked finite above, so
+    # Every entry was parsed as a float and checked above, so
     # `ValueTable`'s copy and checks would repeat.
     return ValueTable._make((q, [max(row) for row in q]))

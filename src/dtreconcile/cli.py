@@ -42,7 +42,7 @@ from .data import (
     month_partition,
     parse_month,
 )
-from .errors import ConfigError, DataError, DistributionError, ReconcileError
+from .errors import ConfigError, DataError, ReconcileError
 from .evaluation import build_metric_report, run_grid
 from .forecasting import forecast_month, lookback
 from .seeding import derive_seed, rng_for
@@ -196,8 +196,7 @@ def load(config: RunConfig,
     names, less the forecaster's `lookback`, through the last day of
     test_month, clipped to the data's ends: from train_start for `run` and
     `grid`, from test_month for `reconcile`. With ``fill_from`` None no day
-    is filled, but every gap is still checked. A fill that overflows, then
-    a month not covered, names the data file."""
+    is filled. A month not covered names the data file."""
     series = load_ohlcv_csv(config.data_path, config.date_column, config.value_column)
     stamps = series.timestamps
     first, last = date.max, date.min  # an empty window
@@ -209,8 +208,8 @@ def load(config: RunConfig,
             stamps[0].toordinal()))
         year, month = parse_month(config.test_month)
         last = date(year, month, days_in_month(year, month))
+    filled = fill_calendar(series, first, last)
     try:
-        filled = fill_calendar(series, first, last)
         return series, filled, check_months(stamps[0], stamps[-1],
                                             (config.train_start, config.test_month))
     except DataError as exc:
@@ -228,17 +227,13 @@ class PreparedExperiment(NamedTuple):
 
 def training(config: RunConfig, filled: Calendar) -> list[CycleData]:
     """Each training month of a calendar that `load` checked, partitioned
-    here, forecast from the data before it; forecasts that overflow when
-    summed name the data file and the month."""
+    here, forecast from the data before it."""
     cycles = []
     for month in month_partition(filled, (config.train_start, config.train_end)):
         daily = forecast_month(filled, month, config.forecaster, config.seasonal_period)
-        total = pairwise_sum(daily)
-        if not isfinite(total):
-            raise DataError(f"{config.data_path}: the base forecasts of training month "
-                            f"{month.label} overflow when summed")
-        # A finite sum has finite terms: `CycleData`'s checks would repeat.
-        cycles.append(CycleData._make((daily, month.values, total)))
+        # Data within `LIMIT` give forecasts and totals within `AGENT_LIMIT`
+        # (see `errors`), so `CycleData`'s checks would repeat.
+        cycles.append(CycleData._make((daily, month.values, pairwise_sum(daily))))
     return cycles
 
 
@@ -261,9 +256,6 @@ def prepare(config: RunConfig, filled: Calendar) -> PreparedExperiment:
         if total == 0:
             raise DataError(f"{path}: the {what} of test month {month.label} sum to 0; "
                             "MAPE_rec and %_f need nonzero totals")
-        if not isfinite(total):
-            raise DataError(f"{path}: the {what} of test month {month.label} overflow "
-                            "when summed")
     # Every RMF sums the daily forecasts, each moved by at most one unit,
     # so it lies within `abs_sum + n * unit` of 0; the base forecasts
     # alone are the RMF with no move.
@@ -407,19 +399,12 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None,
     _, filled, _ = load(config, "train_start" if qtable_path is None else "test_month")
     prep = prepare(config, filled)
     if qtable_path is None:
-        try:
-            table = train(training(config, filled), prep.agent_cfg)
-        except DistributionError as exc:
-            raise DataError(f"{config.data_path}: {exc}") from None
+        table = train(training(config, filled), prep.agent_cfg)
     else:
         table = load_table(qtable_path)
     test = prep.test
-    try:
-        trace = reconcile_online(table, test.forecasts, test.actuals, prep.agent_cfg,
-                                 rng_for(prep.agent_cfg.seed, "online"))
-    except DistributionError:
-        raise DataError(f"{config.data_path if qtable_path is None else qtable_path}: "
-                        f"revising {prep.test_month.label} overflows the Q table") from None
+    trace = reconcile_online(table, test.forecasts, test.actuals, prep.agent_cfg,
+                             rng_for(prep.agent_cfg.seed, "online"))
     report = build_metric_report(
         trace,
         test,

@@ -13,11 +13,11 @@ raises, so every load error comes from one place.
 A series as read is a `TimeSeries`, its days and values. A filled
 calendar is a `Calendar`, a first day and values, and so is a month, a
 slice of the calendar's values. Both are NamedTuples whose length counts
-days. `fill_calendar` fills only the days of a window, interpolating
-only the gaps that touch it, yet still names a gap anywhere in the
-series whose interpolation overflows. `check_months` finds from two
-days, the data's or a calendar's first and last, whether they cover a
-month range, so the data's range is checked without a filled calendar."""
+days. Values past `errors.LIMIT` are refused as they are read, so no
+interpolation overflows, and `fill_calendar` fills only the days of a
+window. `check_months` finds from two days, the data's or a calendar's
+first and last, whether they cover a month range, so the data's range
+is checked without a filled calendar."""
 
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from math import isfinite
 from operator import lt
 from typing import NamedTuple
 
-from .errors import DataError, ShapeError
+from .errors import LIMIT, DataError, ShapeError
 from .totals import pairwise_sum
 
 _DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%y")
@@ -42,9 +42,6 @@ _CHUNK_CHARS = 1 << 13
 # block's shape.
 _NOT_COMMA_OR_LF = bytes(byte for byte in range(256) if byte not in b",\n")
 
-# The magnitude below which no two values' interpolation overflows.
-_OVERFLOW_FREE = 2.0 ** 1022
-
 DEFAULT_DATE_COLUMN = "Date"
 DEFAULT_VALUE_COLUMN = "Open"
 
@@ -55,8 +52,8 @@ class _SeriesFields(NamedTuple):
 
 
 class TimeSeries(_SeriesFields):
-    """Daily observations: ordered calendar dates with finite values;
-    its length is the number of days."""
+    """Daily observations: ordered calendar dates with values at most
+    `LIMIT` in magnitude; its length is the number of days."""
 
     __slots__ = ()
 
@@ -65,8 +62,8 @@ class TimeSeries(_SeriesFields):
         stamps = tuple(timestamps)
         if len(stamps) != len(values):
             raise ShapeError(f"{len(stamps)} timestamps but {len(values)} values")
-        if not all(map(isfinite, values)):
-            raise ValueError("time series values must be finite")
+        if not all(abs(value) <= LIMIT for value in values):
+            raise ValueError(f"time series values must be at most {LIMIT:g} in magnitude")
         if not all(map(lt, stamps, stamps[1:])):
             cur = next(cur for prev, cur in zip(stamps, stamps[1:]) if cur <= prev)
             raise ValueError(f"timestamps not strictly increasing at {cur}")
@@ -103,8 +100,9 @@ def _parse_value(text: str, path, line_no: int) -> float:
         value = float(text)
     except ValueError:
         raise DataError(f"{path}: line {line_no}: unparseable value {text!r}") from None
-    if not isfinite(value):
-        raise DataError(f"{path}: line {line_no}: value {text!r} is not finite")
+    if not abs(value) <= LIMIT:  # NaN fails it too
+        raise DataError(f"{path}: line {line_no}: value {text!r} is not finite or exceeds "
+                        f"{LIMIT:g} in magnitude")
     return value
 
 
@@ -134,7 +132,7 @@ def _rows(path):
 
 
 def _dated_values(rows, path, date_idx: int, value_idx: int) -> dict[date, float]:
-    """One finite value per date from (line number, row) pairs; a short
+    """One value within `LIMIT` per date from (line number, row) pairs; a short
     row, a bad date or value, or a repeated date names the file and line."""
     min_fields = max(date_idx, value_idx) + 1
     observations: dict[date, float] = {}
@@ -180,7 +178,7 @@ def _line_chunks(fh, limit: int):
 def _sorted_iso_columns(path, date_column: str, value_column: str) -> TimeSeries | None:
     """The series of a file whose first non-empty line names both columns
     and whose other non-empty lines each hold a zero-padded ISO date and a
-    finite value, the dates strictly increasing; None for any other file.
+    value within `LIMIT`, the dates strictly increasing; None for any other file.
 
     The file is read a chunk at a time, and the whole lines of a chunk
     are one block, split on "," once with the two columns taken by
@@ -235,9 +233,10 @@ def _sorted_iso_columns(path, date_column: str, value_column: str) -> TimeSeries
                 if not all(map(lt, days[start:], days[start + 1:])):
                     return None
                 values += map(float, fields[value_idx:-1:len(header)])
-        # The dates are checked and the values are floats; a value that
-        # is not finite is left for the row reader to name.
-        if not (days and all(map(isfinite, values))):
+        # A value past `LIMIT` is left for the row reader to name. A NaN or an
+        # infinity, which `min` and `max` may pass, makes the sum so too.
+        if not (days and -LIMIT <= min(values) and max(values) <= LIMIT
+                and isfinite(sum(values))):
             return None
         return TimeSeries._make((tuple(days), tuple(values)))
     # A date or value that does not parse or a line over the field size
@@ -253,7 +252,7 @@ def load_ohlcv_csv(
 ) -> TimeSeries:
     """Read one value column of a daily CSV into a sorted series.
 
-    Accepts ISO (YYYY-MM-DD) and DD/MM/YY dates and finite values;
+    Accepts ISO (YYYY-MM-DD) and DD/MM/YY dates and values within `LIMIT`;
     rejects duplicate dates. A sorted file of zero-padded ISO dates is
     read in one column-wise pass, any other file row by row, with the
     same result. Every error names the file, and a bad row its line
@@ -318,9 +317,7 @@ def fill_calendar(series: TimeSeries, first: date | None = None,
     float operations of ``np.interp`` in their order, so the filled
     values equal numpy's bit for bit. Only the rows from the observed
     day on or before the window through the one on or after it are
-    interpolated. A gap whose interpolation overflows raises a
-    `DataError` naming its two observed days, also when it lies outside
-    the window."""
+    interpolated."""
     if len(series) == 0:
         raise DataError("cannot calendar-fill an empty series")
     stamps, values = series.timestamps, series.values
@@ -335,13 +332,6 @@ def fill_calendar(series: TimeSeries, first: date | None = None,
     # keeps one row.
     lo = bisect_right(stamps, first) - 1
     hi = max(bisect_left(stamps, last), lo)
-    # Below 2**1022 in magnitude every f1 - f0 is below 2**1023, so no gap
-    # overflows. Otherwise, when a gap lies outside rows lo..hi, the whole
-    # span is filled, so that the first gap that overflows is named.
-    if ((stamps[lo].toordinal() - origin != lo
-         or stamps[-1].toordinal() - stamps[hi].toordinal() != n - 1 - hi)
-            and (max(values) >= _OVERFLOW_FREE or min(values) <= -_OVERFLOW_FREE)):
-        lo, hi = 0, n - 1
     filled: list[float] = []
     add = filled.append
     x0, f0 = stamps[lo].toordinal(), values[lo]
@@ -353,13 +343,6 @@ def fill_calendar(series: TimeSeries, first: date | None = None,
                 add(slope * step + f0)
         add(f1)
         x0, f0 = x1, f1
-    if not all(map(isfinite, filled)):  # the observed values are finite
-        k = next(k for k, value in enumerate(filled) if not isfinite(value))
-        after = bisect_left(stamps, date.fromordinal(stamps[lo].toordinal() + k))
-        raise DataError(
-            f"interpolating the gap between {stamps[after - 1].isoformat()} and "
-            f"{stamps[after].isoformat()} overflows"
-        )
     # The rows' days trimmed to the window.
     del filled[:first.toordinal() - stamps[lo].toordinal()]
     del filled[length:]

@@ -1,4 +1,12 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the magnitude
+limits checked where numbers enter: `LIMIT` for values read from files,
+`AGENT_LIMIT` for numbers the agent API takes, which admits the
+forecasts (63 `LIMIT`) and totals (1,953 `LIMIT`) built from the data.
+A TD update mixes an entry with ``actual + discount * next entry``, so
+no sum or update overflows: a trained entry stays below 4,000 `LIMIT`."""
+
+LIMIT = 1e300
+AGENT_LIMIT = 1e306
 
 
 class ReconcileError(Exception):
@@ -15,10 +23,6 @@ class ShapeError(ReconcileError):
 
 class InsufficientDataError(ReconcileError):
     """Not enough observations for the requested operation."""
-
-
-class DistributionError(ReconcileError):
-    """Malformed probability distribution, or a Q table that is not finite."""
 
 
 class StreamOrderError(ReconcileError):

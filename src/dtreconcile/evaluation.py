@@ -6,7 +6,7 @@ import io
 from typing import NamedTuple, Sequence
 
 from .agent import AgentConfig, CycleData, DayRecord, reconcile_online, train
-from .errors import ReconcileError
+from .errors import InsufficientDataError
 from .seeding import rng_for
 from .totals import pairwise_sum
 
@@ -117,9 +117,11 @@ def run_grid(
     cycle's actuals through it.
 
     Each cell carries its own tolerance, exploration and seed. A cell
-    that fails with a reconciliation or numeric error is marked with its
-    message rather than aborting the sweep; any other exception is a
-    fault and propagates.
+    that fails is marked with its message rather than aborting the sweep:
+    `InsufficientDataError` for no training cycles, `ZeroDivisionError`
+    for test totals of 0, `ValueError` for a `CycleData._make` cycle past
+    `AGENT_LIMIT`. The command line refuses all three before the sweep.
+    Any other exception is a fault and propagates.
     """
     if not cells:
         raise ValueError("grid must have at least one tolerance and one epsilon")
@@ -132,7 +134,7 @@ def run_grid(
             rmf = reconcile_online(table, test.forecasts, test.actuals, cfg,
                                    rng_for(cfg.seed, "online"))[-1].rmf
             scores, error = (mape_rec(actual_total, rmf), pct_improvement(base_total, rmf)), None
-        except (ReconcileError, ValueError, ZeroDivisionError) as exc:
+        except (InsufficientDataError, ValueError, ZeroDivisionError) as exc:
             scores, error = (float("nan"), float("nan")), str(exc)
         rows.append(GridRow(float(cfg.tolerance), float(cfg.exploration), *scores, error=error))
     return GridReport(tuple(rows))

@@ -44,7 +44,7 @@ from dtreconcile.data import (
     TimeSeries,
     parse_month,
 )
-from dtreconcile.errors import DataError, DistributionError, ShapeError, StreamOrderError
+from dtreconcile.errors import DataError, ShapeError, StreamOrderError
 from dtreconcile.totals import pairwise_sum
 
 
@@ -67,7 +67,7 @@ def egreedy_probabilities(q_row, epsilon: float) -> list[float]:
     """Epsilon-greedy selection probabilities over the three actions."""
     q_row = list(map(float, q_row))
     if len(q_row) != N_ACTIONS or not all(map(isfinite, q_row)):
-        raise DistributionError("need a finite Q row with one entry per action")
+        raise ValueError("need a finite Q row with one entry per action")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be in [0, 1]")
     probs = [epsilon / N_ACTIONS] * N_ACTIONS
@@ -80,12 +80,12 @@ def select_action(probs, rng) -> int:
     uniform variate."""
     probs = list(map(float, probs))
     if len(probs) != N_ACTIONS:
-        raise DistributionError(f"need {N_ACTIONS} probabilities")
+        raise ValueError(f"need {N_ACTIONS} probabilities")
     if any(p < 0 for p in probs) or not all(map(isfinite, probs)):
-        raise DistributionError("probabilities must be finite and nonnegative")
+        raise ValueError("probabilities must be finite and nonnegative")
     total = pairwise_sum(probs)
     if abs(total - 1.0) > 1e-9:
-        raise DistributionError(f"probabilities sum to {total}, not 1")
+        raise ValueError(f"probabilities sum to {total}, not 1")
     u = rng.random()
     edge = 0.0
     for action in range(N_ACTIONS - 1):

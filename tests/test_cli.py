@@ -448,15 +448,17 @@ def test_exit_codes(tmp_path, daily_csv, capsys):
         assert "grid_epsilons=2.0" in capsys.readouterr().err
         out = tmp_path / "out"
         assert not out.exists() or not any(out.iterdir()), verb
-    # 2: a non-finite value, named with its file and line
-    for bad in ("nan", "inf", "-Infinity"):
+    # 2: a value that is not finite or is past the limit, named with its
+    # file and line
+    for bad in ("nan", "inf", "-Infinity", "1e301"):
         rows = [line.split(",") for line in daily_csv.read_text().splitlines()]
         rows[4][1] = bad  # the Open value on line 5
         bad_csv = tmp_path / f"{bad}.csv"
         bad_csv.write_text("".join(",".join(row) + "\n" for row in rows))
         assert main(["validate-data", "--config", str(cfg_path),
                      "--set", f"data_path={bad_csv}"]) == 2, bad
-        assert f"{bad_csv}: line 5: value {bad!r} is not finite" in capsys.readouterr().err
+        assert (f"{bad_csv}: line 5: value {bad!r} is not finite or exceeds 1e+300 in magnitude"
+                in capsys.readouterr().err)
     # 2: a zero actual or base total, naming the test month and the file at
     # fault, before any tolerance is resolved or any file is written
     trained = tmp_path / "trained"
@@ -549,47 +551,39 @@ def test_exit_codes(tmp_path, daily_csv, capsys):
         assert main(["run", "--config", str(cfg_path), *keys, "--set", "tolerance=5000",
                      "--set", "grid_tolerances=500"]) == 0, at_fault
         shutil.rmtree(out)
-    # 2: test-month totals that overflow, or base forecasts so far from the
-    # actuals that MAPE_rec overflows, name the data file before any file
-    # is written
+    # 2: base forecasts so far from the actuals that MAPE_rec overflows name
+    # the data file; values past the limit, which made test-month and
+    # training-month totals overflow, name the file and the line of the
+    # first, for every verb; all before any file is written
     march = date(2020, 3, 1)
     out = tmp_path / "huge_out"
     for name, value_fn, message in (
         ("huge_actuals", lambda d: 1e307 if d >= march else nifty_like_value(d),
-         "the actuals of test month 2020-03 overflow when summed"),
+         "line 458: value '1e+307' is not finite or exceeds 1e+300 in magnitude"),
         ("huge_base", lambda d: 1e307 if d == date(2020, 2, 29) else nifty_like_value(d),
-         "the base forecasts of test month 2020-03 overflow when summed"),
-        ("tiny_actuals", lambda d: (1e306 if d == date(2020, 2, 29) else 0.01 if d >= march
+         "line 457: value '1e+307' is not finite or exceeds 1e+300 in magnitude"),
+        ("huge_training", lambda d: 1e307 if date(2020, 1, 1) <= d < date(2020, 2, 1)
+         else nifty_like_value(d),
+         "line 398: value '1e+307' is not finite or exceeds 1e+300 in magnitude"),
+        ("tiny_actuals", lambda d: (1e300 if d == date(2020, 2, 29) else 1e-300 if d >= march
                                     else nifty_like_value(d)),
-         "the base forecasts of test month 2020-03 (total 3.099999999999999e+307) against "
-         "actuals that sum to 0.31000000000000005 overflow MAPE_rec or %_f"),
+         "the base forecasts of test month 2020-03 (total 3.1000000000000006e+301) against "
+         "actuals that sum to 3.100000000000001e-299 overflow MAPE_rec or %_f"),
     ):
         path = tmp_path / f"{name}.csv"
-        write_daily_csv(path, date(2018, 12, 1), date(2020, 3, 31), value_fn,
-                        skip_weekends=False)
+        day = date(2018, 12, 1)
+        with open(path, "w") as fh:  # each value as `repr` writes it
+            fh.write("Date,Open\n")
+            while day <= date(2020, 3, 31):
+                fh.write(f"{day},{value_fn(day)!r}\n")
+                day = date.fromordinal(day.toordinal() + 1)
         for verb in (["run"], ["grid"], ["reconcile", "--qtable", str(trained / "qtable.txt")]):
             assert main([*verb, "--config", str(cfg_path), "--set", f"data_path={path}",
                          "--set", "tolerance=5000", "--set", "grid_tolerances=500",
                          "--set", "grid_epsilons=0.1", "--set", f"output_dir={out}"]) == 2, (
                 name, verb)
-            assert f"data error: {path}: {message}" in capsys.readouterr().err, (name, verb)
+            assert capsys.readouterr().err == f"data error: {path}: {message}\n", (name, verb)
             assert not out.exists(), (name, verb)
-    # 2: so do a training month's base forecasts that overflow when summed,
-    # before training; `reconcile` trains nothing and runs
-    huge_training = tmp_path / "huge_training.csv"  # naive repeats January's last day
-    write_daily_csv(huge_training, date(2018, 12, 1), date(2020, 3, 31),
-                    lambda d: 1e307 if date(2020, 1, 1) <= d < date(2020, 2, 1)
-                    else nifty_like_value(d), skip_weekends=False)
-    argv = ["--config", str(cfg_path), "--set", f"data_path={huge_training}",
-            "--set", "tolerance=5000", "--set", "grid_tolerances=500",
-            "--set", "grid_epsilons=0.1", "--set", f"output_dir={out}"]
-    for verb in ("run", "grid"):
-        assert main([verb, *argv]) == 2, verb
-        assert (f"data error: {huge_training}: the base forecasts of training month 2020-02 "
-                "overflow when summed" in capsys.readouterr().err), verb
-        assert not out.exists(), verb
-    assert main(["reconcile", "--qtable", str(trained / "qtable.txt"), *argv]) == 0
-    shutil.rmtree(out)
     # 1: on test-month totals near 0.31, a unit of 1e306 keeps every RMF
     # finite but would carry %_f past the largest float
     small = tmp_path / "small.csv"
@@ -609,25 +603,29 @@ def test_exit_codes(tmp_path, daily_csv, capsys):
                     "month 2020-03 by 1e+306 overflows MAPE_rec or %_f"
                     in capsys.readouterr().err), (verb, bad)
             assert not out.exists(), (verb, bad)
-    # 2: a calendar gap whose interpolation overflows names the data file
-    # and the gap's two days, also when it lies before the days a verb
-    # fills (`reconcile` fills from 2020-02-29) and the data cover every month
+    # 2: values past the limit around a calendar gap, whose interpolation
+    # used to overflow, name the data file and the first one's line, also
+    # before the days a verb fills (`reconcile` fills from 2020-02-29) and
+    # when the data cover every month
     overflow = tmp_path / "overflow.csv"
     overflow.write_text("Date,Open\n2020-01-01,1.7e308\n2020-01-03,-1.7e308\n")
     early = tmp_path / "early_overflow.csv"
     huge = {"2019-01-04": "1.7e308", "2019-01-07": "-1.7e308"}  # a Friday and a Monday
+    lines = daily_csv.read_text().splitlines()
     early.write_text("".join(
         f"{line[:10]},{huge[line[:10]]},1,1,1,1000\n" if line[:10] in huge else line + "\n"
-        for line in daily_csv.read_text().splitlines()))
+        for line in lines))
     out = tmp_path / "overflow_out"
-    for path, gap in ((overflow, "2020-01-01 and 2020-01-03"),
-                      (early, "2019-01-04 and 2019-01-07")):
+    for path, line in ((overflow, 2),
+                       (early, 1 + next(k for k, text in enumerate(lines)
+                                        if text.startswith("2019-01-04")))):
         for verb in (["validate-data"], ["run"],
                      ["reconcile", "--qtable", str(trained / "qtable.txt")]):
             assert main([*verb, "--config", str(cfg_path), "--set", f"data_path={path}",
                          "--set", f"output_dir={out}"]) == 2, verb
-            assert (f"data error: {path}: interpolating the gap between {gap} overflows"
-                    in capsys.readouterr().err), verb
+            assert capsys.readouterr().err == (
+                f"data error: {path}: line {line}: value '1.7e308' is not finite or exceeds "
+                "1e+300 in magnitude\n"), verb
             assert not out.exists(), verb
     # 2: a field past the csv module's size limit names the file and line
     wide = tmp_path / "wide.csv"
@@ -1115,100 +1113,78 @@ def test_a_warning_prints_as_one_line(tmp_path, daily_csv):
     assert warnings.formatwarning is formatwarning
 
 
-def write_overflowing_csv(tmp_path):
-    """Daily Date,Open rows 2019-12-01..2020-03-31 of 100 plus the day's
-    offset, but 1.5e308 on 2020-01-10..20: with OVERFLOW_MONTHS one
-    training episode stays finite and a second overflows Q."""
-    first = date(2019, 12, 1).toordinal()
-    days = [date.fromordinal(first + k) for k in range(122)]
-    path = tmp_path / "overflow.csv"
+def write_first_quarter(path, value):
+    """Daily Date,Open rows 2020-01-01..2020-03-31, each ``value(day)`` as
+    `repr` writes it."""
     path.write_text("Date,Open\n" + "".join(
-        f"{day},{1.5e308 if date(2020, 1, 10) <= day <= date(2020, 1, 20) else 100 + k}\n"
-        for k, day in enumerate(days)))
+        f"{date.fromordinal(day)},{value(date.fromordinal(day))!r}\n"
+        for day in range(date(2020, 1, 1).toordinal(), date(2020, 4, 1).toordinal())))
     return path
 
 
-OVERFLOW_MONTHS = ["--set", "train_start=2020-01", "--set", "train_end=2020-02",
-                   "--set", "test_month=2020-03"]
-
-
-def test_training_that_overflows_is_a_data_error(tmp_path, capsys):
-    # Every table starts finite, so only the data can make a TD update
-    # overflow: `run` exits 2 naming the file, with nothing written, and
-    # `grid` marks the cell with the same words.
-    out = tmp_path / "out"
-    data = write_overflowing_csv(tmp_path)
-    argv = ["--set", f"data_path={data}", *OVERFLOW_MONTHS,
-            "--set", "episodes=3", "--set", f"output_dir={out}"]
-    with pytest.warns(UserWarning, match="step size"):
-        assert main(["run", *argv]) == 2
-    assert capsys.readouterr().err == f"data error: {data}: training overflows the Q table\n"
-    assert not out.exists()
-    with pytest.warns(UserWarning, match="step size"):
-        assert main(["grid", *argv, "--set", "grid_tolerances=10%",
-                     "--set", "grid_epsilons=0.1"]) == 0
-    assert (out / "grid.csv").read_text().splitlines()[1].endswith(",error,error")
-    assert capsys.readouterr().err.splitlines()[0].endswith(
-        "failed: training overflows the Q table")
+def update_overflow(day):
+    # A second training episode over the 1.5e308 days overflowed a TD update.
+    return 1.5e308 if date(2020, 1, 10) <= day <= date(2020, 1, 20) else 100.0 + day.day
 
 
 def running_overflow(day):
-    # January sums to 0 pairwise, but its running sum passes 1.8e308.
+    # January sums to 0 pairwise, but its running sum passed 1.8e308.
     if day.month == 1:
         return 3e307 if day.day <= 8 else -3e307 if day.day <= 16 else 0.0
     return 100.0 + day.day
 
 
 def unread_overflow(day):
-    # Day 1's update of row 1 in February overflows; no later day reads it.
+    # Day 1's update of row 1 in February overflowed; no later day read it.
     if day.month == 1:
         return 1e300
     return 1.7976931348623157e308 if day == date(2020, 2, 1) else 100.0
 
 
-@pytest.mark.parametrize("value, keys", [
-    (running_overflow, ["forecaster=seasonal_naive", "seasonal_period=31"]),
-    (unread_overflow, ["step_size=1"]),
-])
-def test_training_that_overflows_unseen_is_a_data_error(tmp_path, capsys, value, keys):
-    # The first training cycle's forecasts sum to a finite total whose
-    # running sum overflows the initial table, or a single episode leaves
-    # an infinite Q entry that only the online walk would read: `run`
-    # exits 2 naming the file, with nothing written, and `grid` marks the
-    # cell with the same words.
-    data = tmp_path / "unseen.csv"
-    write_daily_csv(data, date(2020, 1, 1), date(2020, 3, 31), value, skip_weekends=False)
+@pytest.mark.parametrize("value, line, text", [
+    (update_overflow, 11, "1.5e+308"),
+    (running_overflow, 2, "3e+307"),
+    (unread_overflow, 33, "1.7976931348623157e+308"),
+], ids=["update_overflow", "running_overflow", "unread_overflow"])
+def test_data_that_overflowed_training_is_refused_as_read(tmp_path, capsys, value, line, text):
+    # Data that made a TD update overflow, whose first training month's
+    # running sum overflowed the initial table, or that left an infinite Q
+    # entry only the online walk would read: each holds a value past the
+    # limit, so `run` and `grid` exit 2 naming its file and line before
+    # anything is trained or written.
+    data = write_first_quarter(tmp_path / "overflow.csv", value)
     out = tmp_path / "out"
-    argv = ["--set", f"data_path={data}", "--set", "train_start=2020-02",
+    argv = ["--set", f"data_path={data}", "--set", "train_start=2020-01",
             "--set", "train_end=2020-02", "--set", "test_month=2020-03",
-            "--set", f"output_dir={out}", *(arg for key in keys for arg in ("--set", key))]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the step-size warning, if any
-        assert main(["run", *argv]) == 2
-        assert capsys.readouterr().err == f"data error: {data}: training overflows the Q table\n"
-        assert not out.exists()
-        assert main(["grid", *argv, "--set", "grid_tolerances=10%",
-                     "--set", "grid_epsilons=0.1"]) == 0
-    assert (out / "grid.csv").read_text().splitlines()[1].endswith(",error,error")
-    assert capsys.readouterr().err.splitlines()[0].endswith(
-        "failed: training overflows the Q table")
+            "--set", f"output_dir={out}", "--set", "grid_tolerances=10%",
+            "--set", "grid_epsilons=0.1"]
+    for verb in ("run", "grid"):
+        assert main([verb, *argv]) == 2, verb
+        assert capsys.readouterr().err == (
+            f"data error: {data}: line {line}: value {text!r} is not finite or exceeds 1e+300 "
+            "in magnitude\n"), verb
+        assert not out.exists(), verb
 
 
-def test_an_online_revision_that_overflows_is_a_data_error(tmp_path, daily_csv, capsys):
-    # The online updates of a finite snapshot whose rows alternate +-1.7e308
-    # overflow with no policy error: `reconcile` exits 2 naming the
-    # snapshot and the test month, with nothing written, rather than write
-    # a Q table that it could not load again.
-    snapshot = tmp_path / "huge.txt"
-    snapshot.write_text("# config_hash=0 seed=0\n" + "".join(
-        f"{t},{a},{(1.7e308 if t % 2 else -1.7e308)!r}\n"
-        for t in range(1, 32) for a in range(3)))
+def test_a_snapshot_entry_past_the_agent_limit_is_a_data_error(tmp_path, daily_csv, capsys):
+    # Rows alternating +-1.7e308, whose online updates used to overflow Q:
+    # `reconcile` exits 2 naming the snapshot and the line, with nothing
+    # written. Rows alternating +-AGENT_LIMIT revise, and it exits 0.
     out = tmp_path / "out"
     cfg_path = write_config(tmp_path, daily_csv, out)
-    assert main(["reconcile", "--config", str(cfg_path), "--qtable", str(snapshot)]) == 2
+    snapshots = {}
+    for value in (1.7e308, 1e306):
+        snapshots[value] = tmp_path / f"{value!r}.txt"
+        snapshots[value].write_text("# config_hash=0 seed=0\n" + "".join(
+            f"{t},{a},{(value if t % 2 else -value)!r}\n"
+            for t in range(1, 32) for a in range(3)))
+    assert main(["reconcile", "--config", str(cfg_path), "--qtable", str(snapshots[1.7e308])]) == 2
     assert capsys.readouterr().err == (
-        f"data error: {snapshot}: revising 2020-03 overflows the Q table\n")
+        f"data error: {snapshots[1.7e308]}:2: q value '1.7e+308' is not finite or exceeds "
+        "1e+306 in magnitude\n")
     assert not out.exists()
+    assert main(["reconcile", "--config", str(cfg_path), "--qtable", str(snapshots[1e306])]) == 0
+    assert capsys.readouterr().err == "" and (out / "metrics.csv").exists()
 
 
 # Calls a verb three times in one interpreter, with the verb, the output
@@ -1232,11 +1208,15 @@ def test_each_call_prints_its_warnings(tmp_path):
     # records warnings rather than printing them, hence a fresh interpreter.
     # Every `grid` cell trains with the same step size on the same data, so
     # a call prints the warning once, not once per cell.
-    data = write_overflowing_csv(tmp_path)
+    # Values at the limit on 2020-01-10..20: the step size times that reward
+    # dwarfs the initial values, so training warns.
+    data = write_first_quarter(tmp_path / "spiky.csv", lambda day: (
+        1e300 if date(2020, 1, 10) <= day <= date(2020, 1, 20) else 100.0 + day.day))
     for verb, cells in (("run", []), ("grid", ["--set", "grid_tolerances=10%,20%",
                                                "--set", "grid_epsilons=0.05,0.1"])):
         result = run_fresh("-c", REPEATED_RUN_SCRIPT, verb, str(tmp_path / verb),
-                           "--set", f"data_path={data}", *OVERFLOW_MONTHS,
+                           "--set", f"data_path={data}", "--set", "train_start=2020-01",
+                           "--set", "train_end=2020-02", "--set", "test_month=2020-03",
                            "--set", "episodes=1", *cells, check=True)
         assert result.stdout.splitlines() == ["0 1"] * 3, (verb, result.stderr)
 

@@ -1,11 +1,13 @@
 """Tests for metrics and the grid harness."""
 
+import math
+
 import numpy as np
 import pytest
 
 from dtreconcile import evaluation
 from dtreconcile.agent import AgentConfig, CycleData, ValueTable, reconcile_online, train
-from dtreconcile.errors import DistributionError
+from dtreconcile.errors import AGENT_LIMIT
 from dtreconcile.evaluation import (
     build_metric_report,
     mape_rec,
@@ -150,30 +152,37 @@ def test_run_grid_rejects_empty_grid():
         _grid(training, test, [], [0.05], AgentConfig(tolerance=1.0))
 
 
-# One training cycle whose day-31 update overflows Q row 31, and a 30-day
-# test cycle whose walk never reads that row.
-UNREAD_OVERFLOW = CycleData([1.0] * 31, [1.0] * 30 + [1.7976931348623157e308], -1.5e308)
+# One training cycle whose day-31 actual and total sit at `AGENT_LIMIT`,
+# and a 30-day test cycle whose walk never reads row 31.
+AT_LIMIT = CycleData([1.0] * 31, [1.0] * 30 + [AGENT_LIMIT], -AGENT_LIMIT)
 THIRTY_DAYS = CycleData([1.0] * 30, [1.0] * 30, 30.0)
 
 
-def test_train_raises_on_an_overflow_that_no_day_reads():
-    with pytest.raises(DistributionError, match="^training overflows the Q table$"):
-        train([UNREAD_OVERFLOW], AgentConfig(tolerance=1.0))
+def finite(table):
+    return all(map(math.isfinite, [x for row in table.q for x in row] + table.v))
 
 
-def test_run_grid_marks_a_cell_whose_training_overflows():
-    # The test walk reads rows 1-30 only, so no policy read finds row 31.
-    grid = run_grid([UNREAD_OVERFLOW], THIRTY_DAYS, [AgentConfig(tolerance=1.0)])
-    assert grid.rows[0].error == "training overflows the Q table"
-    assert grid.to_csv().splitlines()[1] == "1.0,0.05,error,error"
+def test_cycle_data_refuses_the_cycle_that_overflowed_training():
+    # Its day-31 update overflowed Q row 31 where no later day read it.
+    with pytest.raises(ValueError, match="^forecasts, actuals and monthly total must be"):
+        CycleData([1.0] * 31, [1.0] * 30 + [1.7976931348623157e308], -1.5e308)
 
 
-def test_run_grid_marks_a_cell_whose_online_updates_overflow(monkeypatch):
-    # Rows alternating +-1.7e308: the online updates overflow Q with no
-    # policy error, as in `reconcile` on such a snapshot.
-    q = [[1.7e308 if t % 2 else -1.7e308] * 3 for t in range(1, 32)]
-    monkeypatch.setattr(evaluation, "train", lambda history, cfg: ValueTable(q, [0.0] * 31))
+def test_training_and_its_grid_cell_at_the_agent_limit_stay_finite():
+    cfg = AgentConfig(tolerance=1.0, step_size=1.0, episodes=3)
+    assert finite(train([AT_LIMIT], cfg))
+    row = run_grid([AT_LIMIT], THIRTY_DAYS, [cfg]).rows[0]
+    assert row.error is None and math.isfinite(row.mape_rec_pct)
+
+
+def test_run_grid_walks_a_table_at_the_agent_limit(monkeypatch):
+    # Rows alternating +-AGENT_LIMIT, where +-1.7e308 overflowed the online
+    # updates: `ValueTable` refuses those, and these revise to a finite RMF.
+    q = [[AGENT_LIMIT if t % 2 else -AGENT_LIMIT] * 3 for t in range(1, 32)]
+    with pytest.raises(ValueError, match="^value table entries must be"):
+        ValueTable([[1.7e308] * 3] * 31, [0.0] * 31)
+    table = ValueTable(q, [0.0] * 31)
+    monkeypatch.setattr(evaluation, "train", lambda history, cfg: table)
     training, test = regime_shift_cycles(n_days=28, n_train=1)
-    grid = run_grid(training, test, [AgentConfig(tolerance=1.0)])
-    assert grid.rows[0].error == "revising overflows the Q table"
-    assert grid.to_csv().splitlines()[1] == "1.0,0.05,error,error"
+    row = run_grid(training, test, [AgentConfig(tolerance=1.0, step_size=1.0)]).rows[0]
+    assert row.error is None and math.isfinite(row.pct_f) and finite(table)

@@ -86,7 +86,7 @@ def canonical_csv_texts(draw):
     """Sorted, zero-padded ISO dates and finite values, in any column
     order beside up to two unused columns, with LF or CRLF line ends and
     at most a trailing empty line: the files the loader reads in its
-    column-wise pass."""
+    column-wise pass, unless a value read is past the limit."""
     names = draw(st.permutations(["Date", "Open", "High", "Low"][:draw(st.integers(2, 4))]))
     lines = [",".join(names)]
     for day in sorted(draw(days_in_range())):
@@ -151,7 +151,7 @@ MONTH_RANGES = st.lists(st.sampled_from(MONTHS), min_size=2, max_size=2)
 
 @EXAMPLES
 @given(csv_texts(), MONTH_RANGES)
-# A gap whose interpolation overflows.
+# A value past the limit, which used to overflow its gap's interpolation.
 @example("Date,Open\n2019-11-25,0\n2019-11-26,1.7976931348623155e+308\n"
          "2019-12-01,-2.9937604643020797e+292\n", ["2019-12", "2019-12"])
 # Data that starts mid-month, that ends mid-month, and that ends before the range.
@@ -167,12 +167,13 @@ def test_load_fill_partition_matches_oracle(text, months):
 def test_canonical_load_fill_partition_matches_oracle(text, months):
     check_pipeline(text, months)
     # Such a file with a data row, a line after the header, is read in
-    # the column-wise pass.
+    # the column-wise pass unless a value is past the limit.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "daily.csv"
         path.write_text(text)
         columns = data._sorted_iso_columns(path, "Date", "Open")
-    assert (columns is not None) == (len(text.split()) > 1)
+        loads = outcome(data.load_ohlcv_csv, path)[0] == "ok"
+    assert (columns is not None) == (len(text.split()) > 1 and loads)
 
 
 def check_pipeline(text, months):
@@ -184,12 +185,16 @@ def check_pipeline(text, months):
         try:
             old = outcome(pipeline, oracle, path, month_range)
         except ValueError as exc:
-            # The oracle's fill does not check for overflow; its series
-            # rejects the values that are not finite.
+            # The oracle predates the loader's limit, which its series
+            # enforces once every row is read.
             old = "error", str(exc)
-    if old == ("error", "time series values must be finite"):
-        assert new[0] == "error" and re.fullmatch(
-            r"interpolating the gap between \S+ and \S+ overflows", new[1]), new
+    past = re.fullmatch(rf"{re.escape(str(path))}: line (\d+): value '(\S+)' is not finite "
+                        r"or exceeds 1e\+300 in magnitude", new[1] if new[0] == "error" else "")
+    if past:
+        # The loader names the first row past the limit, where the oracle
+        # may name a later bad row or its series' refusal.
+        line = text.split("\n")[int(past[1]) - 1]
+        assert old[0] == "error" and not abs(float(past[2])) <= 1e300 and past[2] in line
         return
     if old[0] == "error":
         # The loader now prefixes its messages with the file name.
@@ -346,7 +351,7 @@ ONE_ROW_CHANGES = {
 
 
 def reference_outcome(path):
-    """The oracle's outcome. It predates the loader's own finite check, so
+    """The oracle's outcome. It predates the loader's own limit check, so
     it rejects a `nan` only in `TimeSeries`, whose message names no line,
     and it lets the csv module's error out, which names none either."""
     try:
@@ -369,8 +374,9 @@ def test_one_changed_row_matches_oracle(tmp_path, change):
     assert new[0] == old[0], (new, old)
     if old[0] == "ok":
         assert same_series(new[1], old[1])
-    elif old[1] == "time series values must be finite":
-        assert new[1] == f"{path}: line {K + 2}: value 'nan' is not finite"
+    elif old[1] == "time series values must be at most 1e+300 in magnitude":
+        assert new[1] == (f"{path}: line {K + 2}: value 'nan' is not finite or exceeds 1e+300 "
+                          "in magnitude")
     elif old[1].startswith("field larger than field limit"):
         assert new[1] == f"{path}: line {K + 2}: {old[1]}"
     else:

@@ -20,7 +20,7 @@ from dtreconcile.agent import (
     run_episode,
     train,
 )
-from dtreconcile.errors import DistributionError, StreamOrderError
+from dtreconcile.errors import StreamOrderError
 from dtreconcile.seeding import rng_for
 
 EXAMPLES = settings(max_examples=40, deadline=None)
@@ -138,75 +138,15 @@ def test_reconcile_online_matches_oracle(data, table, cfg, seed):
     assert kernel_next == oracle_next
 
 
-def test_nan_discount_raises_distribution_error_in_both():
-    """A NaN discount, which AgentConfig rejects, poisons the Q rows it
-    updates; the next policy read of such a row raises in both loops, and
-    online the RMF's read of the row just updated raises on day 1."""
-    cycle = CycleData(np.array([10.0, 20.0, 30.0]), np.array([12.0, 18.0, 33.0]), 60.0)
-    cfg = AgentConfig(tolerance=1.0, exploration=0.1, episodes=2)
-    # `_make` builds a config without its checks.
-    cfg = AgentConfig._make({**cfg._asdict(), "discount": math.nan}.values())
-    with pytest.raises(DistributionError):
-        train([cycle], cfg)
-    tables = []
-    for episode in (run_episode, oracle.run_episode):
-        table = init_state_values(cycle.monthly_total, cycle.forecasts)
-        rng = rng_for(0, "nan")
-        source = rng.random if episode is run_episode else rng
-        episode(cycle, table, cfg, source)
-        with pytest.raises(DistributionError):
-            episode(cycle, table, cfg, source)
-        tables.append(table)
-    next_draws = []
-    for online in (reconcile_online, oracle.reconcile_online):
-        table = init_state_values(cycle.monthly_total, cycle.forecasts)
-        rng = rng_for(0, "nan")
-        with pytest.raises(DistributionError):
-            online(table, cycle.forecasts, cycle.actuals, cfg, rng)
-        tables.append(table)
-        next_draws.append(rng.random())
-    assert next_draws[0] == next_draws[1]
-    assert np.isnan(tables[0].q).any() and np.isnan(tables[2].q).any()
-    for kernel, expected in (tables[:2], tables[2:]):
-        assert np.array_equal(kernel.q, expected.q, equal_nan=True)
-        assert np.array_equal(kernel.v, expected.v, equal_nan=True)
-
-
 @pytest.mark.parametrize("bad, day", [(math.inf, 2), (math.inf, 4), (-math.inf, 2),
                                       (-math.inf, 4), (math.nan, 2), (math.nan, 3),
                                       (math.nan, 4)])
 @pytest.mark.parametrize("action", range(N_ACTIONS))
-def test_non_finite_next_row_raises_before_its_draw_in_both(bad, day, action):
-    """A non-finite entry in the row of day t+1 raises when the loop
-    chooses that day's action, before it draws, and online a NaN raises
-    too where an RMF first reads its row: the tables and the next draw
-    match the oracle's afterwards. The training kernel draws one uniform
-    per call through `run_episode`'s ``draw``, as the oracle does."""
-    cycle = CycleData([10.0, 20.0, 30.0, 40.0], [12.0, 18.0, 33.0, 41.0], 100.0)
-    cfg = AgentConfig(tolerance=1.0, exploration=0.5)
-
-    def episode(table, rng):
-        run_episode(cycle, table, cfg, rng.random)
-
-    def oracle_episode(table, rng):
-        oracle.run_episode(cycle, table, cfg, rng)
-
-    def online(table, rng):
-        reconcile_online(table, cycle.forecasts, cycle.actuals, cfg, rng)
-
-    def oracle_online(table, rng):
-        oracle.reconcile_online(table, cycle.forecasts, cycle.actuals, cfg, rng)
-
-    for pair in ((episode, oracle_episode), (online, oracle_online)):
-        finals = []
-        for walk in pair:
-            table = init_state_values(cycle.monthly_total, cycle.forecasts)
-            table.q[day - 1][action] = bad
-            rng = rng_for(0, "non-finite")
-            with pytest.raises(DistributionError):
-                walk(table, rng)
-            finals.append((table, rng.random()))
-        (kernel, kernel_next), (expected, expected_next) = finals
-        assert np.array_equal(kernel.q, expected.q, equal_nan=True)
-        assert np.array_equal(kernel.v, expected.v, equal_nan=True)
-        assert kernel_next == expected_next
+def test_value_table_refuses_a_non_finite_entry(bad, day, action):
+    """A Q entry that is not finite never reaches the day loop, which
+    checks no row: `ValueTable` refuses it wherever it lies."""
+    table = init_state_values(100.0, [10.0, 20.0, 30.0, 40.0])
+    table.q[day - 1][action] = bad
+    with pytest.raises(ValueError, match=r"^value table entries must be finite and at most "
+                                         r"1e\+306 in magnitude$"):
+        ValueTable(table.q, table.v)
