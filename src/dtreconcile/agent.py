@@ -20,23 +20,22 @@ episodes (`run_episode`, which `train` calls once per cycle and pass)
 and for online revision (`reconcile_online`). It updates the table's
 rows in place, so rows updated before an exception stay updated. Each
 day it draws the next day's epsilon-greedy action against
-`_policy_edges`, then applies the TD update. The
-per-step reference (greedy action, probabilities, one draw, one
-update) lives in `tests/oracle.py`; the kernel repeats its float
-operations in the same order, so walking a cycle either way gives
-bit-identical tables, records and draws. Training records nothing and
-computes no RMF: the update never reads one. Online revision returns a
-`DayRecord` per streamed day. Before its first draw it tabulates each
-day's three adjusted forecasts once (`_moves`, whose arithmetic
-`adjusted_forecast` reads too). After the first day's update it reads
-every day's greedy action; from then on only the row just updated can
-change, and the RMF is refolded only on a day whose greedy action flips.
-Otherwise the folded list, and so its sum, is the same as the day
-before. RMF sums fold the day-ordered floats left to right with
-`reduce(add, ..., 0.0)`, not with the builtin `sum`: from Python 3.12
-`sum` compensates float rounding, so its last bits, and the output
-files, would depend on the Python version. Every number the API takes
-is checked against `AGENT_LIMIT` where it enters, so no update
+`_policy_edges`, then applies the TD update. The per-step reference
+(greedy action, probabilities, one draw, one update) lives in
+`tests/oracle.py`; the kernel repeats its float operations in the same
+order, so walking a cycle either way gives bit-identical tables, records
+and draws. Training records nothing and computes no RMF: the update
+never reads one. Online revision returns a `DayRecord` per streamed day.
+Before its first draw it tabulates each day's three adjusted forecasts
+once (`_moves`, whose arithmetic `adjusted_forecast` reads too). After
+the first day's update it reads every day's greedy action; from then on
+only the row just updated can change, and the RMF is refolded only on a
+day whose greedy action flips. Otherwise the folded list, and so its
+sum, is the same as the day before. RMF sums fold the day-ordered floats
+left to right with `reduce(add, ..., 0.0)`, not with the builtin `sum`:
+from Python 3.12 `sum` compensates float rounding, so its last bits, and
+the output files, would depend on the Python version. Every number the
+API takes is checked against `AGENT_LIMIT` where it enters, so no update
 overflows (see `errors`) and no Q row is checked again.
 """
 
@@ -293,8 +292,7 @@ def _walk(
                 raise StreamOrderError(f"day {t} beyond the {n}-day cycle")
             action = _choose(q[t - 1], edges, draw)
         if t < n:
-            # `_choose` inlined.
-            next_row = q[t]
+            next_row = q[t]  # `_choose` inlined
             q0, q1, q2 = next_row
             if q1 >= q0 and q1 >= q2:
                 first, second = keep_edges
@@ -390,11 +388,10 @@ def reconcile_online(
     and emit one record, with its revised total, per streamed day.
 
     After each observed day the greedy action for every day of the cycle
-    is read from the current Q, and RMF is the sum of all n adjusted
-    daily forecasts. Actuals influence the revision only through the TD
-    updates (enabled by ``cfg.online_updates``), never by direct
-    substitution. Each policy call consumes one uniform variate,
-    ``rng.random()``.
+    is read from the current Q, and RMF is the sum of all n adjusted daily
+    forecasts. Actuals influence the revision only through the TD updates
+    (enabled by ``cfg.online_updates``), never by direct substitution.
+    Each policy call consumes one uniform variate, ``rng.random()``.
 
     The forecasts are those of a `CycleData`, which checked them. The
     stream holds the actuals as numbers in day order from day 1 and may
@@ -416,8 +413,10 @@ def save_table(table: ValueTable, path, cfg: AgentConfig) -> None:
     """Write the Q table as `day_index,action_index,q_value` rows.
 
     The single header line carries the config hash and seed so a
-    snapshot can be matched back to the run that produced it.
+    snapshot can be matched back to the run that produced it. An entry
+    past `AGENT_LIMIT`, which `load_table` would refuse, raises `ValueError`.
     """
+    _check([x for row in table.q for x in row], "saved q values")
     lines = [f"# config_hash={cfg.config_hash()} seed={cfg.seed}"]
     for t, row in enumerate(table.q, start=1):
         for a, value in enumerate(row):
@@ -472,6 +471,5 @@ def load_table(path) -> ValueTable:
             f"{path}:{lines[-1][0]}: table ends with {len(seen)} of "
             f"{MAX_CYCLE_DAYS * N_ACTIONS} entries; day {day}, action {action} is missing"
         )
-    # Every entry was parsed as a float and checked above, so
-    # `ValueTable`'s copy and checks would repeat.
+    # Each entry was parsed and checked above: `ValueTable`'s copy and checks would repeat.
     return ValueTable._make((q, [max(row) for row in q]))

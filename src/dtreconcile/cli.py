@@ -231,8 +231,7 @@ def training(config: RunConfig, filled: Calendar) -> list[CycleData]:
     cycles = []
     for month in month_partition(filled, (config.train_start, config.train_end)):
         daily = forecast_month(filled, month, config.forecaster, config.seasonal_period)
-        # Data within `LIMIT` give forecasts and totals within `AGENT_LIMIT`
-        # (see `errors`), so `CycleData`'s checks would repeat.
+        # Data within `LIMIT` keep all three within `AGENT_LIMIT` (see `errors`).
         cycles.append(CycleData._make((daily, month.values, pairwise_sum(daily))))
     return cycles
 
@@ -405,14 +404,15 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None,
     test = prep.test
     trace = reconcile_online(table, test.forecasts, test.actuals, prep.agent_cfg,
                              rng_for(prep.agent_cfg.seed, "online"))
-    report = build_metric_report(
-        trace,
-        test,
-        [d.isoformat() for d in prep.test_month.dates[: len(trace)]],
-    )
+    report = build_metric_report(trace, test,
+                                 [d.isoformat() for d in prep.test_month.dates[:len(trace)]])
     out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    try:  # a walk from a snapshot near `AGENT_LIMIT` can move an entry past it
+        save_table(table, out / "qtable.txt", prep.agent_cfg)
+    except ValueError as exc:
+        raise DataError(f"{qtable_path}: revising {prep.test_month.label}: {exc}") from None
     _write(out / "metrics.csv", report.to_csv())
-    save_table(table, out / "qtable.txt", prep.agent_cfg)
     _write(out / "summary.json", _summary_json(config, prep, report))
 
     last = report.rows[-1]

@@ -119,9 +119,9 @@ def run_grid(
     Each cell carries its own tolerance, exploration and seed. A cell
     that fails is marked with its message rather than aborting the sweep:
     `InsufficientDataError` for no training cycles, `ZeroDivisionError`
-    for test totals of 0, `ValueError` for a `CycleData._make` cycle past
-    `AGENT_LIMIT`. The command line refuses all three before the sweep.
-    Any other exception is a fault and propagates.
+    for test totals of 0, `ValueError` for test actuals or a first training
+    cycle past `AGENT_LIMIT` (`CycleData._make`; no later cycle is checked).
+    The command line refuses all three. Any other exception propagates.
     """
     if not cells:
         raise ValueError("grid must have at least one tolerance and one epsilon")

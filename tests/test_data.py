@@ -176,11 +176,10 @@ def test_fill_calendar_single_gap_midpoint():
     assert list(fill_calendar(series).values) == [10.0, 15.0, 20.0]
 
 
-# Levels at the limit and just past it: `TimeSeries` takes +-LIMIT and
-# refuses the rest, so no gap's interpolation can overflow.
-PAST_LIMIT = (1.7e308, -1.7e308, math.nextafter(LIMIT, math.inf),
-              -math.nextafter(LIMIT, math.inf))
-WINDOW_LEVELS = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([LIMIT, -LIMIT, *PAST_LIMIT]))
+# Levels within the limit, at it and anywhere up to it: no gap's
+# interpolation between them overflows.
+WINDOW_LEVELS = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([LIMIT, -LIMIT]),
+                          st.floats(-LIMIT, LIMIT))
 # Window ends as day offsets from the series' first day: inside, over
 # either end, outside, or reversed (empty); None is no bound.
 WINDOW_ENDS = st.one_of(st.none(), st.integers(-8, 60))
@@ -195,27 +194,20 @@ def _day(origin, offset):
 @given(st.dates(), st.lists(st.integers(1, 6), max_size=12),
        st.lists(WINDOW_LEVELS, min_size=13, max_size=13), WINDOW_ENDS, WINDOW_ENDS)
 # Gaps from -LIMIT to LIMIT, the largest, outside the window, after it and
-# before it, and inside it; values past the limit, which used to overflow
-# a gap, inside the window and outside it.
+# before it, and inside it.
 @example(date(2020, 1, 1), [1, 3], [1.0, -LIMIT, LIMIT], 0, 0)
 @example(date(2020, 1, 1), [3, 1], [-LIMIT, LIMIT, 5.0], 4, 4)
 @example(date(2020, 1, 1), [3, 2], [-LIMIT, LIMIT, -LIMIT], 4, 4)
 @example(date.min, [2], [-LIMIT, LIMIT], -8, -8)
-@example(date(2020, 1, 1), [1, 4, 1], [0.0, 1.7e308, -1.7e308, 0.0], 2, 3)
-@example(date(9999, 12, 28), [3], [1.7e308, -1.7e308], 60, None)
+@example(date(2020, 1, 1), [1, 4, 1], [0.0, LIMIT, -LIMIT, 0.0], 2, 3)
+@example(date(9999, 12, 28), [3], [LIMIT, -LIMIT], 60, None)
 def test_windowed_fill_is_the_slice_of_the_whole_fill(start, gaps, levels, first, last):
     days = [start]
     for gap in gaps:
         if days[-1].toordinal() + gap > date.max.toordinal():
             break
         days.append(days[-1] + timedelta(gap))
-    levels = levels[:len(days)]
-    if any(level in PAST_LIMIT for level in levels):
-        with pytest.raises(ValueError,
-                           match=r"^time series values must be at most 1e\+300 in magnitude$"):
-            TimeSeries(tuple(days), levels)
-        return
-    series = TimeSeries(tuple(days), levels)
+    series = TimeSeries(tuple(days), levels[:len(days)])
     first = None if first is None else _day(start, first)
     last = None if last is None else _day(start, last)
     whole, window = fill_calendar(series), fill_calendar(series, first, last)
@@ -226,6 +218,20 @@ def test_windowed_fill_is_the_slice_of_the_whole_fill(start, gaps, levels, first
     expected = whole.values[begin:end] if end > begin else ()
     assert window.start == lo
     assert [value.hex() for value in window.values] == [value.hex() for value in expected]
+
+
+# Values past the limit, which used to overflow their gap's interpolation,
+# NaN and the infinities: `TimeSeries` refuses each.
+@pytest.mark.parametrize("levels", [
+    (0.0, 1.7e308, -1.7e308, 0.0), (1.7e308, -1.7e308),
+    (0.0, math.nextafter(LIMIT, math.inf)), (-math.nextafter(LIMIT, math.inf), 0.0),
+    (0.0, math.inf), (-math.inf, 0.0), (math.nan, 0.0),
+])
+def test_time_series_refuses_a_value_past_the_limit(levels):
+    days = tuple(date(2020, 1, 1) + timedelta(3 * k) for k in range(len(levels)))
+    with pytest.raises(ValueError,
+                       match=r"^time series values must be at most 1e\+300 in magnitude$"):
+        TimeSeries(days, levels)
 
 
 def test_calendar_and_month_are_first_day_and_values():

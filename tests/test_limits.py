@@ -141,23 +141,46 @@ def test_every_entry_refuses_a_number_past_its_limit(tmp_path, entry, kind):
     entry(tmp_path, kind)
 
 
+def limit_argv(path, even):
+    """Daily data from 2019-12 through 2020-03 at `LIMIT` on odd days and
+    ``even`` on even ones, and the --set arguments that read it."""
+    days = map(date.fromordinal, range(date(2019, 12, 1).toordinal(),
+                                       date(2020, 4, 1).toordinal()))
+    path.write_text("Date,Open\n" + "".join(
+        f"{day},{(LIMIT if day.day % 2 else even)!r}\n" for day in days))
+    return ["--set", f"data_path={path}", "--set", "train_start=2019-12",
+            "--set", "train_end=2020-02", "--set", "test_month=2020-03"]
+
+
 def test_run_then_reconcile_on_data_at_the_limit(tmp_path, capsys):
     # Values alternating +-LIMIT: each forecaster's `run` trains and writes a
     # snapshot that `reconcile` loads and revises, and so does the next.
-    path = tmp_path / "limit.csv"
-    path.write_text("Date,Open\n" + "".join(
-        f"{date.fromordinal(day)},{(LIMIT if date.fromordinal(day).day % 2 else -LIMIT)!r}\n"
-        for day in range(date(2019, 12, 1).toordinal(), date(2020, 4, 1).toordinal())))
+    data_argv = limit_argv(tmp_path / "limit.csv", -LIMIT)
     for forecaster in ("naive", "seasonal_naive", "drift"):
-        argv = ["--set", f"data_path={path}", "--set", "train_start=2019-12",
-                "--set", "train_end=2020-02", "--set", "test_month=2020-03",
-                "--set", f"forecaster={forecaster}", "--set", "episodes=3"]
+        argv = [*data_argv, "--set", f"forecaster={forecaster}", "--set", "episodes=3"]
         runs = [tmp_path / forecaster / str(k) for k in range(3)]
         assert main(["run", *argv, "--set", f"output_dir={runs[0]}"]) == 0, forecaster
         for before, after in zip(runs, runs[1:]):
             assert main(["reconcile", "--qtable", str(before / "qtable.txt"), *argv,
                          "--set", f"output_dir={after}"]) == 0, forecaster
         assert capsys.readouterr().err == "", forecaster
+
+
+def test_reconcile_writes_no_snapshot_it_could_not_load(tmp_path, capsys):
+    # From a snapshot at AGENT_LIMIT, each update on data at LIMIT moves its
+    # entry past the limit: `reconcile` exits 2 naming the snapshot, with no
+    # file written, where it would write a snapshot `load_table` refuses.
+    snapshot = tmp_path / "snapshot.txt"
+    save_table(ValueTable([[AGENT_LIMIT] * 3] * MAX_CYCLE_DAYS, [AGENT_LIMIT] * MAX_CYCLE_DAYS),
+               snapshot, AgentConfig(tolerance=1.0))
+    out = tmp_path / "out"
+    argv = limit_argv(tmp_path / "limit.csv", LIMIT)
+    assert main(["reconcile", "--qtable", str(snapshot), *argv,
+                 "--set", f"output_dir={out}"]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {snapshot}: revising 2020-03: saved q values must be finite and at most "
+        "1e+306 in magnitude\n")
+    assert list(out.iterdir()) == []
 
 
 def assert_within(table, records, base, reward):
@@ -171,21 +194,24 @@ def assert_within(table, records, base, reward):
 
 def walks(table, test, cfg, base, reward, directory):
     """Reconcile, save, load and reconcile again, three times, checking the
-    bound after each walk. A load refuses a snapshot that a walk raised past
-    `AGENT_LIMIT`; the next walk then starts from the table in memory."""
+    bound after each walk. A save refuses, writing nothing, a table that a
+    walk raised past `AGENT_LIMIT`; the next walk then starts from the table
+    in memory. Every snapshot written loads back."""
     path = directory / "qtable.txt"
     for k in range(3):
         records = reconcile_online(table, test.forecasts, test.actuals, cfg,
                                    rng_for(cfg.seed + k, "online"))
         assert_within(table, records, base, reward)
-        save_table(table, path, cfg)
+        path.unlink(missing_ok=True)
         if max(abs(x) for row in table.q for x in row) <= AGENT_LIMIT:
+            save_table(table, path, cfg)
             loaded = load_table(path)
             assert loaded.q == table.q
             table = loaded
         else:
-            with pytest.raises(DataError, match="exceeds 1e\\+306 in magnitude"):
-                load_table(path)
+            with pytest.raises(ValueError, match=agent_message("saved q values")):
+                save_table(table, path, cfg)
+            assert not path.exists()
 
 
 LEVELS = st.one_of(st.sampled_from([LIMIT, -LIMIT, 0.0]), st.floats(-LIMIT, LIMIT))
