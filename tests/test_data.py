@@ -220,20 +220,6 @@ def test_windowed_fill_is_the_slice_of_the_whole_fill(start, gaps, levels, first
     assert [value.hex() for value in window.values] == [value.hex() for value in expected]
 
 
-# Values past the limit, which used to overflow their gap's interpolation,
-# NaN and the infinities: `TimeSeries` refuses each.
-@pytest.mark.parametrize("levels", [
-    (0.0, 1.7e308, -1.7e308, 0.0), (1.7e308, -1.7e308),
-    (0.0, math.nextafter(LIMIT, math.inf)), (-math.nextafter(LIMIT, math.inf), 0.0),
-    (0.0, math.inf), (-math.inf, 0.0), (math.nan, 0.0),
-])
-def test_time_series_refuses_a_value_past_the_limit(levels):
-    days = tuple(date(2020, 1, 1) + timedelta(3 * k) for k in range(len(levels)))
-    with pytest.raises(ValueError,
-                       match=r"^time series values must be at most 1e\+300 in magnitude$"):
-        TimeSeries(days, levels)
-
-
 def test_calendar_and_month_are_first_day_and_values():
     calendar = Calendar(date(2020, 2, 27), (1.0, 2.0, 3.0))
     assert len(calendar) == 3 and calendar == Calendar(date(2020, 2, 27), (1.0, 2.0, 3.0))

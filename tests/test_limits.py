@@ -23,7 +23,7 @@ from dtreconcile.agent import (
     train,
 )
 from dtreconcile.cli import main
-from dtreconcile.data import Calendar, days_in_month, month_partition
+from dtreconcile.data import Calendar, TimeSeries, days_in_month, month_partition
 from dtreconcile.errors import AGENT_LIMIT, LIMIT, DataError
 from dtreconcile.forecasting import forecast_month
 from dtreconcile.seeding import rng_for
@@ -62,6 +62,13 @@ def column_pass(tmp_path, kind):
         columns = data._sorted_iso_columns(path, "Date", "Open")
         assert (columns is not None) == (text == repr(LIMIT)), text
     assert_refused(lambda: data.load_ohlcv_csv(path), path, 3, text)
+
+
+def time_series(tmp_path, kind):
+    # Past the limit, such values used to overflow their gap's interpolation.
+    with pytest.raises(ValueError,
+                       match=r"^time series values must be at most 1e\+300 in magnitude$"):
+        TimeSeries((date(2020, 1, 1), date(2020, 1, 4)), (0.0, bad(kind, LIMIT)))
 
 
 def forecast_file(tmp_path, daily, total):
@@ -121,6 +128,7 @@ def online_stream(tmp_path, kind):
 ENTRIES = {
     "row_reader": row_reader,
     "column_pass": column_pass,
+    "time_series": time_series,
     "forecast_row": forecast_row,
     "monthly_total_row": monthly_total_row,
     "snapshot_line": snapshot_line,
