@@ -25,7 +25,9 @@ day it draws the next day's epsilon-greedy action against
 `tests/oracle.py`; the kernel repeats its float operations in the same
 order, so walking a cycle either way gives bit-identical tables, records
 and draws. Training records nothing and computes no RMF: the update
-never reads one. Online revision returns a `DayRecord` per streamed day.
+never reads one. Online revision returns a `DayRecord` per streamed day
+(day index, action, adjusted forecast, actual and RMF), built from a
+tuple by `DayRecord._make`, which skips NamedTuple's argument handling.
 Before its first draw it tabulates each day's three adjusted forecasts
 once (`_moves`, whose arithmetic `adjusted_forecast` reads too). After
 the first day's update it reads every day's greedy action; from then on
@@ -180,7 +182,7 @@ class CycleData(_CycleFields):
         return super().__new__(cls, forecasts, actuals, monthly_total)
 
 
-class DayRecord(NamedTuple):
+class _DayFields(NamedTuple):
     day_index: int
     action: int
     adjusted_forecast: float
@@ -188,16 +190,25 @@ class DayRecord(NamedTuple):
     rmf: float
 
 
+class DayRecord(_DayFields):
+    __slots__ = ()
+    # Builds without NamedTuple's argument handling: `_walk` makes one per day.
+    _make = classmethod(tuple.__new__)
+
+
 def init_state_values(monthly_total: float, daily_forecasts) -> ValueTable:
     """Initialize V(S_t) = M minus cumulative forecasts through day t.
 
     Q rows start equal to their day's V for all three actions. Days past
     the cycle length keep the end-of-cycle remainder so the table always
-    covers the maximum cycle length. Both inputs must be within `AGENT_LIMIT`.
+    covers the maximum cycle length. Both inputs must be within `AGENT_LIMIT`,
+    and there must be 1 to `MAX_CYCLE_DAYS` forecasts, as in a `CycleData`.
     """
     daily = list(map(float, daily_forecasts))
     if not daily:
         raise InsufficientDataError("cannot initialize values for an empty cycle")
+    if len(daily) > MAX_CYCLE_DAYS:
+        raise ShapeError(f"cycle length {len(daily)} outside 1..{MAX_CYCLE_DAYS}")
     _check((*daily, monthly_total), "monthly total and forecasts")
     # Running sums left to right, as np.cumsum adds them.
     remaining = [float(monthly_total - running) for running in accumulate(daily)]
@@ -320,7 +331,7 @@ def _walk(
             elif (a := _greedy(*q[t - 1])) != actions[t - 1]:
                 actions[t - 1], greedy[t - 1] = a, moves[t - 1][a]
                 rmf = reduce(add, greedy, 0.0)
-            records.append(DayRecord(t, action, moves[t - 1][action], actual, rmf))
+            records.append(DayRecord._make((t, action, moves[t - 1][action], actual, rmf)))
         action = action_next
     return records
 
@@ -358,8 +369,9 @@ def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
         raise InsufficientDataError("cannot initialize a table without data")
     first = history[0]
     table = init_state_values(first.monthly_total, first.forecasts)
-    # The largest |actual|, from each cycle's extremes rather than an `abs` per day.
-    max_reward = max(max(max(c.actuals), -min(c.actuals)) for c in history)
+    # The largest |actual|, from the cycles' extremes rather than an `abs` per day.
+    actuals = [cycle.actuals for cycle in history]
+    max_reward = max(max(map(max, actuals)), -min(map(min, actuals)))
     value_scale = max(map(abs, table.v))
     if cfg.step_size * max_reward > max(value_scale, 1e-12):
         warnings.warn(
@@ -405,7 +417,8 @@ def reconcile_online(
 def _checked(actuals: Iterable[float]):
     """The actuals as floats, each checked against `AGENT_LIMIT` as it is read."""
     for actual in map(float, actuals):
-        _check((actual,), "streamed actuals")
+        if not abs(actual) <= AGENT_LIMIT:  # NaN fails it too
+            _check((actual,), "streamed actuals")  # raises its message
         yield actual
 
 

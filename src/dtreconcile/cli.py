@@ -346,7 +346,13 @@ def _refuse_overwrite(config: RunConfig, outputs: tuple[str, ...],
                       config_path: str | None = None) -> None:
     """Refuse, before anything is read, a verb whose ``output_dir`` is empty,
     is not a directory or lies under a file, or whose output files in it
-    include one of its input files."""
+    include one of its input files.
+
+    Outputs and inputs are compared by file identity, device and inode, so
+    an input that is an existing output, by any path or through a symbolic
+    or hard link, is refused. An output not written yet cannot be an
+    existing input, and an input that does not exist fails at its own
+    read, before any file is written."""
     if not config.output_dir:  # `Path("")` is the current directory
         raise ConfigError("output_dir is empty")
     out = Path(config.output_dir)
@@ -361,17 +367,12 @@ def _refuse_overwrite(config: RunConfig, outputs: tuple[str, ...],
         inputs.append(("--qtable", qtable_path))
     if config_path is not None:
         inputs.append(("--config", config_path))
-    # `realpath`, unlike `Path.resolve`, returns on a symlink loop. An
-    # output that exists is also keyed by its inode, which a hard link to an
-    # input shares while their paths differ.
     written = {}
     for output in (out / name for name in outputs):
-        written[os.path.realpath(output)] = output
         if (inode := _inode(output)) is not None:
             written[inode] = output
     for key, path in inputs:
-        output = written.get(os.path.realpath(path)) or written.get(_inode(path))
-        if output is not None:
+        if (output := written.get(_inode(path))) is not None:
             raise ConfigError(f"{key} {path} would be overwritten by {output}; "
                               "set output_dir to another directory")
 

@@ -30,8 +30,8 @@ def seasonal_naive(history, period: int, h: int) -> tuple[float, ...]:
         raise InsufficientDataError(
             f"seasonal naive needs at least {period} observations, got {len(history)}"
         )
-    last_cycle = [float(x) for x in history[len(history) - period:]]
-    return tuple(last_cycle[(k - 1) % period] for k in range(1, h + 1))
+    last_cycle = tuple(map(float, history[len(history) - period:]))
+    return (last_cycle * (h // period + 1))[:h]
 
 
 def drift(history, h: int) -> tuple[float, ...]:

@@ -79,6 +79,11 @@ def test_init_state_values_covers_max_cycle():
     assert np.shape(table.q) == (MAX_CYCLE_DAYS, 3)
     assert np.all(np.isfinite(table.q))
     assert np.all(np.array(table.v[2:]) == 70.0)
+    # A full cycle fills every row; one more forecast is refused, as by `CycleData`.
+    assert len(init_state_values(31.0, [1.0] * MAX_CYCLE_DAYS).q) == MAX_CYCLE_DAYS
+    for days in (MAX_CYCLE_DAYS + 1, 40):
+        with pytest.raises(ShapeError, match=f"cycle length {days} outside 1..31"):
+            init_state_values(1.0, [1.0] * days)
 
 
 # --- adjusted forecasts ---------------------------------------------------

@@ -745,6 +745,7 @@ def test_reconcile_refuses_to_overwrite_its_snapshot(tmp_path, daily_csv, capsys
     ("run", "data_path", "metrics.csv", False),
     ("run", "data_path", "metrics.csv", True),
     ("run", "data_path", "metrics.csv", "hard"),
+    ("run", "data_path", "metrics.csv", "dir"),
     ("run", "external_forecast_path", "summary.json", False),
     ("grid", "data_path", "grid.csv", False),
     ("reconcile", "data_path", "qtable.txt", False),
@@ -756,8 +757,9 @@ def test_reconcile_refuses_to_overwrite_its_snapshot(tmp_path, daily_csv, capsys
 ])
 def test_verbs_refuse_to_overwrite_an_input(tmp_path, daily_csv, capsys, verb, key, name, link):
     # An input at one of the verb's output paths, or a symbolic (``link``
-    # True) or hard ("hard") link to one, exits 1 naming the key and both
-    # paths, before any file is read or written.
+    # True) or hard ("hard") link to one, or an input under an output's name
+    # in the directory that ``output_dir`` links to ("dir"), exits 1 naming
+    # the key and both paths, before any file is read or written.
     forecast_path = tmp_path / "forecast.csv"
     forecast_path.write_text("date,forecast\n" + "".join(
         f"2020-03-{day:02d},{value}\n" for day, value in zip(range(1, 32), REFERENCE_FORECASTS)))
@@ -772,10 +774,13 @@ def test_verbs_refuse_to_overwrite_an_input(tmp_path, daily_csv, capsys, verb, k
     target.write_bytes({"data_path": daily_csv, "external_forecast_path": forecast_path,
                         "--config": cfg_path}[key].read_bytes())
     before = target.read_bytes()
-    path = target
+    path, output_dir = target, out
     if link == "hard":
         path = tmp_path / "link.csv"
         os.link(target, path)
+    elif link == "dir":
+        output_dir = tmp_path / "out-link"
+        output_dir.symlink_to(out)
     elif link:
         path = tmp_path / "link.csv"
         path.symlink_to(target)
@@ -783,12 +788,37 @@ def test_verbs_refuse_to_overwrite_an_input(tmp_path, daily_csv, capsys, verb, k
     config = (["--config", str(path)] if key == "--config"
               else ["--config", str(cfg_path), "--set", f"{key}={path}"])
     extra = ["--qtable", str(snapshot)] if verb == "reconcile" else []
+    extra += ["--set", f"output_dir={output_dir}"] if link == "dir" else []
     capsys.readouterr()
     assert main([verb, *config, *extra]) == 1
-    assert (f"config error: {key} {path} would be overwritten by {target}"
+    assert (f"config error: {key} {path} would be overwritten by {output_dir / name}"
             in capsys.readouterr().err)
     assert target.read_bytes() == before
     assert sorted(out.iterdir()) == [target]
+
+
+@pytest.mark.parametrize("verb, key, name", [
+    ("run", "data_path", "metrics.csv"),
+    ("grid", "data_path", "grid.csv"),
+    ("run", "external_forecast_path", "summary.json"),
+    ("reconcile", "--qtable", "qtable.txt"),
+])
+def test_a_missing_input_at_an_output_path_fails_at_its_read(tmp_path, daily_csv, capsys,
+                                                            verb, key, name):
+    # An input that names an output not yet written is no existing file, so
+    # the guard lets it pass; it exits 2 at its own read, before any write.
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, daily_csv, out, extra=GRID_KEYS)
+    missing = out / name
+    if key == "--qtable":
+        option = ["--qtable", str(missing)]
+    elif key == "external_forecast_path":
+        option = ["--set", "forecaster=external", "--set", f"{key}={missing}"]
+    else:
+        option = ["--set", f"{key}={missing}"]
+    assert main([verb, "--config", str(cfg_path), *option]) == 2
+    assert f"data error: {missing}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_output_dir_that_is_not_a_directory_is_a_config_error(tmp_path, daily_csv, capsys,

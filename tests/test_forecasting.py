@@ -28,6 +28,12 @@ def test_seasonal_naive_repeats_last_week():
     week = [1.0, 2, 3, 4, 5, 6, 7]
     assert np.array_equal(seasonal_naive(week, 7, 7), week)
     assert np.array_equal(seasonal_naive(week, 7, 9), week + [1, 2])
+    # Below the period, no day at all, and past a multiple of it, from the
+    # last seven of a longer history.
+    for h in (3, 0, 23):
+        expected = tuple(week[(k - 1) % 7] for k in range(1, h + 1))
+        assert seasonal_naive([0.5, 0.25, *week], 7, h) == expected, h
+    assert seasonal_naive(week, 7, 0) == ()
 
 
 def test_seasonal_naive_period_one_is_naive():
