@@ -8,7 +8,9 @@ an on-policy one-step TD update. After every observed day the revised
 monthly forecast (RMF) is the sum of the adjusted daily forecasts.
 
 Learning is carried by Q keyed on (day index, action); a state-value
-table V is updated with the same rule purely as a diagnostic.
+table V is updated with the same rule purely as a diagnostic. Nothing
+in a walk reads V, so a walk only logs its update, and V is settled
+when it is read (`ValueTable`).
 
 Q is held as 31 rows of three Python floats and V as one list of 31,
 and the cycle containers hold tuples of Python floats, so the agent
@@ -17,8 +19,9 @@ per pass from the ``train`` stream (see `seeding`).
 
 One private scalar kernel, `_walk`, runs the day loop for training
 episodes (`run_episode`, which `train` calls once per cycle and pass)
-and for online revision (`reconcile_online`). It updates the table's
-rows in place, so rows updated before an exception stay updated. Each
+and for online revision (`reconcile_online`). It updates the table's Q
+rows in place and logs V's update of the same days when it ends or
+raises, so days updated before an exception stay updated in both. Each
 day it draws the next day's epsilon-greedy action against
 `_policy_edges`, then applies the TD update. The per-step reference
 (greedy action, probabilities, one draw, one update) lives in
@@ -126,9 +129,15 @@ class AgentConfig(_AgentFields):
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+# Logged walks past which `ValueTable._log_v` settles V unread: training
+# on 122 months for 3 episodes logs 366 walks and a grid cell 24.
+V_LOG_LIMIT = 1024
+
+
 class _TableFields(NamedTuple):
     q: list[list[float]]
     v: list[float]
+    v_log: list[tuple[tuple[float, ...], int, float, float]]
 
 
 class ValueTable(_TableFields):
@@ -137,7 +146,13 @@ class ValueTable(_TableFields):
     ``q`` is a list of MAX_CYCLE_DAYS rows, each a list of N_ACTIONS
     floats, indexed ``q[day - 1][action]``; ``v`` is a list of
     MAX_CYCLE_DAYS floats. Any nested sequence of numbers of that shape
-    within `AGENT_LIMIT` is copied in as floats, updated in place."""
+    within `AGENT_LIMIT` is copied in as floats, updated in place.
+
+    Nothing reads V while the agent runs, so a walk does not update it:
+    `_log_v` keeps the walk's actuals in ``v_log``, and reading ``v``
+    applies every logged update in order first. A walk's TD(0) update of
+    V reads only V as it stood before the walk, so settling late gives
+    the same floats as updating day by day."""
 
     __slots__ = ()
 
@@ -152,10 +167,35 @@ class ValueTable(_TableFields):
         if len(v) != MAX_CYCLE_DAYS:
             raise ShapeError(f"V table must have {MAX_CYCLE_DAYS} entries")
         _check([x for row in (*q, v) for x in row], "value table entries")
-        return super().__new__(cls, q, v)
+        return super().__new__(cls, q, v, [])
 
     def copy(self) -> "ValueTable":
         return ValueTable(self.q, self.v)
+
+    def __getnewargs__(self):
+        # `copy` and `pickle` rebuild through `__new__`, which takes Q and V.
+        return self.q, self.v
+
+    def _settle(self) -> list[float]:
+        _, v, log = self
+        for actuals, n, alpha, gamma in log:
+            # Day t bootstraps from V(t + 1) as it stood before the walk, and
+            # from 0 on the last day: the float expression of a per-day update.
+            v[:len(actuals)] = [x + alpha * (a + gamma * y - x)
+                                for x, a, y in zip(v, actuals, [*v[1:n], 0.0])]
+        log.clear()
+        return v
+
+    v = property(_settle, doc="V per day, after every logged walk's update.")
+
+    def _log_v(self, actuals: Sequence[float], n: int, alpha: float, gamma: float) -> None:
+        """Log the V update of days 1..len(actuals) of an n-day walk with
+        step size ``alpha`` and discount ``gamma``; past `V_LOG_LIMIT`
+        walks, settle them, so that the log stays bounded."""
+        log = self.v_log
+        log.append((actuals, n, alpha, gamma))
+        if len(log) > V_LOG_LIMIT:
+            self._settle()
 
 
 class _CycleFields(NamedTuple):
@@ -214,7 +254,7 @@ def init_state_values(monthly_total: float, daily_forecasts) -> ValueTable:
     remaining = [float(monthly_total - running) for running in accumulate(daily)]
     v = remaining + [remaining[-1]] * (MAX_CYCLE_DAYS - len(daily))
     # Fresh lists of floats: `_make` skips `ValueTable`'s copy and checks.
-    return ValueTable._make(([[value] * N_ACTIONS for value in v], v))
+    return ValueTable._make(([[value] * N_ACTIONS for value in v], v, []))
 
 
 def _moves(forecasts: Iterable[float], cfg: AgentConfig) -> list[tuple[float, float, float]]:
@@ -282,12 +322,13 @@ def _walk(
     Online revision updates only under ``cfg.online_updates`` and records
     each day; a day's RMF is the greedy sum over the whole cycle, read
     from the moves tabulated before the first draw and refolded only when
-    the updated row's greedy action flips. Q and V are updated in place
-    in ``table``. A day past the cycle raises `StreamOrderError` before
-    it draws.
+    the updated row's greedy action flips. Q is updated in place in
+    ``table``; V's update of the days whose Q update ran is logged once,
+    when the walk ends or raises (`ValueTable._log_v`). A day past the
+    cycle raises `StreamOrderError` before it draws.
     """
     n = len(forecasts)
-    q, v = table.q, table.v
+    q = table.q
     alpha, gamma = cfg.step_size, cfg.discount
     update = cfg.online_updates or not online
     edges = _policy_edges(cfg.exploration)
@@ -296,43 +337,50 @@ def _walk(
     actions = None
     records: list[DayRecord] = []
     action = None
-    for t, actual in enumerate(actuals, start=1):
-        if action is None:
-            # Only day 1 and a day past the last one have no action yet.
-            if t > n:
-                raise StreamOrderError(f"day {t} beyond the {n}-day cycle")
-            action = _choose(q[t - 1], edges, draw)
-        if t < n:
-            next_row = q[t]  # `_choose` inlined
-            q0, q1, q2 = next_row
-            if q1 >= q0 and q1 >= q2:
-                first, second = keep_edges
-            elif q2 >= q0 and q2 >= q1:
-                first, second = decrease_edges
+    done = 0  # days walked in full
+    try:
+        for t, actual in enumerate(actuals, start=1):
+            if action is None:
+                # Only day 1 and a day past the last one have no action yet.
+                if t > n:
+                    raise StreamOrderError(f"day {t} beyond the {n}-day cycle")
+                action = _choose(q[t - 1], edges, draw)
+            if t < n:
+                next_row = q[t]  # `_choose` inlined
+                q0, q1, q2 = next_row
+                if q1 >= q0 and q1 >= q2:
+                    first, second = keep_edges
+                elif q2 >= q0 and q2 >= q1:
+                    first, second = decrease_edges
+                else:
+                    first, second = increase_edges
+                u = draw()
+                action_next = 0 if u < first else 1 if u < second else 2
+                q_next = next_row[action_next]
             else:
-                first, second = increase_edges
-            u = draw()
-            action_next = 0 if u < first else 1 if u < second else 2
-            q_next, v_next = next_row[action_next], v[t]
-        else:
-            action_next, q_next, v_next = None, 0.0, 0.0
-        if update:
-            row = q[t - 1]
-            row[action] += alpha * (actual + gamma * q_next - row[action])
-            v[t - 1] += alpha * (actual + gamma * v_next - v[t - 1])
-        if online:
-            # Each day's greedy action, read after the first update; only
-            # the row just updated can change after that, and the RMF is
-            # refolded only when its greedy action flips.
-            if actions is None:
-                actions = [_greedy(*row) for row in q[:n]]
-                greedy = [day[a] for day, a in zip(moves, actions)]
-                rmf = reduce(add, greedy, 0.0)
-            elif (a := _greedy(*q[t - 1])) != actions[t - 1]:
-                actions[t - 1], greedy[t - 1] = a, moves[t - 1][a]
-                rmf = reduce(add, greedy, 0.0)
-            records.append(DayRecord._make((t, action, moves[t - 1][action], actual, rmf)))
-        action = action_next
+                action_next, q_next = None, 0.0
+            if update:
+                row = q[t - 1]
+                row[action] += alpha * (actual + gamma * q_next - row[action])
+            if online:
+                # Each day's greedy action, read after the first update; only
+                # the row just updated can change after that, and the RMF is
+                # refolded only when its greedy action flips.
+                if actions is None:
+                    actions = [_greedy(*row) for row in q[:n]]
+                    greedy = [day[a] for day, a in zip(moves, actions)]
+                    rmf = reduce(add, greedy, 0.0)
+                elif (a := _greedy(*q[t - 1])) != actions[t - 1]:
+                    actions[t - 1], greedy[t - 1] = a, moves[t - 1][a]
+                    rmf = reduce(add, greedy, 0.0)
+                records.append(DayRecord._make((t, action, moves[t - 1][action], actual, rmf)))
+            action = action_next
+            done = t
+    finally:
+        if update and done:
+            # Training walks a cycle's own tuple: a whole walk logs it uncopied.
+            table._log_v(tuple(r.actual for r in records) if online else actuals[:done],
+                        n, alpha, gamma)
     return records
 
 
@@ -361,7 +409,8 @@ def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
     block of uniforms from numpy's generator on the ``train`` stream, and
     each cycle takes its n in turn, as if from ``rng.random(n)``: PCG64
     buffers nothing between doubles. The block draw is why training, and
-    nothing else on the command line, imports numpy.
+    nothing else on the command line, imports numpy. V's updates are
+    logged, not applied: they cost nothing unless ``table.v`` is read.
     """
     import numpy as np
 
@@ -485,4 +534,4 @@ def load_table(path) -> ValueTable:
             f"{MAX_CYCLE_DAYS * N_ACTIONS} entries; day {day}, action {action} is missing"
         )
     # Each entry was parsed and checked above: `ValueTable`'s copy and checks would repeat.
-    return ValueTable._make((q, [max(row) for row in q]))
+    return ValueTable._make((q, [max(row) for row in q], []))

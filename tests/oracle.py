@@ -44,7 +44,7 @@ from dtreconcile.data import (
     TimeSeries,
     parse_month,
 )
-from dtreconcile.errors import DataError, ShapeError, StreamOrderError
+from dtreconcile.errors import AGENT_LIMIT, DataError, ShapeError, StreamOrderError
 from dtreconcile.totals import pairwise_sum
 
 
@@ -177,7 +177,8 @@ def reconcile_online(
     direct substitution.
 
     The stream holds bare values in day order and may cover only part of
-    the cycle.
+    the cycle; an actual past `AGENT_LIMIT` raises `ValueError` when it is
+    read, with the days before it updated.
     """
     daily = tuple(map(float, forecasts))
     n = len(daily)
@@ -187,6 +188,9 @@ def reconcile_online(
     action: int | None = None
     for t, item in enumerate(actual_stream, start=1):
         actual = float(item)
+        if not abs(actual) <= AGENT_LIMIT:
+            raise ValueError(f"streamed actuals must be finite and at most {AGENT_LIMIT:g} "
+                             "in magnitude")
         if t > n:
             raise StreamOrderError(f"day {t} beyond the {n}-day cycle")
         if action is None:

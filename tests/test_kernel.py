@@ -1,6 +1,8 @@
 """The scalar day-loop kernel against the reference oracle, bit for bit."""
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ import oracle
 from dtreconcile.agent import (
     MAX_CYCLE_DAYS,
     N_ACTIONS,
+    V_LOG_LIMIT,
     AgentConfig,
     CycleData,
     ValueTable,
@@ -20,7 +23,7 @@ from dtreconcile.agent import (
     run_episode,
     train,
 )
-from dtreconcile.errors import StreamOrderError
+from dtreconcile.errors import AGENT_LIMIT, StreamOrderError
 from dtreconcile.seeding import rng_for
 
 EXAMPLES = settings(max_examples=40, deadline=None)
@@ -78,15 +81,42 @@ def assert_same_tables(a: ValueTable, b: ValueTable):
     assert [x.hex() for x in a.v] == [x.hex() for x in b.v]
 
 
+class DrawFailed(Exception):
+    pass
+
+
+class Draws:
+    """A seeded generator's uniforms, except that call ``fail_at`` raises."""
+
+    def __init__(self, seed, fail_at):
+        self.rng, self.calls, self.fail_at = np.random.default_rng(seed), 0, fail_at
+
+    def random(self):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise DrawFailed
+        return self.rng.random()
+
+
 @EXAMPLES
-@given(cycles(), tables, configs(), st.integers(0, 2**32))
-def test_run_episode_matches_oracle(cycle, table, cfg, seed):
+@given(cycles(), tables, configs(), st.integers(0, 2**32),
+       st.none() | st.integers(1, MAX_CYCLE_DAYS))
+def test_run_episode_matches_oracle(cycle, table, cfg, seed, fail_at):
+    """Also when a draw raises mid-walk: the days updated before it stay
+    updated, in V as in Q."""
     kernel_table, oracle_table = table.copy(), table.copy()
-    kernel_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    run_episode(cycle, kernel_table, cfg, kernel_rng.random)
-    oracle.run_episode(cycle, oracle_table, cfg, oracle_rng)
+    kernel_rng, oracle_rng = Draws(seed, fail_at), Draws(seed, fail_at)
+    raised = []
+    for walk in (lambda: run_episode(cycle, kernel_table, cfg, kernel_rng.random),
+                 lambda: oracle.run_episode(cycle, oracle_table, cfg, oracle_rng)):
+        try:
+            walk()
+            raised.append(False)
+        except DrawFailed:
+            raised.append(True)
+    assert raised[0] == raised[1] == (fail_at is not None and fail_at <= len(cycle.forecasts))
     assert_same_tables(kernel_table, oracle_table)
-    assert kernel_rng.random() == oracle_rng.random()
+    assert kernel_rng.rng.random() == oracle_rng.rng.random()
 
 
 @EXAMPLES
@@ -104,15 +134,39 @@ def test_train_equals_oracle_passes(history, cfg, episodes):
     assert_same_tables(trained, expected)
 
 
+def test_many_episodes_keep_the_v_log_bounded():
+    """Training settles V once `V_LOG_LIMIT` walks are logged, so the log
+    stays bounded however many episodes run, and V is still the oracle's,
+    also in a copy or a pickle taken while walks are logged."""
+    history = [CycleData([10.0, 20.0], [12.0, 18.0], 30.0),
+               CycleData([5.0, 5.0, 5.0], [4.0, 7.0, 6.0], 15.0)]
+    cfg = AgentConfig(tolerance=2.0, episodes=V_LOG_LIMIT, seed=5)
+    trained = train(history, cfg)
+    assert 0 < len(trained.v_log) <= V_LOG_LIMIT
+    copies = [copy.deepcopy(trained), pickle.loads(pickle.dumps(trained))]
+    expected = init_state_values(history[0].monthly_total, history[0].forecasts)
+    rng = rng_for(cfg.seed, "train")
+    for _ in range(cfg.episodes):
+        for cycle in history:
+            oracle.run_episode(cycle, expected, cfg, rng)
+    for table in (trained, *copies):
+        assert_same_tables(table, expected)
+        assert table.v_log == []
+
+
 @st.composite
 def streams(draw, n):
-    """Actuals as bare values: the whole cycle, a prefix, or one day too many."""
+    """Actuals as bare values: the whole cycle, a prefix, one day too many,
+    or one value past `AGENT_LIMIT` on a day up to the one too many."""
     actuals = draw(st.lists(values, min_size=n + 1, max_size=n + 1))
-    kind = draw(st.sampled_from(["whole", "prefix", "too_long"]))
+    kind = draw(st.sampled_from(["whole", "prefix", "too_long", "past_limit"]))
     if kind == "whole":
         return actuals[:n]
     if kind == "prefix":
         return actuals[: draw(st.integers(0, n - 1))]
+    if kind == "past_limit":
+        bad = draw(st.sampled_from([math.inf, -math.inf, math.nan, 2 * AGENT_LIMIT, -1e308]))
+        actuals[draw(st.integers(0, n))] = bad
     return actuals
 
 
@@ -129,8 +183,8 @@ def test_reconcile_online_matches_oracle(data, table, cfg, seed):
         try:
             trace = reconcile(run_table, forecasts, iter(stream), cfg, rng)
             outcomes.append(bits(trace))
-        except StreamOrderError as exc:
-            outcomes.append(str(exc))
+        except (StreamOrderError, ValueError) as exc:
+            outcomes.append((type(exc), str(exc)))
         finals.append((run_table, rng.random()))
     assert outcomes[0] == outcomes[1]
     (kernel_table, kernel_next), (oracle_table, oracle_next) = finals
