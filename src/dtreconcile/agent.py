@@ -35,13 +35,17 @@ Before its first draw it tabulates each day's three adjusted forecasts
 once (`_moves`, whose arithmetic `adjusted_forecast` reads too). After
 the first day's update it reads every day's greedy action; from then on
 only the row just updated can change, and the RMF is refolded only on a
-day whose greedy action flips. Otherwise the folded list, and so its
-sum, is the same as the day before. RMF sums fold the day-ordered floats
-left to right with `reduce(add, ..., 0.0)`, not with the builtin `sum`:
-from Python 3.12 `sum` compensates float rounding, so its last bits, and
-the output files, would depend on the Python version. Every number the
-API takes is checked against `AGENT_LIMIT` where it enters, so no update
-overflows (see `errors`) and no Q row is checked again.
+day whose greedy action flips, from that day on: no later day updates
+the days before it, so their left fold is kept as the walk goes, and the
+refold adds the same floats in the same order. `train` keeps the start
+it derives from a history alone for the next call on it, so a grid's
+cells pay only for their own draws and TD steps. RMF sums fold the
+day-ordered floats left to right with `reduce(add, ..., 0.0)`, not with
+the builtin `sum`: from Python 3.12 `sum` compensates float rounding, so
+its last bits, and the output files, would depend on the Python version.
+Every number the API takes is checked against `AGENT_LIMIT` where it
+enters, so no update overflows (see `errors`) and no Q row is checked
+again.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import warnings
 from functools import lru_cache, reduce
 from itertools import accumulate
 from math import isfinite
-from operator import add
+from operator import add, is_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import AGENT_LIMIT, DataError, InsufficientDataError, ShapeError
@@ -322,7 +326,8 @@ def _walk(
     Online revision updates only under ``cfg.online_updates`` and records
     each day; a day's RMF is the greedy sum over the whole cycle, read
     from the moves tabulated before the first draw and refolded only when
-    the updated row's greedy action flips. Q is updated in place in
+    the updated row's greedy action flips, from that day on, onto the
+    kept left fold of the days before it. Q is updated in place in
     ``table``; V's update of the days whose Q update ran is logged once,
     when the walk ends or raises (`ValueTable._log_v`). A day past the
     cycle raises `StreamOrderError` before it draws.
@@ -335,6 +340,7 @@ def _walk(
     increase_edges, keep_edges, decrease_edges = edges
     moves = _moves(forecasts, cfg) if online else None
     actions = None
+    head = 0.0  # the RMF's left fold of the days before this one
     records: list[DayRecord] = []
     action = None
     done = 0  # days walked in full
@@ -365,14 +371,18 @@ def _walk(
             if online:
                 # Each day's greedy action, read after the first update; only
                 # the row just updated can change after that, and the RMF is
-                # refolded only when its greedy action flips.
+                # refolded only when its greedy action flips, from that day on.
                 if actions is None:
                     actions = [_greedy(*row) for row in q[:n]]
                     greedy = [day[a] for day, a in zip(moves, actions)]
                     rmf = reduce(add, greedy, 0.0)
-                elif (a := _greedy(*q[t - 1])) != actions[t - 1]:
-                    actions[t - 1], greedy[t - 1] = a, moves[t - 1][a]
-                    rmf = reduce(add, greedy, 0.0)
+                else:
+                    q0, q1, q2 = q[t - 1]  # `_greedy` inlined
+                    a = 1 if q1 >= q0 and q1 >= q2 else 2 if q2 >= q0 and q2 >= q1 else 0
+                    if a != actions[t - 1]:
+                        actions[t - 1], greedy[t - 1] = a, moves[t - 1][a]
+                        rmf = reduce(add, greedy[t - 1:], head)
+                head += greedy[t - 1]
                 records.append(DayRecord._make((t, action, moves[t - 1][action], actual, rmf)))
             action = action_next
             done = t
@@ -401,11 +411,44 @@ def run_episode(
     return table, ()
 
 
+# The last history `_start` saw, as a tuple of its cycles, and its start.
+_last_start: tuple = ((), None)
+
+
+def _start(history: Sequence[CycleData]) -> tuple[list[float], float, float, int]:
+    """What `train` derives from the history alone: the initial V (each
+    Q row starts at its day's V), the largest |actual|, the initial value
+    scale and the day count.
+
+    Kept for the last history seen, matched by its length and the
+    identity of each cycle: `CycleData` is immutable and the cycles are
+    held, so an id is not reused, and a list changed in place misses.
+    """
+    global _last_start
+    cycles, start = _last_start
+    if start is not None and len(cycles) == len(history) and all(map(is_, cycles, history)):
+        return start
+    if not history:
+        raise InsufficientDataError("cannot initialize a table without data")
+    first = history[0]
+    v = init_state_values(first.monthly_total, first.forecasts).v
+    # The largest |actual|, from the cycles' extremes rather than an `abs` per day.
+    actuals = [cycle.actuals for cycle in history]
+    max_reward = max(max(map(max, actuals)), -min(map(min, actuals)))
+    days = sum(len(cycle.forecasts) for cycle in history)
+    start = v, max_reward, max(map(abs, v)), days
+    _last_start = tuple(history), start
+    return start
+
+
 def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
     """Run ``cfg.episodes`` chronological passes over the training cycles.
 
     The table is initialized from the first cycle's monthly total and
-    base forecasts, then updated across all passes. Each pass draws one
+    base forecasts, then updated across all passes. That start and the
+    step-size check's scan of the actuals are kept for the next call on
+    the same history (`_start`): a grid computes them once, and each call
+    gets a fresh table. Each pass draws one
     block of uniforms from numpy's generator on the ``train`` stream, and
     each cycle takes its n in turn, as if from ``rng.random(n)``: PCG64
     buffers nothing between doubles. The block draw is why training, and
@@ -414,14 +457,9 @@ def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
     """
     import numpy as np
 
-    if not history:
-        raise InsufficientDataError("cannot initialize a table without data")
-    first = history[0]
-    table = init_state_values(first.monthly_total, first.forecasts)
-    # The largest |actual|, from the cycles' extremes rather than an `abs` per day.
-    actuals = [cycle.actuals for cycle in history]
-    max_reward = max(max(map(max, actuals)), -min(map(min, actuals)))
-    value_scale = max(map(abs, table.v))
+    v, max_reward, value_scale, days = _start(history)
+    # Fresh rows and V: `_make` skips `ValueTable`'s copy and checks.
+    table = ValueTable._make(([[x] * N_ACTIONS for x in v], v[:], []))
     if cfg.step_size * max_reward > max(value_scale, 1e-12):
         warnings.warn(
             f"step size {cfg.step_size} times max reward {max_reward} exceeds "
@@ -429,7 +467,6 @@ def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
             stacklevel=2,
         )
     rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
-    days = sum(len(cycle.forecasts) for cycle in history)
     for _ in range(cfg.episodes):
         # A view yields the block's doubles as floats without a list of them.
         draw = iter(memoryview(rng.random(days))).__next__

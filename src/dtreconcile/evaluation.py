@@ -116,8 +116,10 @@ def run_grid(
     """Train one independent agent per grid cell and stream the test
     cycle's actuals through it.
 
-    Each cell carries its own tolerance, exploration and seed. A cell
-    that fails is marked with its message rather than aborting the sweep:
+    Each cell carries its own tolerance, exploration and seed, and calls
+    ``train(training, cfg)`` on the one list: `train` computes the start
+    the cells share once, and gives each a table of its own. A cell that
+    fails is marked with its message rather than aborting the sweep:
     `InsufficientDataError` for no training cycles, `ZeroDivisionError`
     for test totals of 0, `ValueError` for test actuals or a first training
     cycle past `AGENT_LIMIT` (`CycleData._make`; no later cycle is checked).

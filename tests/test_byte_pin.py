@@ -28,3 +28,26 @@ def test_first_benchmark_ops_match_the_reference_digests(tmp_path, monkeypatch):
         assert [(op.index, op.problems) for op in done] == [(i, []) for i in range(n_ops)], \
             workload
         assert all(op.digests for op in done), workload
+
+
+def test_a_traced_op_counts_every_td_step(tmp_path, monkeypatch):
+    # `perfbench/tracing.py` counts TD steps where it wraps the agent's
+    # names: a verb that stops calling one through its module, or a renamed
+    # one, changes the count or fails to install here, in tier-1.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import ops
+    from tracing import Tracer
+    from workloads import DEFAULT_SEED
+
+    for workload in ("run_long", "grid_sweep", "daily_ops"):
+        work = tmp_path / workload
+        work.mkdir()
+        bench = ops.Bench(cli, workload, DEFAULT_SEED, work)
+        tracer = Tracer()
+        tracer.install()
+        try:
+            op = bench.execute(bench.op(0, work / "ops"), tracer)
+        finally:
+            tracer.uninstall()
+        assert op.problems == [], workload
+        assert tracer.counts[0]["agent.td_steps"] == bench.workload.td_steps(0), workload

@@ -184,6 +184,21 @@ def test_grid_verb_reports_failed_cells(tmp_path, daily_csv, capsys, monkeypatch
     assert (out / "grid.csv").read_text().count(",error,error") == 2
 
 
+def test_each_call_computes_its_own_training_start(tmp_path, daily_csv, monkeypatch):
+    # A grid computes the start of training once for all its cells, and each
+    # `main` call builds its own cycles, so no call reuses another's start.
+    calls = []
+    init = agent.init_state_values
+    monkeypatch.setattr(agent, "init_state_values",
+                        lambda *args: calls.append(args) or init(*args))
+    cfg_path = write_config(tmp_path, daily_csv, tmp_path / "out", extra=GRID_KEYS)
+    assert main(["grid", "--config", str(cfg_path)]) == 0
+    assert len(calls) == 1
+    for _ in range(2):
+        assert main(["run", "--config", str(cfg_path)]) == 0
+    assert len(calls) == 3 and calls[1] == calls[2]
+
+
 def test_only_grid_verb_sweeps(tmp_path, daily_csv, monkeypatch):
     out = tmp_path / "out"
     cfg_path = write_config(tmp_path, daily_csv, out, extra=GRID_KEYS)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dtreconcile import evaluation
+from dtreconcile import agent, evaluation
 from dtreconcile.agent import AgentConfig, CycleData, ValueTable, reconcile_online, train
 from dtreconcile.errors import AGENT_LIMIT
 from dtreconcile.evaluation import (
@@ -106,6 +106,74 @@ def test_run_grid_single_cell_matches_direct_run():
     assert cell.mape_rec_pct == pytest.approx(
         mape_rec(float(np.sum(test.actuals)), trace[-1].rmf)
     )
+
+
+def _noisy_cycles(seed, lengths):
+    rng = np.random.default_rng(seed)
+    return [CycleData(rng.uniform(90, 110, n), rng.uniform(70, 130, n), 100.0 * n)
+            for n in lengths]
+
+
+def _hex_table(table):
+    return [[x.hex() for x in row] for row in table.q], [x.hex() for x in table.v]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_run_grid_cells_equal_fresh_runs(monkeypatch, order):
+    # Every cell trains on the one history, and so shares its start: each
+    # must still get a table of its own. Reversed, a table shared between
+    # cells would reach a cell in another state than a fresh run's.
+    training = _noisy_cycles(11, [31, 28, 30])
+    test = _noisy_cycles(12, [31])[0]
+    base = AgentConfig(tolerance=1.0, seed=21, episodes=2)
+    cells = [base._replace(tolerance=tol, exploration=eps,
+                           seed=derive_seed(base.seed, f"grid:{i}:{j}"))
+             for i, tol in enumerate([2.0, 5.0, 9.0])
+             for j, eps in enumerate([0.05, 0.3, 1.0])][::order]
+    seen = []
+
+    def recording_reconcile(table, forecasts, actuals, cfg, rng):
+        records = reconcile_online(table, forecasts, actuals, cfg, rng)
+        seen.append((_hex_table(table), records[-1].rmf.hex()))
+        return records
+
+    monkeypatch.setattr(evaluation, "reconcile_online", recording_reconcile)
+    grid = run_grid(training, test, cells)
+    assert all(row.error is None for row in grid.rows)
+    for cfg, cell in zip(cells, seen, strict=True):
+        history = [CycleData(*cycle) for cycle in training]  # new cycles: no shared start
+        table = train(history, cfg)
+        rmf = reconcile_online(table, test.forecasts, test.actuals, cfg,
+                               rng_for(cfg.seed, "online"))[-1].rmf
+        assert cell == (_hex_table(table), rmf.hex())
+
+
+def test_a_grid_computes_its_start_once(monkeypatch):
+    calls = []
+    init = agent.init_state_values
+    monkeypatch.setattr(agent, "init_state_values",
+                        lambda *args: calls.append(args) or init(*args))
+    training, test = _noisy_cycles(13, [30, 31]), _noisy_cycles(14, [30])[0]
+    grid = _grid(training, test, [1.0, 2.0, 3.0], [0.05, 0.2, 0.5], AgentConfig(tolerance=1.0))
+    assert len(grid.rows) == 9 and len(calls) == 1
+    # A list changed in place, or another list of equal cycles, misses.
+    training.append(_noisy_cycles(15, [28])[0])
+    _grid(training, test, [1.0], [0.05], AgentConfig(tolerance=1.0))
+    _grid([CycleData(*cycle) for cycle in training], test, [1.0], [0.05],
+          AgentConfig(tolerance=1.0))
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("training, message", [
+    ([], "cannot initialize a table without data"),
+    ([CycleData._make(((1.0,), (1.0,), 2 * AGENT_LIMIT))],
+     f"monthly total and forecasts must be finite and at most {AGENT_LIMIT:g} in magnitude"),
+], ids=["empty", "past_limit"])
+def test_run_grid_marks_every_cell_of_a_bad_history(training, message):
+    # A history that raises is not remembered: every cell raises again.
+    _, test = regime_shift_cycles(n_days=28, n_train=1)
+    grid = _grid(training, test, [1.0, 5.0], [0.05, 0.2], AgentConfig(tolerance=1.0))
+    assert [row.error for row in grid.rows] == [message] * 4
 
 
 def test_run_grid_deterministic():

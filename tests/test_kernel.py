@@ -192,6 +192,24 @@ def test_reconcile_online_matches_oracle(data, table, cfg, seed):
     assert kernel_next == oracle_next
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_reconcile_online_refolds_every_flip_as_the_oracle(seed):
+    """Uniform actions, whole-step updates and actuals of alternating sign
+    flip the greedy action on most days; each flip refolds the RMF from
+    its day on, and every record must match the oracle's full refold."""
+    rng = np.random.default_rng(seed)
+    forecasts = rng.uniform(-50.0, 150.0, MAX_CYCLE_DAYS)
+    actuals = [(-1.0) ** t * x for t, x in enumerate(rng.uniform(0.1, 9.0, MAX_CYCLE_DAYS))]
+    cfg = AgentConfig(tolerance=0.3, exploration=1.0, step_size=1.0, discount=0.5, seed=seed)
+    traces = []
+    for reconcile in (reconcile_online, oracle.reconcile_online):
+        table = ValueTable([[0.0] * N_ACTIONS] * MAX_CYCLE_DAYS, [0.0] * MAX_CYCLE_DAYS)
+        traces.append(bits(reconcile(table, forecasts, actuals, cfg, rng_for(seed, "online"))))
+    assert traces[0] == traces[1]
+    rmfs = [record[-1] for record in traces[0]]
+    assert sum(a != b for a, b in zip(rmfs, rmfs[1:])) >= MAX_CYCLE_DAYS // 3
+
+
 @pytest.mark.parametrize("bad, day", [(math.inf, 2), (math.inf, 4), (-math.inf, 2),
                                       (-math.inf, 4), (math.nan, 2), (math.nan, 3),
                                       (math.nan, 4)])
