@@ -19,30 +19,37 @@ per pass from the ``train`` stream (see `seeding`).
 
 One private scalar kernel, `_walk`, runs the day loop for training
 episodes (`run_episode`, which `train` calls once per cycle and pass)
-and for online revision (`reconcile_online`). It updates the table's Q
-rows in place and logs V's update of the same days when it ends or
-raises, so days updated before an exception stay updated in both. Each
-day it draws the next day's epsilon-greedy action against
-`_policy_edges`, then applies the TD update. The per-step reference
-(greedy action, probabilities, one draw, one update) lives in
-`tests/oracle.py`; the kernel repeats its float operations in the same
-order, so walking a cycle either way gives bit-identical tables, records
-and draws. Training records nothing and computes no RMF: the update
-never reads one. Online revision returns a `DayRecord` per streamed day
-(day index, action, adjusted forecast, actual and RMF), built from a
-tuple by `DayRecord._make`, which skips NamedTuple's argument handling.
-Before its first draw it tabulates each day's three adjusted forecasts
-once (`_moves`, whose arithmetic `adjusted_forecast` reads too). After
-the first day's update it reads every day's greedy action; from then on
-only the row just updated can change, and the RMF is refolded only on a
-day whose greedy action flips, from that day on: no later day updates
-the days before it, so their left fold is kept as the walk goes, and the
-refold adds the same floats in the same order. `train` keeps the start
-it derives from a history alone for the next call on it, so a grid's
-cells pay only for their own draws and TD steps. RMF sums fold the
-day-ordered floats left to right with `reduce(add, ..., 0.0)`, not with
-the builtin `sum`: from Python 3.12 `sum` compensates float rounding, so
-its last bits, and the output files, would depend on the Python version.
+and for online revision (`reconcile_online`). Within one walk every
+read is of Q as it stood before the walk: day t's draw and its TD
+target read row t + 1, which the walk updates only at the next step.
+So each step zips the next Q row, the day's actual and the next day's
+uniform from ``draws``, an iterator, draws the next day's
+epsilon-greedy action against `_policy_edges` and updates the day's Q
+entry in place; the last day, which bootstraps from 0, follows the
+loop. Zipping the row first ends the loop without pulling another
+actual or draw, so a walk of n days takes exactly n uniforms. V's
+update of the days whose Q update ran is logged once, when the walk
+ends or raises, so days updated before an exception stay updated in
+both. The per-step reference (greedy action, probabilities, one draw,
+one update) lives in `tests/oracle.py`; the kernel repeats its float
+operations in the same order, so walking a cycle either way gives
+bit-identical tables, records and draws. Training records nothing and
+computes no RMF: the update never reads one. Online revision notes
+each updated day's action and actual, and then returns a `DayRecord`
+per streamed day (day index, action, adjusted forecast, actual and
+RMF), built from a tuple by `DayRecord._make`, which skips
+NamedTuple's argument handling. Its RMF after day t reads days 1..t
+from Q after the walk and the rest from Q before it, from each day's
+three adjusted forecasts tabulated once (`_moves`, whose arithmetic
+`adjusted_forecast` reads too); it is refolded only on a day whose
+greedy action changed, from that day on, onto the kept left fold of
+the days before it, adding the same floats in the same order. `train`
+keeps the start it derives from a history alone for the next call on
+it, so a grid's cells pay only for their own draws and TD steps. RMF
+sums fold the day-ordered floats left to right with
+`reduce(add, ..., 0.0)`, not with the builtin `sum`: from Python 3.12
+`sum` compensates float rounding, so its last bits, and the output
+files, would depend on the Python version.
 Every number the API takes is checked against `AGENT_LIMIT` where it
 enters, so no update overflows (see `errors`) and no Q row is checked
 again.
@@ -54,10 +61,10 @@ import hashlib
 import json
 import warnings
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import isfinite
 from operator import add, is_
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import AGENT_LIMIT, DataError, InsufficientDataError, ShapeError
 from .errors import StreamOrderError
@@ -313,101 +320,88 @@ def _choose(row: list[float], edges, draw) -> int:
 
 def _walk(
     table: ValueTable,
-    forecasts: Sequence[float],
     actuals: Iterable[float],
+    n: int,
     cfg: AgentConfig,
-    draw: Callable[[], float],
-    *,
-    online: bool,
-) -> list[DayRecord]:
-    """The SARSA day loop over ``actuals``, numbered from day 1.
+    draws: Iterator[float],
+    taken: list[tuple[int, float]] | None = None,
+) -> None:
+    """The SARSA day loop of an n-day cycle over ``actuals``, from day 1.
 
-    Training (``online=False``) always updates and records nothing.
-    Online revision updates only under ``cfg.online_updates`` and records
-    each day; a day's RMF is the greedy sum over the whole cycle, read
-    from the moves tabulated before the first draw and refolded only when
-    the updated row's greedy action flips, from that day on, onto the
-    kept left fold of the days before it. Q is updated in place in
-    ``table``; V's update of the days whose Q update ran is logged once,
-    when the walk ends or raises (`ValueTable._log_v`). A day past the
-    cycle raises `StreamOrderError` before it draws.
+    Each step zips the next day's Q row, the day's actual and the next
+    day's uniform from ``draws``, in that order: it draws the next day's
+    action, then updates the day's Q entry. The next row is read before
+    the step after it updates that row, so every read is of Q as it
+    stood before the walk. Zipping the row first ends the loop on the
+    last day without pulling an actual or a draw, so the walk takes one
+    uniform per day; the last day bootstraps from 0 after the loop. The
+    walk stops early when ``actuals`` or ``draws`` runs out.
+
+    Training (``taken`` None) always updates. Online revision passes a
+    list to which each updated day's ``(action, actual)`` is appended,
+    and updates Q only under ``cfg.online_updates``: without them the
+    walk updates a copy of the rows, which reads as the table does. Q is
+    updated in place; V's update of the days whose Q update ran is
+    logged once, when the walk ends or raises (`ValueTable._log_v`).
     """
-    n = len(forecasts)
-    q = table.q
-    alpha, gamma = cfg.step_size, cfg.discount
+    online = taken is not None
     update = cfg.online_updates or not online
+    q = table.q
+    rows = q if update else [row[:] for row in q[:n]]
+    alpha, gamma = cfg.step_size, cfg.discount
     edges = _policy_edges(cfg.exploration)
     increase_edges, keep_edges, decrease_edges = edges
-    moves = _moves(forecasts, cfg) if online else None
-    actions = None
-    head = 0.0  # the RMF's left fold of the days before this one
-    records: list[DayRecord] = []
-    action = None
-    done = 0  # days walked in full
+    steps = iter(actuals)
+    row = rows[0]
     try:
-        for t, actual in enumerate(actuals, start=1):
-            if action is None:
-                # Only day 1 and a day past the last one have no action yet.
-                if t > n:
-                    raise StreamOrderError(f"day {t} beyond the {n}-day cycle")
-                action = _choose(q[t - 1], edges, draw)
-            if t < n:
-                next_row = q[t]  # `_choose` inlined
-                q0, q1, q2 = next_row
-                if q1 >= q0 and q1 >= q2:
-                    first, second = keep_edges
-                elif q2 >= q0 and q2 >= q1:
-                    first, second = decrease_edges
-                else:
-                    first, second = increase_edges
-                u = draw()
-                action_next = 0 if u < first else 1 if u < second else 2
-                q_next = next_row[action_next]
+        action = _choose(row, edges, draws.__next__)
+        for next_row, actual, u in zip(rows[1:n], steps, draws):
+            q0, q1, q2 = next_row  # `_choose` inlined
+            if q1 >= q0 and q1 >= q2:
+                first, second = keep_edges
+            elif q2 >= q0 and q2 >= q1:
+                first, second = decrease_edges
             else:
-                action_next, q_next = None, 0.0
-            if update:
-                row = q[t - 1]
-                row[action] += alpha * (actual + gamma * q_next - row[action])
+                first, second = increase_edges
+            action_next = 0 if u < first else 1 if u < second else 2
+            row[action] += alpha * (actual + gamma * next_row[action_next] - row[action])
             if online:
-                # Each day's greedy action, read after the first update; only
-                # the row just updated can change after that, and the RMF is
-                # refolded only when its greedy action flips, from that day on.
-                if actions is None:
-                    actions = [_greedy(*row) for row in q[:n]]
-                    greedy = [day[a] for day, a in zip(moves, actions)]
-                    rmf = reduce(add, greedy, 0.0)
-                else:
-                    q0, q1, q2 = q[t - 1]  # `_greedy` inlined
-                    a = 1 if q1 >= q0 and q1 >= q2 else 2 if q2 >= q0 and q2 >= q1 else 0
-                    if a != actions[t - 1]:
-                        actions[t - 1], greedy[t - 1] = a, moves[t - 1][a]
-                        rmf = reduce(add, greedy[t - 1:], head)
-                head += greedy[t - 1]
-                records.append(DayRecord._make((t, action, moves[t - 1][action], actual, rmf)))
-            action = action_next
-            done = t
+                taken.append((action, actual))
+            row, action = next_row, action_next
+        if row is rows[n - 1]:
+            for actual in steps:  # the last day's, if the stream holds it
+                # Bootstraps from 0, in the float expression of the steps.
+                row[action] += alpha * (actual + gamma * 0.0 - row[action])
+                if online:
+                    taken.append((action, actual))
+                row = None  # every day walked
+                break
     finally:
-        if update and done:
-            # Training walks a cycle's own tuple: a whole walk logs it uncopied.
-            table._log_v(tuple(r.actual for r in records) if online else actuals[:done],
-                        n, alpha, gamma)
-    return records
+        if update:
+            # The rows before the current one were updated: found by identity,
+            # as rows of equal values are equal.
+            days = n if row is None else next(t for t, r in enumerate(rows) if r is row)
+            if days:
+                # Training walks a cycle's own tuple: a whole walk logs it uncopied.
+                table._log_v(tuple(actual for _, actual in taken) if online
+                             else actuals[:days], n, alpha, gamma)
 
 
 def run_episode(
     cycle: CycleData,
     table: ValueTable,
     cfg: AgentConfig,
-    draw: Callable[[], float],
+    draws: Iterator[float],
 ) -> tuple[ValueTable, tuple[()]]:
     """Traverse one training cycle, updating the table in place.
 
-    Calls ``draw()`` once per day for a uniform variate in [0, 1):
-    `train` passes its pass's block, a test a generator's ``random``.
-    Training records no day, so the second item is always empty.
-    `tests/oracle.py` walks the same cycle one step at a time.
+    Takes the next n uniform variates in [0, 1) from ``draws``, one per
+    day: `train` passes an iterator over its pass's block, a test
+    ``iter(rng.random, None)``. Training records no day, so the second
+    item is always empty. `tests/oracle.py` walks the same cycle one step
+    at a time.
     """
-    _walk(table, cycle.forecasts, cycle.actuals, cfg, draw, online=False)
+    _walk(table, cycle.actuals, len(cycle.actuals), cfg, draws)
     return table, ()
 
 
@@ -448,12 +442,13 @@ def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
     base forecasts, then updated across all passes. That start and the
     step-size check's scan of the actuals are kept for the next call on
     the same history (`_start`): a grid computes them once, and each call
-    gets a fresh table. Each pass draws one
-    block of uniforms from numpy's generator on the ``train`` stream, and
-    each cycle takes its n in turn, as if from ``rng.random(n)``: PCG64
-    buffers nothing between doubles. The block draw is why training, and
-    nothing else on the command line, imports numpy. V's updates are
-    logged, not applied: they cost nothing unless ``table.v`` is read.
+    gets a fresh table. Each pass draws one block of uniforms from
+    numpy's generator on the ``train`` stream and passes one iterator
+    over it to every cycle's `run_episode`; a cycle of n days takes
+    exactly its n in turn, as if from ``rng.random(n)``: PCG64 buffers
+    nothing between doubles. The block draw is why training, and nothing
+    else on the command line, imports numpy. V's updates are logged, not
+    applied: they cost nothing unless ``table.v`` is read.
     """
     import numpy as np
 
@@ -469,9 +464,9 @@ def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
     rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
     for _ in range(cfg.episodes):
         # A view yields the block's doubles as floats without a list of them.
-        draw = iter(memoryview(rng.random(days))).__next__
+        draws = iter(memoryview(rng.random(days)))
         for cycle in history:
-            run_episode(cycle, table, cfg, draw)
+            run_episode(cycle, table, cfg, draws)
     return table
 
 
@@ -493,11 +488,46 @@ def reconcile_online(
 
     The forecasts are those of a `CycleData`, which checked them. The
     stream holds the actuals as numbers in day order from day 1 and may
-    cover only part of the cycle; a day past it raises `StreamOrderError`,
-    and an actual past `AGENT_LIMIT` raises `ValueError` when it is read.
+    cover only part of the cycle; a day past it raises `StreamOrderError`
+    before it draws, and an actual past `AGENT_LIMIT` raises `ValueError`
+    when it is read. Each day's actual is read before the draws that
+    follow it, so an empty stream draws nothing.
+
+    The walk notes each updated day's action and actual, and the records
+    are built after it: the walk updates day t's row on day t and no
+    other day reads it after, so the RMF after day t is the greedy sum
+    over the rows of days 1..t as the walk left them and of the later
+    days as they stood before it.
     """
-    return tuple(_walk(table, tuple(map(float, forecasts)), _checked(actual_stream), cfg,
-                       rng.random, online=True))
+    forecasts = tuple(map(float, forecasts))
+    n = len(forecasts)
+    before = [_greedy(*row) for row in table.q[:n]]
+    taken: list[tuple[int, float]] = []
+    stream = _checked(actual_stream)
+    for first in stream:
+        # A day's actual is read before its draw: day 1's goes back in front.
+        _walk(table, chain((first,), stream), n, cfg, iter(rng.random, None), taken)
+        break
+    for _ in stream:  # left unread only by a walk of every day
+        raise StreamOrderError(f"day {n + 1} beyond the {n}-day cycle")
+    # The RMF is refolded only on a day whose greedy action differs from
+    # before the walk, from that day on: the left fold of the days before
+    # it is kept as the days go, and the refold adds the same floats in
+    # the same order.
+    moves = _moves(forecasts, cfg)
+    greedy = [day[a] for day, a in zip(moves, before)]
+    rmf = reduce(add, greedy, 0.0)
+    head = 0.0
+    records = []
+    for t, (action, actual) in enumerate(taken):
+        q0, q1, q2 = table.q[t]  # `_greedy` inlined
+        a = 1 if q1 >= q0 and q1 >= q2 else 2 if q2 >= q0 and q2 >= q1 else 0
+        if a != before[t]:
+            greedy[t] = moves[t][a]
+            rmf = reduce(add, greedy[t:], head)
+        head += greedy[t]
+        records.append(DayRecord._make((t + 1, action, moves[t][action], actual, rmf)))
+    return tuple(records)
 
 
 def _checked(actuals: Iterable[float]):
@@ -532,8 +562,9 @@ def load_table(path) -> ValueTable:
     `DataError` naming the file and line; an unreadable file, naming the file.
     """
     try:
-        # A byte that is not text decodes to U+FFFD and fails its line's parse.
-        with open(path, errors="replace") as fh:
+        # A byte that is not text decodes to U+FFFD and fails its line's parse;
+        # a leading byte-order mark is dropped.
+        with open(path, encoding="utf-8-sig", errors="replace") as fh:
             lines = [(no, text) for no, line in enumerate(fh, start=1) if (text := line.strip())]
     except OSError as exc:
         raise DataError(f"{path}: cannot open: {exc}") from exc

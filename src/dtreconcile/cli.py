@@ -109,8 +109,9 @@ def parse_config_file(path) -> dict[str, str]:
     mapping: dict[str, str] = {}
     try:
         # A byte that is not text decodes to U+FFFD, which a comment
-        # ignores and which makes a key unknown or a value bad.
-        with open(path, errors="replace") as fh:
+        # ignores and which makes a key unknown or a value bad; a leading
+        # byte-order mark is dropped.
+        with open(path, encoding="utf-8-sig", errors="replace") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -319,11 +320,6 @@ def prepare(config: RunConfig, filled: Calendar) -> PreparedExperiment:
     return PreparedExperiment(month, test, agent_cfg, grid_cells)
 
 
-def _write(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content)
-
-
 def _summary_json(config: RunConfig, prep: PreparedExperiment, report) -> str:
     last = report.rows[-1]
     payload = {
@@ -413,8 +409,8 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None,
         save_table(table, out / "qtable.txt", prep.agent_cfg)
     except ValueError as exc:
         raise DataError(f"{qtable_path}: revising {prep.test_month.label}: {exc}") from None
-    _write(out / "metrics.csv", report.to_csv())
-    _write(out / "summary.json", _summary_json(config, prep, report))
+    (out / "metrics.csv").write_text(report.to_csv())
+    (out / "summary.json").write_text(_summary_json(config, prep, report))
 
     last = report.rows[-1]
     print(
@@ -430,8 +426,10 @@ def grid_experiment(config: RunConfig, config_path: str | None = None) -> None:
     _, filled, _ = load(config)
     prep = prepare(config, filled)
     grid = run_grid(training(config, filled), prep.test, prep.grid_cells)
-    path = Path(config.output_dir) / "grid.csv"
-    _write(path, grid.to_csv())
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / "grid.csv"
+    path.write_text(grid.to_csv())
     for row in grid.rows:
         if row.error is not None:
             print(f"grid: cell tolerance={row.tolerance!r}, epsilon={row.epsilon!r} "

@@ -109,8 +109,8 @@ def _parse_value(text: str, path, line_no: int) -> float:
 def _open(path):
     # Both readers open a file this way, so they see the same rows. A byte
     # that is not text decodes to U+FFFD, so its field fails to parse on
-    # its line.
-    return open(path, newline="", errors="replace")
+    # its line; a leading byte-order mark, as spreadsheets save, is dropped.
+    return open(path, newline="", encoding="utf-8-sig", errors="replace")
 
 
 def _rows(path):

@@ -8,7 +8,8 @@ Two streams draw from a derived seed, each with one implementation:
 
 - ``train``: `agent.train` draws one block of uniforms per pass over
   the training cycles from numpy's ``default_rng``, imported inside
-  `train`; each cycle takes its days' worth in turn.
+  `train`, and walks every cycle on one iterator over it; a cycle of n
+  days takes exactly its n in turn.
 - ``online``: `rng_for` returns a `Generator`, the pure-Python equal of
   ``np.random.default_rng(seed)``. Online revision draws one uniform per
   policy call from it, so `reconcile` and `validate-data` never import

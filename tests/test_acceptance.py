@@ -116,7 +116,7 @@ def test_criterion_5_td_update_oracle():
     table.q[1][ACTION_KEEP] = 95.0
     table.v[0], table.v[1] = 120.0, 95.0
     run_episode(CycleData([10.0, 12.0], [18.0, 9.0], 22.0), table, cfg,
-                rng_for(0, "acc5").random)
+                iter(rng_for(0, "acc5").random, None))
     assert abs(table.q[0][ACTION_KEEP] - 119.3) <= 1e-12
     assert abs(table.v[0] - 119.3) <= 1e-12
     expected = np.zeros((MAX_CYCLE_DAYS, 3))
@@ -129,7 +129,8 @@ def test_criterion_5_td_update_oracle():
     actuals = np.array([11.0, 9.0])
     cfg2 = AgentConfig(tolerance=1.0, exploration=0.0, step_size=0.4)
     table2 = init_state_values(22.0, forecasts)
-    run_episode(CycleData(forecasts, actuals, 22.0), table2, cfg2, rng_for(0, "acc5").random)
+    run_episode(CycleData(forecasts, actuals, 22.0), table2, cfg2,
+                iter(rng_for(0, "acc5").random, None))
     # Each action pair moves its own entries, so the whole table pins the pair.
     results, pair = enumerate_two_day_oracle(forecasts, actuals, 22.0, cfg2)
     expected2 = init_state_values(22.0, forecasts)

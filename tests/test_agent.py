@@ -228,7 +228,7 @@ def test_run_episode_tied_rows_keep_everywhere():
     table = init_state_values(cycle.monthly_total, forecasts)
     before = table.copy()
     cfg = make_cfg(exploration=0.0)
-    run_episode(cycle, table, cfg, rng_for(0, "t").random)
+    run_episode(cycle, table, cfg, iter(rng_for(0, "t").random, None))
     # Every day took "keep": only that column moved, on each of the 4 days.
     moved = np.array(table.q) != np.array(before.q)
     assert moved[:, [ACTION_INCREASE, ACTION_DECREASE]].sum() == 0
@@ -243,7 +243,8 @@ def test_run_episode_fully_random_matches_hand_simulation():
     m = 60.0
     cfg = make_cfg(exploration=1.0, step_size=0.5, tolerance=2.0)
     table = init_state_values(m, forecasts)
-    run_episode(CycleData(forecasts, actuals, m), table, cfg, np.random.default_rng(99).random)
+    run_episode(CycleData(forecasts, actuals, m), table, cfg,
+                iter(np.random.default_rng(99).random, None))
 
     draws = np.random.default_rng(99).random(3)
     # SARSA pairing: a1 drawn first, then a2 (used at day 2), then a3.
@@ -527,9 +528,9 @@ def test_q_values_stay_bounded_over_many_episodes():
     cfg = make_cfg(exploration=0.2, step_size=0.9)
     table = init_state_values(m, forecasts)
     bound = max(np.max(np.abs(table.q)), n * np.max(np.abs(actuals))) + 1e-9
-    draw = rng_for(0, "bound").random
+    draws = iter(rng_for(0, "bound").random, None)
     for _ in range(10_000):
-        run_episode(cycle, table, cfg, draw)
+        run_episode(cycle, table, cfg, draws)
         assert np.max(np.abs(table.q)) <= bound
 
 
@@ -554,7 +555,8 @@ def test_two_day_episode_matches_exhaustive_enumeration():
     m = 22.0
     cfg = make_cfg(exploration=0.0, step_size=0.4)
     table = init_state_values(m, forecasts)
-    run_episode(CycleData(forecasts, actuals, m), table, cfg, rng_for(0, "e").random)
+    run_episode(CycleData(forecasts, actuals, m), table, cfg,
+                iter(rng_for(0, "e").random, None))
     results, pair = enumerate_two_day_oracle(forecasts, actuals, m, cfg)
     # Each pair moves its own entries, so the whole table pins the pair.
     expected = init_state_values(m, forecasts)

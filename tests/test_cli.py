@@ -756,6 +756,39 @@ def test_reconcile_refuses_to_overwrite_its_snapshot(tmp_path, daily_csv, capsys
     assert snapshot.read_bytes() == before
 
 
+@pytest.mark.parametrize("verb", ["validate-data", "run", "reconcile"])
+def test_a_byte_order_mark_reads_as_none(tmp_path, daily_csv, capsys, monkeypatch, verb):
+    # Spreadsheets save a UTF-8 CSV with a leading byte-order mark. A data,
+    # external forecast, config and snapshot file each saved with one give
+    # the exit code, stdout and output bytes of the same files without it.
+    trained = tmp_path / "trained"
+    assert main(["run", "--config", str(write_config(tmp_path, daily_csv, trained))]) == 0
+    inputs = {
+        "daily.csv": daily_csv.read_bytes(),
+        "forecast.csv": ("date,forecast\n" + "".join(
+            f"2020-03-{day:02d},{value}\n"
+            for day, value in zip(range(1, 32), REFERENCE_FORECASTS))).encode(),
+        "run.cfg": write_config(tmp_path, "daily.csv", "out", extra=[
+            "forecaster = external", "external_forecast_path = forecast.csv"]).read_bytes(),
+        "qtable.txt": (trained / "qtable.txt").read_bytes(),
+    }
+    extra = ["--qtable", "qtable.txt"] if verb == "reconcile" else []
+    outcomes = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        where = tmp_path / ("marked" if mark else "plain")
+        where.mkdir()
+        for name, content in inputs.items():
+            (where / name).write_bytes(mark + content)
+        monkeypatch.chdir(where)  # the same relative paths, so the same stdout
+        capsys.readouterr()
+        code = main([verb, "--config", "run.cfg", *extra])
+        out = where / "out"
+        written = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        outcomes.append((code, capsys.readouterr(), written))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0 and len(outcomes[0][2]) == (0 if verb == "validate-data" else 3)
+
+
 @pytest.mark.parametrize("verb, key, name, link", [
     ("run", "data_path", "metrics.csv", False),
     ("run", "data_path", "metrics.csv", True),
@@ -1023,7 +1056,7 @@ def test_run_episode_keeps_the_traced_shape():
     cycle = CycleData([10.0, 20.0], [11.0, 19.0], 30.0)
     table = init_state_values(30.0, cycle.forecasts)
     cfg = AgentConfig(tolerance=1.0)
-    result = agent.run_episode(cycle, table, cfg, rng_for(0, "t").random)
+    result = agent.run_episode(cycle, table, cfg, iter(rng_for(0, "t").random, None))
     assert result == (table, ()) and result[0] is table
     for stream in ([], [11.0], cycle.actuals):
         records = agent.reconcile_online(table, cycle.forecasts, stream, cfg, rng_for(0, "o"))

@@ -107,7 +107,7 @@ def test_run_episode_matches_oracle(cycle, table, cfg, seed, fail_at):
     kernel_table, oracle_table = table.copy(), table.copy()
     kernel_rng, oracle_rng = Draws(seed, fail_at), Draws(seed, fail_at)
     raised = []
-    for walk in (lambda: run_episode(cycle, kernel_table, cfg, kernel_rng.random),
+    for walk in (lambda: run_episode(cycle, kernel_table, cfg, iter(kernel_rng.random, None)),
                  lambda: oracle.run_episode(cycle, oracle_table, cfg, oracle_rng)):
         try:
             walk()
@@ -222,3 +222,94 @@ def test_value_table_refuses_a_non_finite_entry(bad, day, action):
     with pytest.raises(ValueError, match=r"^value table entries must be finite and at most "
                                          r"1e\+306 in magnitude$"):
         ValueTable(table.q, table.v)
+
+
+# The walk zips the next Q row, the day's actual and the next day's draw;
+# on a raise it finds the day it stopped at by the identity of its row. On
+# FLAT_CYCLE every update before the last day leaves the Q rows of
+# EQUAL_ROWS equal (0.5 + 0.9 * 5 = 5) while V moves, so a row found by
+# equality would log V for no day.
+EQUAL_ROWS = ValueTable([[5.0] * N_ACTIONS] * MAX_CYCLE_DAYS, [0.0] * MAX_CYCLE_DAYS)
+FLAT_CYCLE = CycleData([1.0] * MAX_CYCLE_DAYS, [0.5] * MAX_CYCLE_DAYS, 31.0)
+LONG_CYCLE = CycleData([float(t % 7) for t in range(MAX_CYCLE_DAYS)],
+                       [float((-1) ** t * t) for t in range(MAX_CYCLE_DAYS)], 90.0)
+WALK_CFG = AgentConfig(tolerance=1.0, exploration=0.5, step_size=0.5, discount=0.9)
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 17, MAX_CYCLE_DAYS])
+def test_a_raising_draw_logs_v_for_the_updated_days_only(fail_at):
+    # Draw k is day k's action, taken before day k - 1's update.
+    kernel_table, oracle_table = EQUAL_ROWS.copy(), EQUAL_ROWS.copy()
+    kernel_rng, oracle_rng = Draws(3, fail_at), Draws(3, fail_at)
+    with pytest.raises(DrawFailed):
+        run_episode(FLAT_CYCLE, kernel_table, WALK_CFG, iter(kernel_rng.random, None))
+    with pytest.raises(DrawFailed):
+        oracle.run_episode(FLAT_CYCLE, oracle_table, WALK_CFG, oracle_rng)
+    assert kernel_table.q == EQUAL_ROWS.q
+    assert_same_tables(kernel_table, oracle_table)
+    assert (kernel_table.v != EQUAL_ROWS.v) == (fail_at > 2)
+
+
+@pytest.mark.parametrize("updates", [True, False])
+@pytest.mark.parametrize("bad_day", [1, 2, 17, MAX_CYCLE_DAYS, MAX_CYCLE_DAYS + 1])
+def test_a_raising_actual_logs_v_for_the_updated_days_only(bad_day, updates):
+    stream = list(FLAT_CYCLE.actuals) + [0.5]
+    stream[bad_day - 1] = math.inf
+    cfg = WALK_CFG._replace(online_updates=updates)
+    finals = []
+    for reconcile in (reconcile_online, oracle.reconcile_online):
+        table, rng = EQUAL_ROWS.copy(), np.random.default_rng(4)
+        with pytest.raises(ValueError, match="^streamed actuals must be finite"):
+            reconcile(table, FLAT_CYCLE.forecasts, iter(stream), cfg, rng)
+        finals.append((table, rng.random()))
+    (kernel_table, kernel_next), (oracle_table, oracle_next) = finals
+    assert_same_tables(kernel_table, oracle_table)
+    assert kernel_next == oracle_next
+
+
+@pytest.mark.parametrize("n", [1, MAX_CYCLE_DAYS])
+def test_the_shortest_and_longest_cycles_walk_as_the_oracle(n):
+    cycle = CycleData(LONG_CYCLE.forecasts[:n], LONG_CYCLE.actuals[:n], 9.0)
+    kernel_table, oracle_table = EQUAL_ROWS.copy(), EQUAL_ROWS.copy()
+    kernel_rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+    run_episode(cycle, kernel_table, WALK_CFG, iter(kernel_rng.random, None))
+    oracle.run_episode(cycle, oracle_table, WALK_CFG, oracle_rng)
+    assert_same_tables(kernel_table, oracle_table)
+    assert kernel_rng.random() == oracle_rng.random()
+    for stream in (cycle.actuals[:n - 1], cycle.actuals, (*cycle.actuals, 1.0)):
+        outcomes = []
+        for reconcile in (reconcile_online, oracle.reconcile_online):
+            table, rng = kernel_table.copy(), np.random.default_rng(6)
+            try:
+                outcomes.append(bits(reconcile(table, cycle.forecasts, stream, WALK_CFG, rng)))
+            except StreamOrderError as exc:
+                outcomes.append(str(exc))
+            outcomes.append(([[x.hex() for x in row] for row in table.q],
+                             [x.hex() for x in table.v], rng.random()))
+        assert outcomes[:2] == outcomes[2:]
+
+
+class CountingDraws:
+    """An iterator of a seeded generator's uniforms that counts its advances."""
+
+    def __init__(self, seed):
+        self.rng, self.advanced = np.random.default_rng(seed), 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.advanced += 1
+        return self.rng.random()
+
+
+def test_one_iterator_of_draws_gives_each_cycle_exactly_its_days():
+    draws, oracle_rng = CountingDraws(8), np.random.default_rng(8)
+    kernel_table, oracle_table = EQUAL_ROWS.copy(), EQUAL_ROWS.copy()
+    for n in (28, 1, MAX_CYCLE_DAYS):
+        cycle = CycleData(LONG_CYCLE.forecasts[:n], LONG_CYCLE.actuals[:n], 9.0)
+        run_episode(cycle, kernel_table, WALK_CFG, draws)
+        oracle.run_episode(cycle, oracle_table, WALK_CFG, oracle_rng)
+    assert draws.advanced == 28 + 1 + MAX_CYCLE_DAYS
+    assert_same_tables(kernel_table, oracle_table)
+    assert next(draws) == oracle_rng.random()
