@@ -7,49 +7,14 @@ policy over a Q table, receives the day's actual as reward, and applies
 an on-policy one-step TD update. After every observed day the revised
 monthly forecast (RMF) is the sum of the adjusted daily forecasts.
 
-Learning is carried by Q keyed on (day index, action); a state-value
-table V is updated with the same rule purely as a diagnostic. Nothing
-in a walk reads V, so a walk only logs its update, and V is settled
-when it is read (`ValueTable`).
+Where each mechanism is explained:
+- `_walk`, the one day loop, for training and online revision alike;
+  `tests/oracle.py` holds the per-step reference it matches bit for bit.
+- `ValueTable`, Q and the diagnostic V, which is settled when read.
+- `History`, the training cycles and the start `train` derives from them.
+- `train`, the passes over a history, and its draws.
+- `reconcile_online`, a test cycle's day records and their RMFs.
 
-Q is held as 31 rows of three Python floats and V as one list of 31,
-and the cycle containers hold tuples of Python floats, so the agent
-needs no numpy. Only `train` imports it, for its one block of uniforms
-per pass from the ``train`` stream (see `seeding`).
-
-One private scalar kernel, `_walk`, runs the day loop for training
-episodes (`run_episode`, which `train` calls once per cycle and pass)
-and for online revision (`reconcile_online`). Within one walk every
-read is of Q as it stood before the walk: day t's draw and its TD
-target read row t + 1, which the walk updates only at the next step.
-So each step zips the next Q row, the day's actual and the next day's
-uniform from ``draws``, an iterator, draws the next day's
-epsilon-greedy action against `_policy_edges` and updates the day's Q
-entry in place; the last day, which bootstraps from 0, follows the
-loop. Zipping the row first ends the loop without pulling another
-actual or draw, so a walk of n days takes exactly n uniforms. V's
-update of the days whose Q update ran is logged once, when the walk
-ends or raises, so days updated before an exception stay updated in
-both. The per-step reference (greedy action, probabilities, one draw,
-one update) lives in `tests/oracle.py`; the kernel repeats its float
-operations in the same order, so walking a cycle either way gives
-bit-identical tables, records and draws. Training records nothing and
-computes no RMF: the update never reads one. Online revision notes
-each updated day's action and actual, and then returns a `DayRecord`
-per streamed day (day index, action, adjusted forecast, actual and
-RMF), built from a tuple by `DayRecord._make`, which skips
-NamedTuple's argument handling. Its RMF after day t reads days 1..t
-from Q after the walk and the rest from Q before it, from each day's
-three adjusted forecasts tabulated once (`_moves`, whose arithmetic
-`adjusted_forecast` reads too); it is refolded only on a day whose
-greedy action changed, from that day on, onto the kept left fold of
-the days before it, adding the same floats in the same order. `train`
-keeps the start it derives from a history alone for the next call on
-it, so a grid's cells pay only for their own draws and TD steps. RMF
-sums fold the day-ordered floats left to right with
-`reduce(add, ..., 0.0)`, not with the builtin `sum`: from Python 3.12
-`sum` compensates float rounding, so its last bits, and the output
-files, would depend on the Python version.
 Every number the API takes is checked against `AGENT_LIMIT` where it
 enters, so no update overflows (see `errors`) and no Q row is checked
 again.
@@ -60,15 +25,16 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain
 from math import isfinite
-from operator import add, is_
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import AGENT_LIMIT, DataError, InsufficientDataError, ShapeError
 from .errors import StreamOrderError
 from .seeding import derive_seed
+from .totals import pairwise_sum
 
 MAX_CYCLE_DAYS = 31
 N_ACTIONS = 3
@@ -212,15 +178,14 @@ class ValueTable(_TableFields):
 class _CycleFields(NamedTuple):
     forecasts: tuple[float, ...]
     actuals: tuple[float, ...]
-    monthly_total: float
 
 
 class CycleData(_CycleFields):
-    """One monthly episode: daily forecasts, actuals and total, within `AGENT_LIMIT`."""
+    """One monthly episode: daily forecasts and actuals, within `AGENT_LIMIT`."""
 
     __slots__ = ()
 
-    def __new__(cls, forecasts, actuals, monthly_total: float):
+    def __new__(cls, forecasts, actuals):
         forecasts = tuple(map(float, forecasts))
         actuals = tuple(map(float, actuals))
         if len(forecasts) != len(actuals):
@@ -229,8 +194,8 @@ class CycleData(_CycleFields):
             )
         if not 1 <= len(forecasts) <= MAX_CYCLE_DAYS:
             raise ShapeError(f"cycle length {len(forecasts)} outside 1..{MAX_CYCLE_DAYS}")
-        _check((*forecasts, *actuals, monthly_total), "forecasts, actuals and monthly total")
-        return super().__new__(cls, forecasts, actuals, monthly_total)
+        _check((*forecasts, *actuals), "forecasts and actuals")
+        return super().__new__(cls, forecasts, actuals)
 
 
 class _DayFields(NamedTuple):
@@ -243,7 +208,7 @@ class _DayFields(NamedTuple):
 
 class DayRecord(_DayFields):
     __slots__ = ()
-    # Builds without NamedTuple's argument handling: `_walk` makes one per day.
+    # Builds without NamedTuple's argument handling: `reconcile_online` makes one per day.
     _make = classmethod(tuple.__new__)
 
 
@@ -393,68 +358,56 @@ def run_episode(
     cfg: AgentConfig,
     draws: Iterator[float],
 ) -> tuple[ValueTable, tuple[()]]:
-    """Traverse one training cycle, updating the table in place.
-
-    Takes the next n uniform variates in [0, 1) from ``draws``, one per
-    day: `train` passes an iterator over its pass's block, a test
-    ``iter(rng.random, None)``. Training records no day, so the second
-    item is always empty. `tests/oracle.py` walks the same cycle one step
-    at a time.
-    """
+    """Traverse one n-day training cycle, updating the table in place
+    and taking the next n uniforms in [0, 1) from ``draws``. Training
+    records no day, so the second item is always empty."""
     _walk(table, cycle.actuals, len(cycle.actuals), cfg, draws)
     return table, ()
 
 
-# The last history `_start` saw, as a tuple of its cycles, and its start.
-_last_start: tuple = ((), None)
+class History(tuple):
+    """The training cycles in chronological order, and `start`: what
+    `train` derives from them alone, computed at its first read and kept.
 
-
-def _start(history: Sequence[CycleData]) -> tuple[list[float], float, float, int]:
-    """What `train` derives from the history alone: the initial V (each
-    Q row starts at its day's V), the largest |actual|, the initial value
-    scale and the day count.
-
-    Kept for the last history seen, matched by its length and the
-    identity of each cycle: `CycleData` is immutable and the cycles are
-    held, so an id is not reused, and a list changed in place misses.
+    The history and its cycles are immutable, so the start holds for the
+    history's life: `run_grid` builds one, and its cells share the start.
+    A start that raises is not kept, so the next read raises again.
     """
-    global _last_start
-    cycles, start = _last_start
-    if start is not None and len(cycles) == len(history) and all(map(is_, cycles, history)):
-        return start
-    if not history:
-        raise InsufficientDataError("cannot initialize a table without data")
-    first = history[0]
-    v = init_state_values(first.monthly_total, first.forecasts).v
-    # The largest |actual|, from the cycles' extremes rather than an `abs` per day.
-    actuals = [cycle.actuals for cycle in history]
-    max_reward = max(max(map(max, actuals)), -min(map(min, actuals)))
-    days = sum(len(cycle.forecasts) for cycle in history)
-    start = v, max_reward, max(map(abs, v)), days
-    _last_start = tuple(history), start
-    return start
+
+    @cached_property
+    def start(self) -> tuple[tuple[float, ...], float, float, int]:
+        """The initial V from the first cycle's forecasts and their total
+        (each Q row starts at its day's V), the largest |actual|, the
+        initial value scale and the day count."""
+        if not self:
+            raise InsufficientDataError("cannot initialize a table without data")
+        forecasts = self[0].forecasts
+        v = tuple(init_state_values(pairwise_sum(forecasts), forecasts).v)
+        # The largest |actual|, from the cycles' extremes rather than an `abs` per day.
+        actuals = [cycle.actuals for cycle in self]
+        max_reward = max(max(map(max, actuals)), -min(map(min, actuals)))
+        return v, max_reward, max(map(abs, v)), sum(map(len, actuals))
 
 
 def train(history: Sequence[CycleData], cfg: AgentConfig) -> ValueTable:
     """Run ``cfg.episodes`` chronological passes over the training cycles.
 
-    The table is initialized from the first cycle's monthly total and
-    base forecasts, then updated across all passes. That start and the
-    step-size check's scan of the actuals are kept for the next call on
-    the same history (`_start`): a grid computes them once, and each call
-    gets a fresh table. Each pass draws one block of uniforms from
-    numpy's generator on the ``train`` stream and passes one iterator
-    over it to every cycle's `run_episode`; a cycle of n days takes
-    exactly its n in turn, as if from ``rng.random(n)``: PCG64 buffers
-    nothing between doubles. The block draw is why training, and nothing
-    else on the command line, imports numpy. V's updates are logged, not
-    applied: they cost nothing unless ``table.v`` is read.
+    Each call gets a fresh table from ``history``'s `History.start`, which
+    a `History` computes once for every call on it; any other sequence
+    becomes a `History` of its own. Each pass draws one block of uniforms
+    from numpy's generator on the ``train`` stream, and every cycle's
+    `run_episode` takes its n days' draws from one iterator over it in
+    turn, as if from ``rng.random(n)``: PCG64 buffers nothing between
+    doubles. The block draw is why training, and nothing else on the
+    command line, imports numpy.
     """
     import numpy as np
 
-    v, max_reward, value_scale, days = _start(history)
+    if not isinstance(history, History):
+        history = History(history)
+    v, max_reward, value_scale, days = history.start
     # Fresh rows and V: `_make` skips `ValueTable`'s copy and checks.
-    table = ValueTable._make(([[x] * N_ACTIONS for x in v], v[:], []))
+    table = ValueTable._make(([[x] * N_ACTIONS for x in v], list(v), []))
     if cfg.step_size * max_reward > max(value_scale, 1e-12):
         warnings.warn(
             f"step size {cfg.step_size} times max reward {max_reward} exceeds "
@@ -486,12 +439,14 @@ def reconcile_online(
     (enabled by ``cfg.online_updates``), never by direct substitution.
     Each policy call consumes one uniform variate, ``rng.random()``.
 
-    The forecasts are those of a `CycleData`, which checked them. The
-    stream holds the actuals as numbers in day order from day 1 and may
-    cover only part of the cycle; a day past it raises `StreamOrderError`
-    before it draws, and an actual past `AGENT_LIMIT` raises `ValueError`
-    when it is read. Each day's actual is read before the draws that
-    follow it, so an empty stream draws nothing.
+    A count of forecasts outside 1..`MAX_CYCLE_DAYS` raises `ShapeError`
+    before any read or draw; their values are those of a `CycleData`,
+    which checked them. The stream holds the actuals as numbers in day
+    order from day 1 and may cover only part of the cycle; a day past it
+    raises `StreamOrderError` before it draws, and an actual past
+    `AGENT_LIMIT` raises `ValueError` when it is read. Each day's actual
+    is read before the draws that follow it, so an empty stream draws
+    nothing.
 
     The walk notes each updated day's action and actual, and the records
     are built after it: the walk updates day t's row on day t and no
@@ -501,6 +456,8 @@ def reconcile_online(
     """
     forecasts = tuple(map(float, forecasts))
     n = len(forecasts)
+    if not 1 <= n <= MAX_CYCLE_DAYS:
+        raise ShapeError(f"cycle length {n} outside 1..{MAX_CYCLE_DAYS}")
     before = [_greedy(*row) for row in table.q[:n]]
     taken: list[tuple[int, float]] = []
     stream = _checked(actual_stream)
@@ -513,7 +470,9 @@ def reconcile_online(
     # The RMF is refolded only on a day whose greedy action differs from
     # before the walk, from that day on: the left fold of the days before
     # it is kept as the days go, and the refold adds the same floats in
-    # the same order.
+    # the same order. Each fold is `reduce(add, ..., 0.0)`, left to right:
+    # from Python 3.12 the builtin `sum` compensates float rounding, so its
+    # last bits, and the output files, would depend on the Python version.
     moves = _moves(forecasts, cfg)
     greedy = [day[a] for day, a in zip(moves, before)]
     rmf = reduce(add, greedy, 0.0)

@@ -27,7 +27,7 @@ from math import isfinite
 from pathlib import Path
 from typing import NamedTuple
 
-from .agent import AgentConfig, CycleData, load_table, reconcile_online, save_table, train
+from .agent import AgentConfig, CycleData, History, load_table, reconcile_online, save_table, train
 from .data import (
     DEFAULT_DATE_COLUMN,
     DEFAULT_VALUE_COLUMN,
@@ -226,15 +226,14 @@ class PreparedExperiment(NamedTuple):
     grid_cells: list[AgentConfig]
 
 
-def training(config: RunConfig, filled: Calendar) -> list[CycleData]:
+def training(config: RunConfig, filled: Calendar) -> History:
     """Each training month of a calendar that `load` checked, partitioned
     here, forecast from the data before it."""
-    cycles = []
-    for month in month_partition(filled, (config.train_start, config.train_end)):
-        daily = forecast_month(filled, month, config.forecaster, config.seasonal_period)
-        # Data within `LIMIT` keep all three within `AGENT_LIMIT` (see `errors`).
-        cycles.append(CycleData._make((daily, month.values, pairwise_sum(daily))))
-    return cycles
+    # Data within `LIMIT` keep both within `AGENT_LIMIT` (see `errors`).
+    return History(
+        CycleData._make((forecast_month(filled, month, config.forecaster, config.seasonal_period),
+                         month.values))
+        for month in month_partition(filled, (config.train_start, config.train_end)))
 
 
 def prepare(config: RunConfig, filled: Calendar) -> PreparedExperiment:
@@ -265,7 +264,7 @@ def prepare(config: RunConfig, filled: Calendar) -> PreparedExperiment:
         raise DataError(f"{base_path}: the base forecasts of test month {month.label} "
                         f"(total {base_total!r}) against actuals that sum to "
                         f"{actual_total!r} overflow MAPE_rec or %_f")
-    test = CycleData(daily, month.values, base_total)
+    test = CycleData(daily, month.values)
     # A percentage tolerance is a share of the base total; below 0 it would
     # be a negative tolerance, and the data, not the config, is at fault.
     if base_total < 0 and any(str(raw).strip().endswith("%")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 from typing import NamedTuple, Sequence
 
-from .agent import AgentConfig, CycleData, DayRecord, reconcile_online, train
+from .agent import AgentConfig, CycleData, DayRecord, History, reconcile_online, train
 from .errors import InsufficientDataError
 from .seeding import rng_for
 from .totals import pairwise_sum
@@ -117,22 +117,25 @@ def run_grid(
     cycle's actuals through it.
 
     Each cell carries its own tolerance, exploration and seed, and calls
-    ``train(training, cfg)`` on the one list: `train` computes the start
-    the cells share once, and gives each a table of its own. A cell that
-    fails is marked with its message rather than aborting the sweep:
-    `InsufficientDataError` for no training cycles, `ZeroDivisionError`
-    for test totals of 0, `ValueError` for test actuals or a first training
-    cycle past `AGENT_LIMIT` (`CycleData._make`; no later cycle is checked).
-    The command line refuses all three. Any other exception propagates.
+    ``train(history, cfg)`` on one `History` of ``training``: the cells
+    share its start, computed once, and each gets a table of its own. A
+    cell that fails is marked with its message rather than aborting the
+    sweep: `InsufficientDataError` for no training cycles,
+    `ZeroDivisionError` for test totals of 0, `ValueError` for test
+    actuals past `AGENT_LIMIT`, or a first training cycle whose forecasts
+    or their total lie past it (`init_state_values`; no later cycle is
+    checked). The command line refuses all three. Any other exception
+    propagates.
     """
     if not cells:
         raise ValueError("grid must have at least one tolerance and one epsilon")
+    history = History(training)
     actual_total = pairwise_sum(test.actuals)
     base_total = pairwise_sum(test.forecasts)
     rows: list[GridRow] = []
     for cfg in cells:
         try:
-            table = train(training, cfg)
+            table = train(history, cfg)
             rmf = reconcile_online(table, test.forecasts, test.actuals, cfg,
                                    rng_for(cfg.seed, "online"))[-1].rmf
             scores, error = (mape_rec(actual_total, rmf), pct_improvement(base_total, rmf)), None

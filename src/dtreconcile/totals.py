@@ -1,7 +1,7 @@
 """numpy's summation order in pure Python.
 
-The totals that reach an output (a percentage tolerance, a training
-cycle's monthly total, the report and grid totals) are `np.sum` of a
+The totals that reach an output (a percentage tolerance, the first
+training cycle's total, the report and grid totals) are `np.sum` of a
 float64 vector, whose last bits depend on the order of the additions.
 `pairwise_sum` repeats numpy's order, so the command line need not
 import numpy: blocks of at most 128 values are summed with eight

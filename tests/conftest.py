@@ -70,11 +70,11 @@ def regime_shift_cycles(
     fall ``drop_fraction`` below forecasts from ``drop_from_day`` onward."""
     flat = np.full(n_days, level)
     training = [
-        CycleData(flat, flat, float(flat.sum())) for _ in range(n_train)
+        CycleData(flat, flat) for _ in range(n_train)
     ]
     actuals = flat.copy()
     actuals[drop_from_day - 1:] *= 1.0 - drop_fraction
-    test = CycleData(flat, actuals, float(flat.sum()))
+    test = CycleData(flat, actuals)
     return training, test
 
 

@@ -223,9 +223,8 @@ def test_sarsa_step_terminal_bootstraps_zero():
 
 def test_run_episode_tied_rows_keep_everywhere():
     forecasts = np.array([10.0, 20.0, 15.0, 5.0])
-    cycle = CycleData(forecasts, np.array([11.0, 18.0, 16.0, 4.0]),
-                      float(forecasts.sum()))
-    table = init_state_values(cycle.monthly_total, forecasts)
+    cycle = CycleData(forecasts, np.array([11.0, 18.0, 16.0, 4.0]))
+    table = init_state_values(float(forecasts.sum()), forecasts)
     before = table.copy()
     cfg = make_cfg(exploration=0.0)
     run_episode(cycle, table, cfg, iter(rng_for(0, "t").random, None))
@@ -243,7 +242,7 @@ def test_run_episode_fully_random_matches_hand_simulation():
     m = 60.0
     cfg = make_cfg(exploration=1.0, step_size=0.5, tolerance=2.0)
     table = init_state_values(m, forecasts)
-    run_episode(CycleData(forecasts, actuals, m), table, cfg,
+    run_episode(CycleData(forecasts, actuals), table, cfg,
                 iter(np.random.default_rng(99).random, None))
 
     draws = np.random.default_rng(99).random(3)
@@ -259,19 +258,17 @@ def test_run_episode_fully_random_matches_hand_simulation():
 
 def test_run_episode_length_mismatch():
     with pytest.raises(ShapeError):
-        CycleData(np.ones(3), np.ones(4), 3.0)
+        CycleData(np.ones(3), np.ones(4))
 
 
 def test_cycle_rejects_non_finite_forecasts():
     with pytest.raises(ValueError):
-        CycleData(np.array([1.0, np.nan]), np.ones(2), 3.0)
-    with pytest.raises(ValueError):
-        CycleData(np.ones(2), np.ones(2), np.inf)
+        CycleData(np.array([1.0, np.nan]), np.ones(2))
 
 
 def test_train_zero_episodes_returns_initialization():
     forecasts = np.array([10.0, 20.0])
-    cycle = CycleData(forecasts, np.array([9.0, 21.0]), 30.0)
+    cycle = CycleData(forecasts, np.array([9.0, 21.0]))
     table = train([cycle], make_cfg(episodes=0))
     expected = init_state_values(30.0, forecasts)
     assert np.array_equal(table.q, expected.q)
@@ -285,7 +282,7 @@ def test_train_requires_history():
 def test_train_deterministic():
     rng = np.random.default_rng(4)
     cycles = [
-        CycleData(rng.uniform(90, 110, 30), rng.uniform(90, 110, 30), 3000.0)
+        CycleData(rng.uniform(90, 110, 30), rng.uniform(90, 110, 30))
         for _ in range(5)
     ]
     cfg = make_cfg(exploration=0.1, episodes=3, seed=42)
@@ -300,9 +297,9 @@ def test_the_action_never_reaches_the_learning():
     # the tolerance, the unit nor the clamp moves Q or an online action.
     # They move only the adjusted forecasts, and so the RMF.
     rng = np.random.default_rng(8)
-    history = [CycleData(rng.uniform(5, 40, n), rng.uniform(0, 45, n), 600.0)
+    history = [CycleData(rng.uniform(5, 40, n), rng.uniform(0, 45, n))
                for n in (31, 28, 31, 30, 31)]
-    test = CycleData(rng.uniform(5, 40, 30), rng.uniform(0, 45, 30), 600.0)
+    test = CycleData(rng.uniform(5, 40, 30), rng.uniform(0, 45, 30))
     settings = [dict(tolerance=0.5), dict(tolerance=20.0),
                 dict(tolerance=20.0, adjustment_unit=1e3),
                 dict(tolerance=3.0, clamp_nonnegative=True),
@@ -329,9 +326,9 @@ def test_online_rmf_is_the_base_total_plus_whole_units():
     # is the base total plus k units, k a whole number in [-n, n] that
     # only the greedy actions set.
     rng = np.random.default_rng(9)
-    history = [CycleData(rng.uniform(5, 40, n), rng.uniform(0, 45, n), 600.0)
+    history = [CycleData(rng.uniform(5, 40, n), rng.uniform(0, 45, n))
                for n in (31, 28, 31, 30)]
-    tests = [CycleData(rng.uniform(5, 40, n), rng.uniform(0, 45, n), 600.0) for n in (31, 28)]
+    tests = [CycleData(rng.uniform(5, 40, n), rng.uniform(0, 45, n)) for n in (31, 28)]
     ks = set()
     for seed in range(30):
         cfg = AgentConfig(tolerance=2.5, exploration=0.3, step_size=0.2, episodes=2, seed=seed)
@@ -351,7 +348,7 @@ def _oracle_final_rmfs(training, test, cfgs):
     """Criterion 7's runs, trained and revised one step at a time."""
     finals = []
     for cfg in cfgs:
-        table = init_state_values(training[0].monthly_total, training[0].forecasts)
+        table = init_state_values(float(np.sum(training[0].forecasts)), training[0].forecasts)
         rng = rng_for(cfg.seed, "train")
         for cycle in training:
             oracle.run_episode(cycle, table, cfg, rng)
@@ -399,14 +396,14 @@ def test_regime_shift_adaptation_rests_on_the_tie_order(monkeypatch):
 
 
 def test_train_warns_on_large_step_reward_product():
-    cycle = CycleData(np.array([10.0, 10.0]), np.array([1e6, 1e6]), 20.0)
+    cycle = CycleData(np.array([10.0, 10.0]), np.array([1e6, 1e6]))
     with pytest.warns(UserWarning, match="diverge"):
         train([cycle], make_cfg(step_size=1.0, episodes=1))
 
 
 def test_train_warning_names_a_negative_actual_by_its_magnitude():
     # The largest |actual| here is the most negative actual.
-    cycle = CycleData([10.0, 10.0], [-3e6, 1e6], 20.0)
+    cycle = CycleData([10.0, 10.0], [-3e6, 1e6])
     with pytest.warns(UserWarning) as caught:
         train([cycle], make_cfg(step_size=1.0, episodes=1))
     assert [str(w.message) for w in caught] == [
@@ -421,8 +418,8 @@ def test_learned_fixed_point_is_actuals_from_day_t_on():
     # Q(t, a) converges to the actuals of days t..n, one day offset.
     forecasts = np.array([10.0, 20.0, 30.0, 40.0])
     actuals = np.array([12.0, 18.0, 33.0, 41.0])
-    cycle = CycleData(forecasts, actuals, float(forecasts.sum()))
-    start = init_state_values(cycle.monthly_total, forecasts)
+    cycle = CycleData(forecasts, actuals)
+    start = init_state_values(float(forecasts.sum()), forecasts)
     assert [row[0] for row in start.q[:4]] == [90.0, 70.0, 40.0, 0.0]  # forecast after day t
     table = train([cycle], make_cfg(exploration=0.5, step_size=0.2, discount=1.0,
                                     episodes=2000))
@@ -524,7 +521,7 @@ def test_q_values_stay_bounded_over_many_episodes():
     forecasts = rng.uniform(10, 20, n)
     actuals = rng.uniform(10, 20, n)
     m = float(forecasts.sum())
-    cycle = CycleData(forecasts, actuals, m)
+    cycle = CycleData(forecasts, actuals)
     cfg = make_cfg(exploration=0.2, step_size=0.9)
     table = init_state_values(m, forecasts)
     bound = max(np.max(np.abs(table.q)), n * np.max(np.abs(actuals))) + 1e-9
@@ -555,7 +552,7 @@ def test_two_day_episode_matches_exhaustive_enumeration():
     m = 22.0
     cfg = make_cfg(exploration=0.0, step_size=0.4)
     table = init_state_values(m, forecasts)
-    run_episode(CycleData(forecasts, actuals, m), table, cfg,
+    run_episode(CycleData(forecasts, actuals), table, cfg,
                 iter(rng_for(0, "e").random, None))
     results, pair = enumerate_two_day_oracle(forecasts, actuals, m, cfg)
     # Each pair moves its own entries, so the whole table pins the pair.

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line surface."""
 
+import ast
 import builtins
 import json
 import math
@@ -33,6 +34,7 @@ from dtreconcile.cli import (
 from dtreconcile.data import Calendar
 from dtreconcile.errors import ConfigError
 from dtreconcile.seeding import derive_seed, rng_for
+from dtreconcile.totals import pairwise_sum
 
 from conftest import REFERENCE_FORECASTS, nifty_like_value, write_daily_csv
 
@@ -235,7 +237,8 @@ def test_prepare_builds_grid_cells_row_major(tmp_path, daily_csv):
         config = build_run_config(mapping)
         prep = cli.prepare(config, cli.load(config)[1])
         base = prep.agent_cfg
-        tolerances = [resolve_tolerance(raw, prep.test.monthly_total) for raw in ("10%", "20%")]
+        base_total = pairwise_sum(prep.test.forecasts)
+        tolerances = [resolve_tolerance(raw, base_total) for raw in ("10%", "20%")]
         # A per-day unit follows the cell's own tolerance; an absolute one stays.
         units = {None: [None, None], "per-day": [tol / 31 for tol in tolerances],
                  "250": [250.0, 250.0]}[unit]
@@ -261,8 +264,8 @@ def test_shorter_training_is_a_prefix_of_a_longer_one(tmp_path, daily_csv, forec
     _, filled, _ = cli.load(config)
 
     def bits(cycles):
-        return [(tuple(map(float.hex, c.forecasts)), tuple(map(float.hex, c.actuals)),
-                 c.monthly_total.hex()) for c in cycles]
+        return [(tuple(map(float.hex, c.forecasts)), tuple(map(float.hex, c.actuals)))
+                for c in cycles]
 
     longer = bits(cli.training(config, filled))
     months = [f"2019-{m:02d}" for m in range(1, 13)] + ["2020-01", "2020-02"]
@@ -1053,7 +1056,7 @@ def test_run_episode_keeps_the_traced_shape():
     # The tracer counts `len(args[0].forecasts)` and `len(result[1])` of a
     # training episode, which records nothing, and `len(result)` of an
     # online revision: one `DayRecord` per streamed day.
-    cycle = CycleData([10.0, 20.0], [11.0, 19.0], 30.0)
+    cycle = CycleData([10.0, 20.0], [11.0, 19.0])
     table = init_state_values(30.0, cycle.forecasts)
     cfg = AgentConfig(tolerance=1.0)
     result = agent.run_episode(cycle, table, cfg, iter(rng_for(0, "t").random, None))
@@ -1130,6 +1133,16 @@ def test_cli_import_loads_no_hierarchy_code(tmp_path, daily_csv):
                            "print(' '.join(n for n in sys.modules "
                            "if n.startswith('dtreconcile.')))", check=True)
         assert {name.split(".")[1] for name in result.stdout.split()} == expected, modules
+
+
+def test_no_module_of_the_package_has_a_global_statement():
+    # State lives in objects the caller passes, such as `agent.History`, not
+    # in module globals that one call leaves behind for the next.
+    package = Path(dtreconcile.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Global)]
+    assert found == []
 
 
 def test_module_entry_point_exits_with_the_documented_code(tmp_path, daily_csv, capsys):

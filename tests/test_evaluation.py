@@ -110,7 +110,7 @@ def test_run_grid_single_cell_matches_direct_run():
 
 def _noisy_cycles(seed, lengths):
     rng = np.random.default_rng(seed)
-    return [CycleData(rng.uniform(90, 110, n), rng.uniform(70, 130, n), 100.0 * n)
+    return [CycleData(rng.uniform(90, 110, n), rng.uniform(70, 130, n))
             for n in lengths]
 
 
@@ -156,7 +156,8 @@ def test_a_grid_computes_its_start_once(monkeypatch):
     training, test = _noisy_cycles(13, [30, 31]), _noisy_cycles(14, [30])[0]
     grid = _grid(training, test, [1.0, 2.0, 3.0], [0.05, 0.2, 0.5], AgentConfig(tolerance=1.0))
     assert len(grid.rows) == 9 and len(calls) == 1
-    # A list changed in place, or another list of equal cycles, misses.
+    # Each grid wraps its list in a `History` of its own, so a list changed
+    # in place, or another list of equal cycles, computes its start again.
     training.append(_noisy_cycles(15, [28])[0])
     _grid(training, test, [1.0], [0.05], AgentConfig(tolerance=1.0))
     _grid([CycleData(*cycle) for cycle in training], test, [1.0], [0.05],
@@ -164,9 +165,30 @@ def test_a_grid_computes_its_start_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_run_grid_calls_train_with_a_history_and_a_config_only(monkeypatch):
+    # `perfbench/selfcheck.py` and the tests here replace `evaluation.train`
+    # with a function of exactly these two arguments.
+    calls = []
+
+    def recording_train(*args, **kwargs):
+        calls.append((args, kwargs))
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "train", recording_train)
+    training, test = regime_shift_cycles(n_days=28, n_train=2)
+    cells = [AgentConfig(tolerance=1.0, seed=seed) for seed in (3, 4)]
+    run_grid(training, test, cells)
+    assert [(len(args), kwargs, args[1]) for args, kwargs in calls] == [
+        (2, {}, cfg) for cfg in cells]
+    # One `History` of the training cycles, whose start every cell shares.
+    history = calls[0][0][0]
+    assert type(history) is agent.History and history == tuple(training)
+    assert calls[1][0][0] is history
+
+
 @pytest.mark.parametrize("training, message", [
     ([], "cannot initialize a table without data"),
-    ([CycleData._make(((1.0,), (1.0,), 2 * AGENT_LIMIT))],
+    ([CycleData((AGENT_LIMIT, AGENT_LIMIT), (1.0, 1.0))],
      f"monthly total and forecasts must be finite and at most {AGENT_LIMIT:g} in magnitude"),
 ], ids=["empty", "past_limit"])
 def test_run_grid_marks_every_cell_of_a_bad_history(training, message):
@@ -222,8 +244,8 @@ def test_run_grid_rejects_empty_grid():
 
 # One training cycle whose day-31 actual and total sit at `AGENT_LIMIT`,
 # and a 30-day test cycle whose walk never reads row 31.
-AT_LIMIT = CycleData([1.0] * 31, [1.0] * 30 + [AGENT_LIMIT], -AGENT_LIMIT)
-THIRTY_DAYS = CycleData([1.0] * 30, [1.0] * 30, 30.0)
+AT_LIMIT = CycleData([0.0] * 30 + [-AGENT_LIMIT], [1.0] * 30 + [AGENT_LIMIT])
+THIRTY_DAYS = CycleData([1.0] * 30, [1.0] * 30)
 
 
 def finite(table):
@@ -232,8 +254,8 @@ def finite(table):
 
 def test_cycle_data_refuses_the_cycle_that_overflowed_training():
     # Its day-31 update overflowed Q row 31 where no later day read it.
-    with pytest.raises(ValueError, match="^forecasts, actuals and monthly total must be"):
-        CycleData([1.0] * 31, [1.0] * 30 + [1.7976931348623157e308], -1.5e308)
+    with pytest.raises(ValueError, match="^forecasts and actuals must be"):
+        CycleData([1.0] * 31, [1.0] * 30 + [1.7976931348623157e308])
 
 
 def test_training_and_its_grid_cell_at_the_agent_limit_stay_finite():

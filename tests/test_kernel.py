@@ -23,7 +23,7 @@ from dtreconcile.agent import (
     run_episode,
     train,
 )
-from dtreconcile.errors import AGENT_LIMIT, StreamOrderError
+from dtreconcile.errors import AGENT_LIMIT, ShapeError, StreamOrderError
 from dtreconcile.seeding import rng_for
 
 EXAMPLES = settings(max_examples=40, deadline=None)
@@ -59,8 +59,7 @@ def cycles(draw):
     n = draw(st.integers(1, MAX_CYCLE_DAYS))
     forecasts = draw(st.lists(values, min_size=n, max_size=n))
     actuals = draw(st.lists(values, min_size=n, max_size=n))
-    total = draw(st.just(float(sum(forecasts))) | values)
-    return CycleData(np.array(forecasts), np.array(actuals), total)
+    return CycleData(np.array(forecasts), np.array(actuals))
 
 
 tables = st.builds(
@@ -126,7 +125,7 @@ def test_train_equals_oracle_passes(history, cfg, episodes):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the step-size divergence warning
         trained = train(history, cfg)
-    expected = init_state_values(history[0].monthly_total, history[0].forecasts)
+    expected = init_state_values(float(np.sum(history[0].forecasts)), history[0].forecasts)
     rng = rng_for(cfg.seed, "train")
     for _ in range(episodes):
         for cycle in history:
@@ -138,13 +137,13 @@ def test_many_episodes_keep_the_v_log_bounded():
     """Training settles V once `V_LOG_LIMIT` walks are logged, so the log
     stays bounded however many episodes run, and V is still the oracle's,
     also in a copy or a pickle taken while walks are logged."""
-    history = [CycleData([10.0, 20.0], [12.0, 18.0], 30.0),
-               CycleData([5.0, 5.0, 5.0], [4.0, 7.0, 6.0], 15.0)]
+    history = [CycleData([10.0, 20.0], [12.0, 18.0]),
+               CycleData([5.0, 5.0, 5.0], [4.0, 7.0, 6.0])]
     cfg = AgentConfig(tolerance=2.0, episodes=V_LOG_LIMIT, seed=5)
     trained = train(history, cfg)
     assert 0 < len(trained.v_log) <= V_LOG_LIMIT
     copies = [copy.deepcopy(trained), pickle.loads(pickle.dumps(trained))]
-    expected = init_state_values(history[0].monthly_total, history[0].forecasts)
+    expected = init_state_values(30.0, history[0].forecasts)
     rng = rng_for(cfg.seed, "train")
     for _ in range(cfg.episodes):
         for cycle in history:
@@ -230,9 +229,9 @@ def test_value_table_refuses_a_non_finite_entry(bad, day, action):
 # EQUAL_ROWS equal (0.5 + 0.9 * 5 = 5) while V moves, so a row found by
 # equality would log V for no day.
 EQUAL_ROWS = ValueTable([[5.0] * N_ACTIONS] * MAX_CYCLE_DAYS, [0.0] * MAX_CYCLE_DAYS)
-FLAT_CYCLE = CycleData([1.0] * MAX_CYCLE_DAYS, [0.5] * MAX_CYCLE_DAYS, 31.0)
+FLAT_CYCLE = CycleData([1.0] * MAX_CYCLE_DAYS, [0.5] * MAX_CYCLE_DAYS)
 LONG_CYCLE = CycleData([float(t % 7) for t in range(MAX_CYCLE_DAYS)],
-                       [float((-1) ** t * t) for t in range(MAX_CYCLE_DAYS)], 90.0)
+                       [float((-1) ** t * t) for t in range(MAX_CYCLE_DAYS)])
 WALK_CFG = AgentConfig(tolerance=1.0, exploration=0.5, step_size=0.5, discount=0.9)
 
 
@@ -269,7 +268,7 @@ def test_a_raising_actual_logs_v_for_the_updated_days_only(bad_day, updates):
 
 @pytest.mark.parametrize("n", [1, MAX_CYCLE_DAYS])
 def test_the_shortest_and_longest_cycles_walk_as_the_oracle(n):
-    cycle = CycleData(LONG_CYCLE.forecasts[:n], LONG_CYCLE.actuals[:n], 9.0)
+    cycle = CycleData(LONG_CYCLE.forecasts[:n], LONG_CYCLE.actuals[:n])
     kernel_table, oracle_table = EQUAL_ROWS.copy(), EQUAL_ROWS.copy()
     kernel_rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
     run_episode(cycle, kernel_table, WALK_CFG, iter(kernel_rng.random, None))
@@ -287,6 +286,20 @@ def test_the_shortest_and_longest_cycles_walk_as_the_oracle(n):
             outcomes.append(([[x.hex() for x in row] for row in table.q],
                              [x.hex() for x in table.v], rng.random()))
         assert outcomes[:2] == outcomes[2:]
+
+
+@pytest.mark.parametrize("n, streamed", [(0, 0), (0, 1), (0, 2),
+                                        (MAX_CYCLE_DAYS + 1, 1),
+                                        (MAX_CYCLE_DAYS + 1, MAX_CYCLE_DAYS + 1)])
+def test_a_cycle_length_out_of_range_raises_before_any_read_or_draw(n, streamed):
+    for reconcile in (reconcile_online, oracle.reconcile_online):
+        table, rng = EQUAL_ROWS.copy(), np.random.default_rng(9)
+        stream = iter([0.5] * streamed)
+        with pytest.raises(ShapeError, match=f"^cycle length {n} outside 1..{MAX_CYCLE_DAYS}$"):
+            reconcile(table, [1.0] * n, stream, WALK_CFG, rng)
+        assert len(list(stream)) == streamed
+        assert_same_tables(table, EQUAL_ROWS)
+        assert rng.random() == np.random.default_rng(9).random()
 
 
 class CountingDraws:
@@ -307,7 +320,7 @@ def test_one_iterator_of_draws_gives_each_cycle_exactly_its_days():
     draws, oracle_rng = CountingDraws(8), np.random.default_rng(8)
     kernel_table, oracle_table = EQUAL_ROWS.copy(), EQUAL_ROWS.copy()
     for n in (28, 1, MAX_CYCLE_DAYS):
-        cycle = CycleData(LONG_CYCLE.forecasts[:n], LONG_CYCLE.actuals[:n], 9.0)
+        cycle = CycleData(LONG_CYCLE.forecasts[:n], LONG_CYCLE.actuals[:n])
         run_episode(cycle, kernel_table, WALK_CFG, draws)
         oracle.run_episode(cycle, oracle_table, WALK_CFG, oracle_rng)
     assert draws.advanced == 28 + 1 + MAX_CYCLE_DAYS

@@ -132,8 +132,8 @@ ENTRIES = {
     "forecast_row": forecast_row,
     "monthly_total_row": monthly_total_row,
     "snapshot_line": snapshot_line,
-    "cycle_actuals": agent_entry(lambda x: CycleData([1.0] * 3, [1.0, x, 1.0], 3.0),
-                                 "forecasts, actuals and monthly total"),
+    "cycle_actuals": agent_entry(lambda x: CycleData([1.0] * 3, [1.0, x, 1.0]),
+                                 "forecasts and actuals"),
     "value_table": agent_entry(
         lambda x: ValueTable([[0.0] * 3] * 5 + [[0.0, x, 0.0]] + [[0.0] * 3] * 25, [0.0] * 31),
         "value table entries"),
@@ -247,11 +247,11 @@ def test_no_entry_overflows_within_the_limits(pattern, n_months, forecaster, alp
     cycles = []
     for month in month_partition(calendar, (MONTHS[0], MONTHS[n_months - 1])):
         daily = forecast_month(calendar, month, forecaster, 7)
-        cycles.append(CycleData(daily, month.values, pairwise_sum(daily)))
+        cycles.append(CycleData(daily, month.values))
     *history, test = cycles
-    cfg = AgentConfig(tolerance=max(abs(test.monthly_total) * 0.2, 1.0), exploration=0.3,
+    cfg = AgentConfig(tolerance=max(abs(pairwise_sum(test.forecasts)) * 0.2, 1.0), exploration=0.3,
                       step_size=alpha, discount=gamma, episodes=episodes)
-    initial = init_state_values(history[0].monthly_total, history[0].forecasts)
+    initial = init_state_values(pairwise_sum(history[0].forecasts), history[0].forecasts)
     base = max(abs(x) for x in initial.v)
     reward = max(abs(x) for cycle in cycles for x in cycle.actuals)
     table = train(history, cfg)
