@@ -382,7 +382,11 @@ class History(tuple):
         if not self:
             raise InsufficientDataError("cannot initialize a table without data")
         forecasts = self[0].forecasts
-        v = tuple(init_state_values(pairwise_sum(forecasts), forecasts).v)
+        total = pairwise_sum(forecasts)  # within `AGENT_LIMIT` each, not always together
+        if abs(total) > AGENT_LIMIT:
+            raise ValueError(f"the first training cycle's forecasts sum to {total:g}, "
+                             f"past {AGENT_LIMIT:g}")
+        v = tuple(init_state_values(total, forecasts).v)
         # The largest |actual|, from the cycles' extremes rather than an `abs` per day.
         actuals = [cycle.actuals for cycle in self]
         max_reward = max(max(map(max, actuals)), -min(map(min, actuals)))
@@ -468,23 +472,19 @@ def reconcile_online(
     for _ in stream:  # left unread only by a walk of every day
         raise StreamOrderError(f"day {n + 1} beyond the {n}-day cycle")
     # The RMF is refolded only on a day whose greedy action differs from
-    # before the walk, from that day on: the left fold of the days before
-    # it is kept as the days go, and the refold adds the same floats in
-    # the same order. Each fold is `reduce(add, ..., 0.0)`, left to right:
+    # before the walk. Each fold is `reduce(add, ..., 0.0)`, left to right:
     # from Python 3.12 the builtin `sum` compensates float rounding, so its
     # last bits, and the output files, would depend on the Python version.
     moves = _moves(forecasts, cfg)
     greedy = [day[a] for day, a in zip(moves, before)]
     rmf = reduce(add, greedy, 0.0)
-    head = 0.0
     records = []
     for t, (action, actual) in enumerate(taken):
         q0, q1, q2 = table.q[t]  # `_greedy` inlined
         a = 1 if q1 >= q0 and q1 >= q2 else 2 if q2 >= q0 and q2 >= q1 else 0
         if a != before[t]:
             greedy[t] = moves[t][a]
-            rmf = reduce(add, greedy[t:], head)
-        head += greedy[t]
+            rmf = reduce(add, greedy, 0.0)
         records.append(DayRecord._make((t + 1, action, moves[t][action], actual, rmf)))
     return tuple(records)
 

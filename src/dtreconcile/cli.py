@@ -8,10 +8,11 @@ Verbs:
   reconcile      load a Q-table snapshot and stream a cycle (no training)
   validate-data  ingestion and calendar checks only
 
-Each verb calls `load` once for the work done once per data file: read,
-fill the calendar days the verb reads, check the months
-train_start..test_month. `prepare` then builds the test month from the
-filled calendar, and `training` the training cycles.
+`run`, `grid` and `reconcile` call `load` once per data file: read,
+check the months train_start..test_month, fill the calendar days the
+verb reads. `prepare` then builds the test month from the filled
+calendar, and `training` the training cycles. `validate-data` only
+reads and checks.
 
 Configuration is a flat key=value file; command-line --set overrides win.
 """
@@ -187,34 +188,32 @@ def _metrics_overflow(reach: float, smallest_total: float) -> bool:
     return not isfinite((smallest_total + reach) / smallest_total * 200.0)
 
 
-def load(config: RunConfig,
-         fill_from: str | None = "train_start") -> tuple[TimeSeries, Calendar, int]:
-    """The data as read, its calendar filled over the days a verb reads, and
-    the number of months train_start..test_month the data's first and last
-    days cover, the work done once per data file.
-
-    The filled days run from the month that the config key ``fill_from``
-    names, less the forecaster's `lookback`, through the last day of
-    test_month, clipped to the data's ends: from train_start for `run` and
-    `grid`, from test_month for `reconcile`. With ``fill_from`` None no day
-    is filled. A month not covered names the data file."""
+def _read_checked(config: RunConfig) -> tuple[TimeSeries, int]:
+    """The data as read, and the number of months train_start..test_month,
+    once the data's first and last days are checked to cover each whole.
+    A month not covered names the data file."""
     series = load_ohlcv_csv(config.data_path, config.date_column, config.value_column)
-    stamps = series.timestamps
-    first, last = date.max, date.min  # an empty window
-    if fill_from is not None:
-        # In day ordinals, so that no day before date.min is made.
-        year, month = parse_month(getattr(config, fill_from))
-        first = date.fromordinal(max(
-            date(year, month, 1).toordinal() - lookback(config.forecaster, config.seasonal_period),
-            stamps[0].toordinal()))
-        year, month = parse_month(config.test_month)
-        last = date(year, month, days_in_month(year, month))
-    filled = fill_calendar(series, first, last)
     try:
-        return series, filled, check_months(stamps[0], stamps[-1],
-                                            (config.train_start, config.test_month))
+        return series, check_months(series.timestamps[0], series.timestamps[-1],
+                                    (config.train_start, config.test_month))
     except DataError as exc:
         raise DataError(f"{config.data_path}: {exc}") from None
+
+
+def load(config: RunConfig, fill_from: str = "train_start") -> Calendar:
+    """Read the data, check the months train_start..test_month
+    (`_read_checked`), and fill the calendar from the month that the config
+    key ``fill_from`` names, less the forecaster's `lookback`, through
+    test_month's last day, clipped to the data's first day: from
+    train_start for `run` and `grid`, from test_month for `reconcile`."""
+    series = _read_checked(config)[0]
+    # In day ordinals, so that no day before date.min is made.
+    year, month = parse_month(getattr(config, fill_from))
+    first = date.fromordinal(max(
+        date(year, month, 1).toordinal() - lookback(config.forecaster, config.seasonal_period),
+        series.timestamps[0].toordinal()))
+    year, month = parse_month(config.test_month)
+    return fill_calendar(series, first, date(year, month, days_in_month(year, month)))
 
 
 class PreparedExperiment(NamedTuple):
@@ -391,7 +390,7 @@ def run_experiment(config: RunConfig, qtable_path: str | None = None,
     """
     _refuse_overwrite(config, ("metrics.csv", "qtable.txt", "summary.json"), qtable_path,
                       config_path)
-    _, filled, _ = load(config, "train_start" if qtable_path is None else "test_month")
+    filled = load(config, "train_start" if qtable_path is None else "test_month")
     prep = prepare(config, filled)
     if qtable_path is None:
         table = train(training(config, filled), prep.agent_cfg)
@@ -422,7 +421,7 @@ def grid_experiment(config: RunConfig, config_path: str | None = None) -> None:
     if not (config.grid_tolerances and config.grid_epsilons):
         raise ConfigError("grid verb needs grid_tolerances and grid_epsilons")
     _refuse_overwrite(config, ("grid.csv",), config_path=config_path)
-    _, filled, _ = load(config)
+    filled = load(config)
     prep = prepare(config, filled)
     grid = run_grid(training(config, filled), prep.test, prep.grid_cells)
     out = Path(config.output_dir)
@@ -437,7 +436,7 @@ def grid_experiment(config: RunConfig, config_path: str | None = None) -> None:
 
 
 def validate_data(config: RunConfig) -> None:
-    series, _, n_months = load(config, None)
+    series, n_months = _read_checked(config)
     days = (series.timestamps[-1] - series.timestamps[0]).days + 1
     first, last = (month_label(*parse_month(label))
                    for label in (config.train_start, config.test_month))

@@ -123,9 +123,8 @@ def run_grid(
     sweep: `InsufficientDataError` for no training cycles,
     `ZeroDivisionError` for test totals of 0, `ValueError` for test
     actuals past `AGENT_LIMIT`, or a first training cycle whose forecasts
-    or their total lie past it (`init_state_values`; no later cycle is
-    checked). The command line refuses all three. Any other exception
-    propagates.
+    sum past it (`History.start`; no later cycle is summed). The command
+    line refuses all three. Any other exception propagates.
     """
     if not cells:
         raise ValueError("grid must have at least one tolerance and one epsilon")

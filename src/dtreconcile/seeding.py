@@ -11,9 +11,9 @@ Two streams draw from a derived seed, each with one implementation:
   `train`, and walks every cycle on one iterator over it; a cycle of n
   days takes exactly its n in turn.
 - ``online``: `rng_for` returns a `Generator`, the pure-Python equal of
-  ``np.random.default_rng(seed)``. Online revision draws one uniform per
-  policy call from it, so `reconcile` and `validate-data` never import
-  numpy.
+  ``np.random.default_rng(seed)`` for the 64-bit seeds that
+  `derive_seed` makes. Online revision draws one uniform per policy call
+  from it, so `reconcile` and `validate-data` never import numpy.
 
 A grid cell's seed is derived once more (``grid:i:j``), and the cell then
 draws both streams from it.
@@ -49,24 +49,18 @@ def _mix(x: int, y: int) -> int:
 
 
 def _seed_state(seed: int) -> list[int]:
-    """``SeedSequence(seed).generate_state(4, np.uint64)``: numpy's entropy
-    pool of four 32-bit words, mixed and expanded to four 64-bit words."""
-    entropy = [seed & _MASK32]
-    while seed := seed >> 32:
-        entropy.append(seed & _MASK32)
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` for a 64-bit seed:
+    numpy's entropy pool of four 32-bit words, the seed's two and two
+    zeros, mixed and expanded to four 64-bit words."""
     const, pool = 0x43B0D7E5, []
-    for i in range(4):
-        word, const = _hashmix(entropy[i] if i < len(entropy) else 0, const)
+    for entropy in (seed & _MASK32, seed >> 32, 0, 0):
+        word, const = _hashmix(entropy, const)
         pool.append(word)
     for i_src in range(4):
         for i_dst in range(4):
             if i_src != i_dst:
                 word, const = _hashmix(pool[i_src], const)
                 pool[i_dst] = _mix(pool[i_dst], word)
-    for extra in entropy[4:]:
-        for i_dst in range(4):
-            word, const = _hashmix(extra, const)
-            pool[i_dst] = _mix(pool[i_dst], word)
     const, words = 0x8B51F9DD, []
     for i in range(8):
         word = pool[i % 4] ^ const
@@ -79,11 +73,12 @@ def _seed_state(seed: int) -> list[int]:
 class Generator:
     """``np.random.default_rng(seed)`` bit for bit, for its `random` draws:
     SeedSequence seeding of a PCG64 (128-bit LCG, XSL-RR output) and
-    53-bit doubles. A non-negative int seed only."""
+    53-bit doubles. An int seed in 0..2**64 - 1 only, the width of
+    `derive_seed`'s seeds."""
 
     def __init__(self, seed: int) -> None:
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 0 <= seed <= _MASK64:
+            raise ValueError("seed must be in 0..2**64 - 1")
         s0, s1, i0, i1 = _seed_state(seed)
         # PCG's seeding, as numpy does it: from state 0, step once, add the
         # seed's first 128 bits, step again; the increment is odd.

@@ -235,7 +235,7 @@ def test_prepare_builds_grid_cells_row_major(tmp_path, daily_csv):
         if unit is not None:
             mapping["adjustment_unit"] = unit
         config = build_run_config(mapping)
-        prep = cli.prepare(config, cli.load(config)[1])
+        prep = cli.prepare(config, cli.load(config))
         base = prep.agent_cfg
         base_total = pairwise_sum(prep.test.forecasts)
         tolerances = [resolve_tolerance(raw, base_total) for raw in ("10%", "20%")]
@@ -261,7 +261,7 @@ def test_shorter_training_is_a_prefix_of_a_longer_one(tmp_path, daily_csv, forec
     mapping = {**parse_config_file(write_config(tmp_path, daily_csv, tmp_path / "out")),
                "forecaster": forecaster}
     config = build_run_config(mapping)
-    _, filled, _ = cli.load(config)
+    filled = cli.load(config)
 
     def bits(cycles):
         return [(tuple(map(float.hex, c.forecasts)), tuple(map(float.hex, c.actuals)))
@@ -353,9 +353,10 @@ def test_each_verb_partitions_only_the_months_it_reads(tmp_path, daily_csv, caps
 
 
 def test_each_verb_fills_only_the_days_it_reads(tmp_path, daily_csv, capsys, monkeypatch):
-    # `validate-data` fills no day, `reconcile` the test month and the
-    # forecaster's lookback, `run` train_start less the lookback through
-    # the test month; the counter changes no byte a verb writes or prints.
+    # `validate-data` calls no fill, `reconcile` fills the test month and
+    # the forecaster's lookback, `run` train_start less the lookback
+    # through the test month; the counter changes no byte a verb writes or
+    # prints. A month the data do not cover stops a verb before any fill.
     out = tmp_path / "out"
     cfg_path = write_config(tmp_path, daily_csv, out)
     snapshot = tmp_path / "snapshot" / "qtable.txt"
@@ -387,11 +388,22 @@ def test_each_verb_fills_only_the_days_it_reads(tmp_path, daily_csv, capsys, mon
             original(*args)) or filled[-1])
         assert outputs(verb) == plain, verb
         monkeypatch.setattr(cli, "fill_calendar", original)
+        if first is None:
+            assert filled == [] and not plain[1], verb
+            continue
         (calendar,) = filled
-        days = 0 if first is None else (last - first).days + 1
-        assert len(calendar) == days, verb
-        assert first is None or calendar.start == first, verb
-        assert plain[1] or verb == ["validate-data"]
+        assert len(calendar) == (last - first).days + 1, verb
+        assert calendar.start == first, verb
+        assert plain[1], verb
+    short = tmp_path / "short.csv"  # the weekday rows without 2020-03-31's
+    short.write_text("".join(daily_csv.read_text().splitlines(keepends=True)[:-1]))
+    filled = []
+    monkeypatch.setattr(cli, "fill_calendar", lambda *args: filled.append(args))
+    shutil.rmtree(out)
+    assert main(["run", "--config", str(cfg_path), "--set", f"data_path={short}"]) == 2
+    assert capsys.readouterr().err == (f"data error: {short}: month 2020-03 incomplete: "
+                                       "1 missing days (first 2020-03-31)\n")
+    assert filled == [] and not out.exists()
 
 
 @pytest.mark.parametrize("forecaster", ["naive", "seasonal_naive"])

@@ -189,7 +189,7 @@ def test_run_grid_calls_train_with_a_history_and_a_config_only(monkeypatch):
 @pytest.mark.parametrize("training, message", [
     ([], "cannot initialize a table without data"),
     ([CycleData((AGENT_LIMIT, AGENT_LIMIT), (1.0, 1.0))],
-     f"monthly total and forecasts must be finite and at most {AGENT_LIMIT:g} in magnitude"),
+     f"the first training cycle's forecasts sum to 2e+306, past {AGENT_LIMIT:g}"),
 ], ids=["empty", "past_limit"])
 def test_run_grid_marks_every_cell_of_a_bad_history(training, message):
     # A history that raises is not remembered: every cell raises again.

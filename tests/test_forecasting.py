@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dtreconcile import cli, forecasting
-from dtreconcile.data import Calendar, fill_calendar, month_partition
+from dtreconcile.data import Calendar, fill_calendar, load_ohlcv_csv, month_partition
 from dtreconcile.errors import InsufficientDataError
 from dtreconcile.forecasting import drift, forecast_month, naive, seasonal_naive
 
@@ -148,14 +148,15 @@ def test_forecast_month_is_the_same_on_the_window_load_fills(tmp_path, method, p
     # "no history at all" branch and drift's whole history are all reached.
     path = tmp_path / "daily.csv"
     write_daily_csv(path, first_day, date(2020, 6, 30), nifty_like_value)
+    series = load_ohlcv_csv(path)
+    whole = fill_calendar(series)
     labels = ["2020-01", "2020-02", "2020-03", "2020-04", "2020-05"]
     for k, train_start in enumerate(labels[:3]):
         config = cli.RunConfig(data_path=str(path), train_start=train_start,
                                train_end="2020-04", test_month="2020-05",
                                forecaster=method, seasonal_period=period)
         for fill_from, months in (("train_start", labels[k:]), ("test_month", labels[-1:])):
-            series, window, _ = cli.load(config, fill_from)
-            whole = fill_calendar(series)
+            window = cli.load(config, fill_from)
             first = date(*map(int, months[0].split("-")), 1).toordinal()
             assert window.start.toordinal() == max(
                 first - forecasting.lookback(method, period), series.timestamps[0].toordinal())

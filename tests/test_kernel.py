@@ -194,8 +194,8 @@ def test_reconcile_online_matches_oracle(data, table, cfg, seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_reconcile_online_refolds_every_flip_as_the_oracle(seed):
     """Uniform actions, whole-step updates and actuals of alternating sign
-    flip the greedy action on most days; each flip refolds the RMF from
-    its day on, and every record must match the oracle's full refold."""
+    flip the greedy action on most days; each flip refolds the whole RMF,
+    and every record must match the oracle's."""
     rng = np.random.default_rng(seed)
     forecasts = rng.uniform(-50.0, 150.0, MAX_CYCLE_DAYS)
     actuals = [(-1.0) ** t * x for t, x in enumerate(rng.uniform(0.1, 9.0, MAX_CYCLE_DAYS))]
