@@ -22,7 +22,6 @@ again.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import warnings
 from functools import cached_property, lru_cache, reduce
@@ -33,7 +32,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import AGENT_LIMIT, DataError, InsufficientDataError, ShapeError
 from .errors import StreamOrderError
-from .seeding import derive_seed
+from .seeding import derive_seed, sha256
 from .totals import pairwise_sum
 
 MAX_CYCLE_DAYS = 31
@@ -103,7 +102,7 @@ class AgentConfig(_AgentFields):
 
     def config_hash(self) -> str:
         payload = json.dumps(self._asdict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
+        return sha256(payload.encode()).hexdigest()[:12]
 
 
 # Logged walks past which `ValueTable._log_v` settles V unread: training

@@ -17,11 +17,25 @@ Two streams draw from a derived seed, each with one implementation:
 
 A grid cell's seed is derived once more (``grid:i:j``), and the cell then
 draws both streams from it.
+
+`sha256`, for `derive_seed` and `agent.AgentConfig.config_hash`, comes
+from the interpreter's built-in module (``_sha2`` from Python 3.12,
+``_sha256`` before), as CPython's `random` takes ``sha512``: ``hashlib``
+loads OpenSSL, which would cost a fresh `reconcile` or `validate-data`
+process a few milliseconds to hash a few hundred bytes. SHA-256 is one
+function, so the digests are the same; ``hashlib`` is the fallback for an
+interpreter built without the module.
 """
 
 from __future__ import annotations
 
-import hashlib
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -32,7 +46,7 @@ _TO_UNIT = 1.0 / 9007199254740992.0  # 2**-53
 
 def derive_seed(base_seed: int, purpose: str) -> int:
     """First 8 bytes of sha256(f"{base_seed}:{purpose}") as an int."""
-    digest = hashlib.sha256(f"{base_seed}:{purpose}".encode()).digest()
+    digest = sha256(f"{base_seed}:{purpose}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import dtreconcile
 from dtreconcile.agent import CycleData
 
 # Every run draws the same examples: a random draw could turn the suite
@@ -93,3 +98,14 @@ REFERENCE_ACTUALS = [
     8172, 8059, 7946, 7848, 7735, 8451, 8949, 8761, 8574, 8386,
     8529,
 ]
+
+
+def run_fresh(*args, check=False):
+    """``python *args`` in a fresh interpreter that imports this checkout's
+    package. It keeps the caller's PYTHONDONTWRITEBYTECODE, so that a run
+    with it set writes no bytecode, and a child that hangs fails its test."""
+    env = {"PYTHONPATH": str(Path(dtreconcile.__file__).parents[1])}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          check=check, env=env, timeout=120)

@@ -8,7 +8,6 @@ import os
 import shlex
 import shutil
 import string
-import subprocess
 import sys
 import warnings
 from collections import Counter, defaultdict
@@ -36,7 +35,7 @@ from dtreconcile.errors import ConfigError
 from dtreconcile.seeding import derive_seed, rng_for
 from dtreconcile.totals import pairwise_sum
 
-from conftest import REFERENCE_FORECASTS, nifty_like_value, write_daily_csv
+from conftest import REFERENCE_FORECASTS, nifty_like_value, run_fresh, write_daily_csv
 
 
 def write_config(tmp_path, data_path, out_dir, extra=()):
@@ -1079,25 +1078,18 @@ def test_run_episode_keeps_the_traced_shape():
         assert all(type(rec) is agent.DayRecord for rec in records)
 
 
-def run_fresh(*args, check=False):
-    """``python *args`` in a fresh interpreter that imports this checkout's
-    package. It keeps the caller's PYTHONDONTWRITEBYTECODE, so that a run
-    with it set writes no bytecode, and a child that hangs fails its test."""
-    env = {"PYTHONPATH": str(Path(dtreconcile.__file__).parents[1])}
-    if "PYTHONDONTWRITEBYTECODE" in os.environ:
-        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          check=check, env=env, timeout=120)
-
-
 # Run in a fresh interpreter with the config, the snapshot and an output
 # directory as arguments; prints the exit codes and the modules loaded.
 DAILY_VERBS_SCRIPT = """
 import contextlib, io, json, sys
+from importlib.util import find_spec
+# hashlib and OpenSSL's _hashlib are checked where the interpreter has a
+# built-in SHA-256 module for the package to take instead.
+OPENSSL = ("hashlib", "_hashlib") if find_spec("_sha2") or find_spec("_sha256") else ()
 from dtreconcile import cli
 
-def loaded(names=("dtreconcile.hierarchy", "dtreconcile.baselines",
-                  "dataclasses", "inspect", "calendar", "argparse", "gettext")):
+def loaded(names=("dtreconcile.hierarchy", "dtreconcile.baselines", "dataclasses",
+                  "inspect", "calendar", "argparse", "gettext", *OPENSSL)):
     return sorted(name for name in sys.modules
                   if name.split(".")[0] == "numpy" or name in names)
 
@@ -1109,7 +1101,7 @@ with contextlib.redirect_stdout(io.StringIO()):
                                  "--set", "output_dir=" + out])]
     report["after_daily"] = loaded()
     report["run"] = cli.main(["run", "--config", cfg, "--set", "output_dir=" + out])
-# numpy, which training imports, loads inspect itself.
+# numpy, which training imports, loads inspect, and numpy.random hashlib.
 report["after_run"] = [name for name in ("dataclasses", "calendar", "argparse", "gettext")
                        if name in sys.modules]
 print(json.dumps(report))
@@ -1121,7 +1113,9 @@ def test_cli_import_loads_no_hierarchy_code(tmp_path, daily_csv):
     # a top-level `import numpy` anywhere on their path fails here. `run`
     # imports numpy inside training and still succeeds. No verb loads
     # `dataclasses`, `calendar`, `argparse` or `gettext`, and the daily
-    # verbs not `inspect`: each costs start-up that every fresh process pays.
+    # verbs neither `inspect` nor `hashlib` and OpenSSL's `_hashlib` (seeds
+    # and the config hash take the built-in SHA-256): each costs start-up
+    # that every fresh process pays.
     cfg_path = write_config(tmp_path, daily_csv, tmp_path / "trained")
     assert main(["run", "--config", str(cfg_path)]) == 0
     result = run_fresh("-c", DAILY_VERBS_SCRIPT, str(cfg_path),

@@ -6,22 +6,30 @@
 `agent.init_state_values` for `np.cumsum` and `forecasting.drift` for its
 former array arithmetic. numpy is the oracle. Past their bounds, which
 cover every seed `derive_seed` makes and every month's total, the first
-two raise `ValueError`.
+two raise `ValueError`. `derive_seed` and `AgentConfig.config_hash` take
+SHA-256 from the interpreter's built-in module, or from ``hashlib`` where
+there is none; ``hashlib`` is the oracle for both import paths.
 """
 
+import hashlib
+import json
 import random
 from datetime import date, timedelta
+from importlib.util import find_spec
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dtreconcile.agent import MAX_CYCLE_DAYS, init_state_values
+from dtreconcile import seeding
+from dtreconcile.agent import MAX_CYCLE_DAYS, AgentConfig, init_state_values
 from dtreconcile.data import TimeSeries, fill_calendar
 from dtreconcile.forecasting import drift
 from dtreconcile.seeding import Generator, derive_seed, rng_for
 from dtreconcile.totals import pairwise_sum
+
+from conftest import run_fresh
 
 EXAMPLES = settings(max_examples=100, deadline=None)
 DRAWS = 40
@@ -55,6 +63,76 @@ def test_rng_for_is_the_derived_seed_stream():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             Generator(seed)
+
+
+def hashlib_seed(seed, purpose):
+    return int.from_bytes(hashlib.sha256(f"{seed}:{purpose}".encode()).digest()[:8], "big")
+
+
+def hashlib_config_hash(cfg):
+    payload = json.dumps(cfg._asdict(), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+
+
+base_seeds = st.one_of(st.integers(max_value=-1), st.just(0), st.integers(min_value=2**64),
+                       st.integers())
+purposes = st.one_of(st.sampled_from(["", "train", "online", "ü€𝄞"]),
+                     st.builds("grid:{}:{}".format, st.integers(0, 99), st.integers(0, 99)),
+                     st.text())
+unit_floats = st.floats(0.0, 1.0)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+configs = st.builds(AgentConfig, tolerance=positive, exploration=unit_floats,
+                    step_size=st.floats(0.0, 1.0, exclude_min=True), discount=unit_floats,
+                    episodes=st.integers(0, 10**6), seed=st.integers(),
+                    online_updates=st.booleans(), adjustment_unit=st.none() | positive,
+                    clamp_nonnegative=st.booleans())
+
+# The hashlib fallback, in a fresh interpreter without the built-in modules.
+FALLBACK_SCRIPT = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+from dtreconcile import seeding
+from dtreconcile.agent import AgentConfig
+assert seeding.sha256 is hashlib.sha256, seeding.sha256
+seeds, configs = json.loads(sys.argv[1])
+print(json.dumps([[seeding.derive_seed(seed, purpose) for seed, purpose in seeds],
+                  [AgentConfig(**fields).config_hash() for fields in configs]]))
+"""
+
+
+def test_sha256_is_the_built_in_module_where_there_is_one():
+    builtin = next((name for name in ("_sha2", "_sha256") if find_spec(name)), None)
+    if builtin is None:
+        assert seeding.sha256 is hashlib.sha256
+    else:
+        assert seeding.sha256.__module__ == builtin
+
+
+@EXAMPLES
+@given(base_seeds, purposes)
+@example(-1, "")
+@example(0, "grid:0:0")
+@example(2**64, "online")
+def test_derive_seed_is_hashlibs_sha256(seed, purpose):
+    assert derive_seed(seed, purpose) == hashlib_seed(seed, purpose)
+
+
+@EXAMPLES
+@given(configs)
+def test_config_hash_is_hashlibs_sha256(cfg):
+    assert cfg.config_hash() == hashlib_config_hash(cfg)
+
+
+def test_the_hashlib_fallback_gives_the_same_values():
+    seeds = [(seed, purpose) for seed in (-(2**70), -1, 0, 7, 2**64 - 1, 2**64, 2**200)
+             for purpose in ("", "train", "online", "grid:2:1", "ü€𝄞")]
+    configs = [AgentConfig(tolerance=1.0), AgentConfig(0.2, 0.0, 1.0, 0.5, 3, -5, False, 2.5,
+                                                       True)]
+    result = run_fresh("-c", FALLBACK_SCRIPT,
+                       json.dumps([seeds, [cfg._asdict() for cfg in configs]]), check=True)
+    assert json.loads(result.stdout) == [[hashlib_seed(*case) for case in seeds],
+                                         [hashlib_config_hash(cfg) for cfg in configs]]
 
 
 # Signed zeros, subnormals, the smallest normal and values across the whole
